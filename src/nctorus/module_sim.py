@@ -56,7 +56,6 @@ class ModuleDescriptor:
     Jprime: np.ndarray
     curvature: np.ndarray | None = None
     phi_star: np.ndarray | None = None
-    K: float = 1.0
 
     @property
     def n(self) -> int:
@@ -367,4 +366,4 @@ def _integrate(f, g, x, d, n_points, quad) -> complex:
                 m = PointM(u=u, a=a, w=w)
                 val = pairing(m, minus_that, d) * g(_shift_point(m, tpart, +1, d)) * f(m).conjugate()
                 total += wu * w_weight * val
-    return d.K * prefactor * total
+    return prefactor * total

@@ -85,7 +85,12 @@ def make_theta(entries) -> Theta:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A validated element; construct through check_membership only."""
+    """A group member.
+
+    Elements entering the program are validated by check_membership; the
+    generators and group operations build theirs through _element, since
+    membership of a product or inverse follows from that of its factors.
+    """
 
     n: int
     A: np.ndarray
@@ -118,22 +123,24 @@ def check_membership(A, B, C, D) -> GroupElement:
         raise RelationViolated("B^t D + D^t B = 0")
     if not xl.mat_eq(A.T @ D + C.T @ B, xl.eye(n)):
         raise RelationViolated("A^t D + C^t B = I")
-    g = GroupElement(n=n, A=xl.freeze(A), B=xl.freeze(B), C=xl.freeze(C), D=xl.freeze(D))
+    g = _element(A, B, C, D)
     if xl.det(g.matrix()) != 1:
         raise DeterminantNotOne("assembled matrix must have determinant 1")
-    # implied by the relations; kept as a redundant self-check
-    if not xl.is_skew(D @ C.T):
-        raise RelationViolated("D C^t skew-symmetric")
     return g
 
 
+def _element(A, B, C, D) -> GroupElement:
+    """Freeze integer blocks whose membership is already established."""
+    return GroupElement(n=A.shape[0], A=xl.freeze(A), B=xl.freeze(B), C=xl.freeze(C), D=xl.freeze(D))
+
+
 def identity_element(n: int) -> GroupElement:
-    return check_membership(xl.eye(n), xl.zeros(n, n), xl.zeros(n, n), xl.eye(n))
+    return _element(xl.eye(n), xl.zeros(n, n), xl.zeros(n, n), xl.eye(n))
 
 
 def invert_element(g: GroupElement) -> GroupElement:
     """The inverse is the block transpose (D^t, B^t, C^t, A^t)."""
-    return check_membership(g.D.T, g.B.T, g.C.T, g.A.T)
+    return _element(g.D.T, g.B.T, g.C.T, g.A.T)
 
 
 def compose(g: GroupElement, h: GroupElement, *rest: GroupElement) -> GroupElement:
@@ -141,7 +148,7 @@ def compose(g: GroupElement, h: GroupElement, *rest: GroupElement) -> GroupEleme
         return compose(compose(g, h), *rest)
     if g.n != h.n:
         raise ValueError("dimension mismatch")
-    return check_membership(
+    return _element(
         g.A @ h.A + g.B @ h.C,
         g.A @ h.B + g.B @ h.D,
         g.C @ h.A + g.D @ h.C,
@@ -155,7 +162,7 @@ def rho(R) -> GroupElement:
     if abs(xl.det(R)) != 1:
         raise NotUnimodular("rho needs a matrix with determinant +-1")
     n = R.shape[0]
-    return check_membership(R, xl.zeros(n, n), xl.zeros(n, n), xl.int_inverse(R).T)
+    return _element(R, xl.zeros(n, n), xl.zeros(n, n), xl.int_inverse(R).T)
 
 
 def mu(N) -> GroupElement:
@@ -164,7 +171,7 @@ def mu(N) -> GroupElement:
     if not xl.is_skew(N):
         raise xl.NotSkew("mu needs an integer skew-symmetric matrix")
     n = N.shape[0]
-    return check_membership(xl.eye(n), N, xl.zeros(n, n), xl.eye(n))
+    return _element(xl.eye(n), N, xl.zeros(n, n), xl.eye(n))
 
 
 def sigma_flip(support, n: int) -> GroupElement:
@@ -181,7 +188,7 @@ def sigma_flip(support, n: int) -> GroupElement:
             on[i - 1, i - 1] = 1
         else:
             off[i - 1, i - 1] = 1
-    return check_membership(off, on, on, off)
+    return _element(off, on, on, off)
 
 
 def c_theta_plus_d(g: GroupElement, theta: Theta) -> np.ndarray:
@@ -197,12 +204,7 @@ def act(g: GroupElement, theta: Theta) -> Theta:
         Minv = xl.rational_inverse(M)
     except xl.Singular:
         raise Undefined("C theta + D is singular") from None
-    out = (g.A @ theta.M + g.B) @ Minv
-    if not xl.is_skew(out):
-        raise AssertionError("action produced a non-skew matrix")
-    if not xl.is_skew(Minv @ g.C):
-        raise AssertionError("(C theta + D)^-1 C is not skew")
-    return make_theta(out)
+    return make_theta((g.A @ theta.M + g.B) @ Minv)
 
 
 def is_defined(g: GroupElement, theta: Theta) -> bool:

@@ -103,6 +103,15 @@ class TestCommands:
         assert code == 2
         assert json.loads(out.read_text())["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("command", ["act", "pipeline", "embed", "decompose", "simulate"])
+    def test_dimension_mismatch_exit_2(self, tmp_path, command):
+        doc = flip_doc()
+        del doc["n"]
+        doc["theta"] = [["0", "1/2", "1/3"], ["-1/2", "0", "1/5"], ["-1/3", "-1/5", "0"]]
+        code, out = run(tmp_path, [command], doc)
+        assert code == 2 and out["error"]["kind"] == "parse"
+        assert out["error"]["message"] == "theta has size 3, g blocks have size 2"
+
     def test_missing_field_exit_2(self, tmp_path):
         doc = {"version": "nctorus/1", "n": 2, "theta": [["0", "1"], ["-1", "0"]]}
         code, out = run(tmp_path, ["act"], doc)
@@ -157,6 +166,11 @@ class TestCommands:
         code, out = run(tmp_path, ["campaign", "--n", "2", "--seed", "7", "--trials", "4"])
         assert code == 0
         assert out["all_passed"] is True and out["defined"] >= 3
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_campaign_small_n_exit_2(self, tmp_path, n):
+        code, out = run(tmp_path, ["campaign", "--n", n, "--seed", "7", "--trials", "2"])
+        assert code == 2 and out["error"] == {"kind": "parse", "message": "n must be an integer >= 2"}
 
     def test_simulate_tolerance_gate(self, tmp_path):
         code, out = run(

@@ -11,6 +11,11 @@ def flip2():
     return tg.sigma_flip([1, 2], 2)
 
 
+def assert_member(g):
+    """Products and generators skip validation; the full check must agree."""
+    assert tg.check_membership(g.A, g.B, g.C, g.D) == g
+
+
 class TestMembership:
     def test_identity(self):
         g = tg.identity_element(3)
@@ -112,11 +117,24 @@ class TestAction:
         with pytest.raises(tg.Undefined):
             tg.act(flip2(), theta)
 
+    def test_inverse_undoes_action(self):
+        hits = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.choice([2, 3, 4, 5, 6])
+            g = tg.random_element(f"g{seed}", rng.randint(1, 6), n)
+            theta = tg.random_theta(f"t{seed}", n)
+            if not tg.is_defined(g, theta):
+                continue
+            assert tg.act(tg.invert_element(g), tg.act(g, theta)) == theta
+            hits += 1
+        assert hits >= 20
+
     def test_partial_action_composes(self):
         hits = 0
         for seed in range(40):
             rng = random.Random(seed)
-            n = rng.choice([2, 3, 4])
+            n = rng.choice([2, 3, 4, 5, 6])
             g = tg.random_element(f"g{seed}", rng.randint(1, 5), n)
             h = tg.random_element(f"h{seed}", rng.randint(1, 5), n)
             theta = tg.random_theta(f"t{seed}", n)
@@ -138,4 +156,18 @@ class TestRandomElement:
 
     def test_always_member(self):
         for seed in range(30):
-            tg.random_element(seed, 8, 4)  # check_membership validates internally
+            for n in range(2, 7):
+                assert_member(tg.random_element(seed, 8, n))
+
+    def test_operations_and_generators_are_members(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = 2 + seed % 5
+            g = tg.random_element(f"g{seed}", rng.randint(1, 6), n)
+            h = tg.random_element(f"h{seed}", rng.randint(1, 6), n)
+            assert_member(tg.compose(g, h))
+            assert_member(tg.invert_element(g))
+            assert_member(tg.rho(tg.random_unimodular(rng, n)))
+            assert_member(tg.mu(tg.random_skew_int(rng, n)))
+            assert_member(tg.sigma_flip(tg.random_even_support(rng, n), n))
+            assert_member(tg.identity_element(n))
