@@ -9,6 +9,7 @@ certificate failed, 2 parse error, 3 action undefined.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -18,9 +19,7 @@ from . import module_sim as ms
 from .embedding import EmbeddingError, pipeline
 from .normal_form import NormalFormError, detect_special_form, normalize_right
 from .torus_group import (
-    DeterminantNotOne,
     GroupError,
-    RelationViolated,
     Undefined,
     act,
     check_membership,
@@ -63,6 +62,12 @@ def _require(job: dict, *fields: str) -> None:
     missing = [f for f in fields if f not in job]
     if missing:
         raise docs.ParseError(f"document is missing: {', '.join(missing)}")
+
+
+def _option(opts, job: dict, name: str, default):
+    """A command-line flag overrides the document's options entry."""
+    value = getattr(opts, name)
+    return value if value is not None else job["options"].get(name, default)
 
 
 def _element(job: dict):
@@ -176,11 +181,12 @@ def cmd_simulate(job: dict, opts) -> dict:
         g = _element(job)
         _require(job, "theta")
         d = pipeline(g, job["theta"]).descriptor
-    options = job["options"]
-    seed = opts.seed if opts.seed is not None else options.get("seed", 0)
-    samples = opts.samples if opts.samples is not None else options.get("samples", 8)
-    trials = opts.trials if opts.trials is not None else options.get("trials", 100)
-    tol = opts.tolerance if opts.tolerance is not None else options.get("tolerance", 1e-9)
+    seed = _option(opts, job, "seed", 0)
+    samples = docs.check_int(_option(opts, job, "samples", 8), "samples", 1)
+    trials = docs.check_int(_option(opts, job, "trials", 100), "trials", 1)
+    tol = _option(opts, job, "tolerance", 1e-9)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise docs.ParseError("tolerance must be a positive finite number")
     report = run_simulation(d, seed, samples, trials, tol)
     report["p"], report["q"], report["k"] = d.p, d.q, d.k
     return report
@@ -240,12 +246,12 @@ def run_campaign(n: int, seed, trials: int, word_length: int = 8, max_den: int =
 
 def cmd_campaign(job: dict, opts) -> dict:
     options = job.get("options", {})
-    n = docs.check_n(opts.n if opts.n is not None else job.get("n") or options.get("n"))
+    n = docs.check_int(opts.n if opts.n is not None else job.get("n") or options.get("n"), "n", 2)
     if n is None:
         raise docs.ParseError("campaign needs n (document field or --n)")
-    seed = opts.seed if opts.seed is not None else options.get("seed", 0)
-    trials = opts.trials if opts.trials is not None else options.get("trials", 10)
-    word_length = options.get("word_length", 8)
+    seed = _option(opts, job, "seed", 0)
+    trials = docs.check_int(_option(opts, job, "trials", 10), "trials", 1)
+    word_length = docs.check_int(options.get("word_length", 8), "word_length", 1)
     return run_campaign(n, seed, trials, word_length)
 
 

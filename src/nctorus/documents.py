@@ -14,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact_linalg as xl
-from .embedding import Certificate, EmbeddingData, MoritaChain, PipelineResult
+from .embedding import EmbeddingData, MoritaChain, PipelineResult, build_forms
 from .module_sim import ModuleDescriptor
-from .torus_group import GroupElement, Theta, check_membership, make_theta
+from .torus_group import GroupElement, Theta, make_theta
 
 FORMAT_VERSION = "nctorus/1"
 
@@ -103,6 +103,7 @@ def group_blocks_from_doc(doc, n: int | None = None) -> tuple[np.ndarray, np.nda
     sizes = {M.shape for M in blocks}
     if len(sizes) != 1 or blocks[0].shape[0] != blocks[0].shape[1]:
         raise ParseError("g blocks must be square and of equal size")
+    check_int(blocks[0].shape[0], "n", 2)
     if n is not None and blocks[0].shape[0] != n:
         raise ParseError(f"g blocks have size {blocks[0].shape[0]}, document says n={n}")
     return blocks
@@ -117,11 +118,11 @@ def group_doc(g: GroupElement) -> dict:
     }
 
 
-def check_n(n):
-    """The size n of a document or command line, if given, is an integer >= 2."""
-    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 2):
-        raise ParseError("n must be an integer >= 2")
-    return n
+def check_int(value, name: str, floor: int):
+    """A size or count from a document or command line, if given, is an integer >= floor."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < floor):
+        raise ParseError(f"{name} must be an integer >= {floor}")
+    return value
 
 
 def load_job(doc: dict) -> dict:
@@ -134,7 +135,7 @@ def load_job(doc: dict) -> dict:
     out = {"options": doc.get("options", {})}
     if not isinstance(out["options"], dict):
         raise ParseError("options must be an object")
-    n = out["n"] = check_n(doc.get("n"))
+    n = out["n"] = check_int(doc.get("n"), "n", 2)
     if "g" in doc:
         out["g_blocks"] = group_blocks_from_doc(doc["g"], n)
     if "theta" in doc:
@@ -186,8 +187,6 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
         raise ParseError(f"bad module_descriptor: {e}") from None
     if len(orders) != k or any(x < 1 for x in orders):
         raise ParseError("orders must list k positive integers")
-    from .embedding import build_forms  # local import keeps module load light
-
     T = parse_rat_matrix(doc.get("T"), "T")
     S = parse_rat_matrix(doc.get("S"), "S")
     theta = theta_from_doc(doc.get("theta"))
@@ -196,6 +195,8 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
     amb = n + q + 2 * k
     if T.shape != (amb, n) or S.shape != (amb, n):
         raise ParseError("T and S must have shape (n+q+2k) x n")
+    if theta.n != n or theta_prime.n != n:
+        raise ParseError("theta and theta_prime must have size n = 2p+q")
     J, Jp = build_forms(p, q, orders)
     return ModuleDescriptor(
         p=p, q=q, k=k, orders=orders, T=T, S=S, theta=theta, theta_prime=theta_prime, J=J, Jprime=Jp

@@ -188,8 +188,6 @@ def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[np.ndarray, np
     for idx, v in np.ndenumerate(J):
         if v > 0:
             Jp[idx] = v
-    if not xl.mat_eq(J, Jp - Jp.T):
-        raise AssertionError("positive half does not reassemble the form")
     return J, Jp
 
 
@@ -227,7 +225,7 @@ class EmbeddingMap:
         return self.matrix.T @ self.J @ self.matrix
 
 
-def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLog | None = None) -> EmbeddingMap:
+def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLog) -> EmbeddingMap:
     """The embedding map for theta.
 
     The symplectic block realizes theta_11 - Z against the standard form,
@@ -235,12 +233,11 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLo
     theta_22, and the torsion rows land the reduced basis multiples in the
     covering lattice of W x W^.
     """
-    certs = certs if certs is not None else CertificateLog()
     p, q, k = sf.p, sf.q, td.k
     n = sf.n
-    T11 = xl.symplectic_factor_rational(theta.block(p, "11") - sf.Z)
-    T31 = theta.block(p, "21")
-    T32 = xl.strict_upper(theta.block(p, "22"))
+    T11 = xl.symplectic_factor_rational(theta.M[: 2 * p, : 2 * p] - sf.Z)
+    T31 = theta.M[2 * p :, : 2 * p]
+    T32 = xl.strict_upper(theta.M[2 * p :, 2 * p :])
     T1 = xl.zeros(n + q, n)
     T1[: 2 * p, : 2 * p] = T11
     T1[2 * p : n, 2 * p :] = xl.eye(q)
@@ -297,14 +294,13 @@ def build_S(
     td: TorsionData,
     emb: EmbeddingMap,
     phi: np.ndarray,
-    certs: CertificateLog | None = None,
+    certs: CertificateLog,
 ) -> EmbeddingMap:
     """The dual embedding onto the annihilator of the image lattice.
 
     Computed as (Tbar^t J)^-1 composed with the lattice splitting phi, then
     cross-checked entry-by-entry against the closed-form blocks.
     """
-    certs = certs if certs is not None else CertificateLog()
     p, q, k = sf.p, sf.q, td.k
     n = sf.n
     T1, T2 = emb.matrix[: n + q], emb.matrix[n + q :]
@@ -364,7 +360,7 @@ def verify_duality(
     dual: EmbeddingMap,
     td: TorsionData,
     phi: np.ndarray,
-    certs: CertificateLog | None = None,
+    certs: CertificateLog,
 ) -> None:
     """Two exact duality checks.
 
@@ -374,7 +370,6 @@ def verify_duality(
         phi (the splitting build_S used) is a basis of the full certificate
         lattice: determinant +-1.
     """
-    certs = certs if certs is not None else CertificateLog()
     gram = dual.matrix.T @ emb.J @ emb.matrix
     certs.check(
         "pairing_integral",
@@ -407,18 +402,17 @@ def theta_prime(
     td: TorsionData,
     theta: Theta,
     F11: np.ndarray,
-    certs: CertificateLog | None = None,
+    certs: CertificateLog,
 ) -> Theta:
     """theta' = -S^t J S, cross-checked against the four displayed blocks."""
-    certs = certs if certs is not None else CertificateLog()
     p, q = dual.p, dual.q
     tp = -dual.pullback()
     certs.check("S_pullback", xl.is_skew(tp), "-S^t J S is not skew", witness=tp)
     blk3 = _blk3(td)
     R = td.R
-    t12 = theta.block(p, "12")
-    t21 = theta.block(p, "21")
-    t22 = theta.block(p, "22")
+    t12 = theta.M[: 2 * p, 2 * p :]
+    t21 = theta.M[2 * p :, : 2 * p]
+    t22 = theta.M[2 * p :, 2 * p :]
     expect = xl.zeros(*tp.shape)
     expect[: 2 * p, : 2 * p] = blk3 @ R @ F11 @ R.T @ blk3 + _corner_form(td, td.Q2 @ td.P1)
     expect[: 2 * p, 2 * p :] = blk3 @ R @ F11 @ t12
@@ -439,7 +433,7 @@ def build_gprime(
     theta: Theta,
     theta_out: Theta,
     F11: np.ndarray,
-    certs: CertificateLog | None = None,
+    certs: CertificateLog,
 ) -> tuple[np.ndarray, np.ndarray, GroupElement]:
     """The dual tangent matrix, the normalized curvature, and g'.
 
@@ -451,14 +445,13 @@ def build_gprime(
     asserted integral and a group member with theta' = g' theta, then
     matched against theta-independent closed forms.
     """
-    certs = certs if certs is not None else CertificateLog()
     p, q = sf.p, sf.q
     n = sf.n
     k = td.k
     blk3 = _blk3(td)
     phi_star = xl.zeros(n, n)
     phi_star[: 2 * p, : 2 * p] = F11 @ td.R.T @ blk3
-    phi_star[: 2 * p, 2 * p :] = F11 @ theta.block(p, "12")
+    phi_star[: 2 * p, 2 * p :] = F11 @ theta.M[: 2 * p, 2 * p :]
     phi_star[2 * p :, 2 * p :] = -xl.eye(q)
     curvature = xl.block_diag(F11, xl.zeros(q, q))
     inv = xl.rational_inverse(phi_star)
@@ -502,11 +495,8 @@ def build_gprime(
     return xl.freeze(phi_star), xl.freeze(curvature), gp
 
 
-def decompose(
-    g: GroupElement, gp: GroupElement, certs: CertificateLog | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple[np.ndarray, np.ndarray]:
     """Factor g = mu(N) rho(A) g' and verify the reassembly exactly."""
-    certs = certs if certs is not None else CertificateLog()
     gt = compose(g, invert_element(gp))
     certs.check("decomp_ctilde_zero", xl.is_zero(gt.C), "C block of g (g')^-1 is nonzero", witness=gt.C)
     certs.check(

@@ -2,10 +2,15 @@
 
 Matrices are numpy arrays with ``dtype=object`` whose entries are Python
 ``int`` or ``fractions.Fraction`` values, so everything here is exact; no
-floating point enters this module.  Pivoting rules are fixed so outputs are
-reproducible, but the contracts are predicate-based: any factor satisfying
-the stated equation is correct, and the factorizations re-multiply and check
-themselves before returning.
+floating point enters this module.
+
+``det``, ``rank``, ``rational_inverse``, ``int_inverse`` and ``solve_unique``
+all run the one elimination kernel ``_row_reduce``.  Their results are unique
+in exact arithmetic, so the kernel's pivot rule cannot change any output.  The
+Smith, alternating and symplectic reductions (and the kernel bases built on
+Smith) return one factor among many: their fixed pivot rules decide the output
+bytes and must stay as they are.  Any factor satisfying the stated equation is
+correct, and each reduction re-multiplies and checks itself before returning.
 
 Empty blocks (0xm, mx0) are first-class values throughout.
 """
@@ -151,53 +156,57 @@ def freeze(A: np.ndarray) -> np.ndarray:
 # elimination-based kernels
 
 
+def _row_reduce(W: np.ndarray, ncols: int, full: bool) -> tuple[list[int], Fraction]:
+    """Gaussian elimination, in place, on the first ``ncols`` columns of W.
+
+    W holds ``Fraction`` entries.  Each column's pivot is the first nonzero
+    entry at or below the current row; the rows below it are cleared with the
+    factor W[i, col] / pivot.  With ``full`` the rows above are cleared too
+    and every pivot row is then scaled so its pivot is 1 (reduced echelon
+    form).  Returns the pivot columns and the determinant of the pivoted
+    block, sign of the row swaps included.
+    """
+    m = W.shape[0]
+    pivots: list[int] = []
+    d = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if W[i, col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            W[[r, piv]] = W[[piv, r]]
+            d = -d
+        p = W[r, col]
+        d *= p
+        for i in range(0 if full else r + 1, m):
+            if i != r and W[i, col] != 0:
+                W[i, col:] = W[i, col:] - (W[i, col] / p) * W[r, col:]
+        pivots.append(col)
+    if full:
+        for r, col in enumerate(pivots):
+            W[r, col:] = W[r, col:] / W[r, col]
+    return pivots, d
+
+
 def det(M: np.ndarray) -> Fraction:
     """Exact determinant; det of the empty 0x0 matrix is 1."""
     n, m = M.shape
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    A = to_fraction(M)
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r, col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            sign = -sign
-        p = A[col, col]
-        d *= p
-        for r in range(col + 1, n):
-            if A[r, col] != 0:
-                A[r, col:] = A[r, col:] - (A[r, col] / p) * A[col, col:]
-    return sign * d
+    pivots, d = _row_reduce(to_fraction(M), n, full=False)
+    return d if len(pivots) == n else Fraction(0)
 
 
 def rank(M: np.ndarray) -> int:
-    A = to_fraction(M)
-    n, m = A.shape
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if A[i, col] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        p = A[r, col]
-        for i in range(r + 1, n):
-            if A[i, col] != 0:
-                A[i, col:] = A[i, col:] - (A[i, col] / p) * A[r, col:]
-        r += 1
-        if r == n:
-            break
-    return r
+    pivots, _ = _row_reduce(to_fraction(M), M.shape[1], full=False)
+    return len(pivots)
 
 
 def rational_inverse(M: np.ndarray) -> np.ndarray:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse by Gauss-Jordan elimination of [M | I].
 
     Raises:
         Singular: if the determinant is zero.
@@ -205,24 +214,11 @@ def rational_inverse(M: np.ndarray) -> np.ndarray:
     n, m = M.shape
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    A = to_fraction(M)
-    B = to_fraction(eye(n))
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r, col] != 0), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            B[[col, piv]] = B[[piv, col]]
-        p = A[col, col]
-        A[col] = A[col] / p
-        B[col] = B[col] / p
-        for r in range(n):
-            if r != col and A[r, col] != 0:
-                f = A[r, col]
-                A[r] = A[r] - f * A[col]
-                B[r] = B[r] - f * B[col]
-    return B
+    W = np.concatenate([to_fraction(M), to_fraction(eye(n))], axis=1)
+    pivots, _ = _row_reduce(W, n, full=True)
+    if len(pivots) < n:
+        raise Singular("matrix is singular")
+    return W[:, n:]
 
 
 def int_inverse(M: np.ndarray) -> np.ndarray:
@@ -230,12 +226,8 @@ def int_inverse(M: np.ndarray) -> np.ndarray:
     return to_int(rational_inverse(M))
 
 
-def solve_unique(A: np.ndarray, B: np.ndarray, pivot_order: str = "first") -> np.ndarray:
+def solve_unique(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B exactly for A of full column rank.
-
-    ``pivot_order`` selects which row supplies each pivot ("first" scans
-    top-down, "last" bottom-up); full column rank makes the solution
-    independent of that choice, which callers use as a uniqueness check.
 
     Raises:
         Inconsistent: if no exact solution exists or A is column-rank
@@ -245,27 +237,12 @@ def solve_unique(A: np.ndarray, B: np.ndarray, pivot_order: str = "first") -> np
     if B.shape[0] != m:
         raise ValueError("shape mismatch")
     W = np.concatenate([to_fraction(A), to_fraction(B)], axis=1)
-    rows = list(range(m)) if pivot_order == "first" else list(range(m - 1, -1, -1))
-    used: list[int] = []
-    pivots: list[tuple[int, int]] = []
-    for col in range(r):
-        piv = next((i for i in rows if i not in used and W[i, col] != 0), None)
-        if piv is None:
-            raise Inconsistent("coefficient matrix is column-rank deficient")
-        used.append(piv)
-        pivots.append((piv, col))
-        p = W[piv, col]
-        W[piv] = W[piv] / p
-        for i in range(m):
-            if i != piv and W[i, col] != 0:
-                W[i] = W[i] - W[i, col] * W[piv]
-    for i in range(m):
-        if i not in used and not is_zero(W[i : i + 1, r:]):
-            raise Inconsistent("system has no exact solution")
-    X = zeros(r, B.shape[1])
-    for piv, col in pivots:
-        X[col, :] = W[piv, r:]
-    return X
+    pivots, _ = _row_reduce(W, r, full=True)
+    if len(pivots) < r:
+        raise Inconsistent("coefficient matrix is column-rank deficient")
+    if not is_zero(W[r:, r:]):
+        raise Inconsistent("system has no exact solution")
+    return W[:r, r:]
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -315,11 +292,13 @@ class SnfResult:
     V: np.ndarray
 
 
-def _min_entry(M: np.ndarray, t: int):
+def _min_entry(M: np.ndarray, t: int, upper: bool = False):
+    """Row-major first nonzero entry of least absolute value in M[t:, t:],
+    or with ``upper`` in the strict upper triangle of M[t:, :]."""
     best = None
     best_val = None
     for i in range(t, M.shape[0]):
-        for j in range(t, M.shape[1]):
+        for j in range(i + 1 if upper else t, M.shape[1]):
             v = M[i, j]
             if v != 0 and (best is None or abs(v) < best_val):
                 best, best_val = (i, j), abs(v)
@@ -419,12 +398,9 @@ def kernel_lattice_basis(C: np.ndarray) -> np.ndarray:
     return res.V[:, r:].copy()
 
 
-def complete_basis(C: np.ndarray, n: int) -> np.ndarray:
+def complete_basis(C: np.ndarray) -> np.ndarray:
     """Unimodular matrix whose trailing columns span the integer kernel of C."""
-    if C.shape[1] != n:
-        raise ValueError("C must have n columns")
-    res = smith_normal_form(C)
-    return res.V.copy()
+    return smith_normal_form(C).V.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +450,11 @@ def alternating_normal_form_int(A: np.ndarray) -> tuple[np.ndarray, list]:
     t = 0
     hs: list = []
     while t < n:
-        loc = _min_entry_upper(W, t)
+        loc = _min_entry(W, t, upper=True)
         if loc is None:
             break
         while True:
-            i, j = _min_entry_upper(W, t)
+            i, j = _min_entry(W, t, upper=True)
             if i != t:
                 _congr_swap(W, Q, t, i)
                 if j == t:
@@ -516,17 +492,6 @@ def alternating_normal_form_int(A: np.ndarray) -> tuple[np.ndarray, list]:
     return R, hs
 
 
-def _min_entry_upper(W: np.ndarray, t: int):
-    best = None
-    best_val = None
-    for i in range(t, W.shape[0]):
-        for j in range(i + 1, W.shape[1]):
-            v = W[i, j]
-            if v != 0 and (best is None or abs(v) < best_val):
-                best, best_val = (i, j), abs(v)
-    return best
-
-
 def standard_symplectic(p: int) -> np.ndarray:
     J0 = zeros(2 * p, 2 * p)
     for i in range(p):
@@ -545,15 +510,14 @@ def symplectic_factor_rational(A: np.ndarray) -> np.ndarray:
 
     Raises:
         NotSkew: if A is not skew-symmetric.
-        Singular: if A is singular (odd sizes always are).
+        Singular: if A is singular (odd sizes always are); a basis vector
+            then finds no partner.
     """
     if not is_skew(A):
         raise NotSkew("symplectic factorization needs a skew-symmetric matrix")
     n = A.shape[0]
     if n == 0:
         return zeros(0, 0)
-    if det(A) == 0:
-        raise Singular("alternating form is degenerate")
     p = n // 2
     F = to_fraction(A)
 

@@ -44,15 +44,6 @@ class SpecialForm:
     def q(self) -> int:
         return self.n - 2 * self.p
 
-    def c_matrix(self) -> np.ndarray:
-        left = np.concatenate([self.C11, self.C21], axis=0)
-        return np.concatenate([left, xl.zeros(self.n, self.q)], axis=1)
-
-    def d_matrix(self) -> np.ndarray:
-        left = -np.concatenate([self.C11, self.C21], axis=0) @ self.Z
-        right = np.concatenate([self.D12, self.D22], axis=0)
-        return xl.to_int(np.concatenate([left, right], axis=1))
-
     def mixed_matrix(self) -> np.ndarray:
         return np.block([[self.C11, self.D12], [self.C21, self.D22]])
 
@@ -109,7 +100,7 @@ def normalize_right(g: GroupElement) -> np.ndarray:
     Callers confirm the shape with detect_special_form on g * rho(R0), which
     raises OddRank or NotSpecialForm if it is wrong.
     """
-    return xl.complete_basis(g.C, g.n)
+    return xl.complete_basis(g.C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,22 +112,15 @@ class DomainCheck:
 def domain_check(sf: SpecialForm, theta: Theta) -> DomainCheck:
     """Decide definedness of the action from theta_11 - Z alone.
 
-    When defined, the inverse F11 is returned and the block identity
-    (C theta + D)^-1 C = blk(F11, 0; 0, 0) is verified exactly; F11 is also
-    checked to be skew.  Undefined is a value, not an error.
+    When defined, F11 = (theta_11 - Z)^-1 is returned; undefined is a value,
+    not an error.  That (C theta + D)^-1 C = blk(F11, 0; 0, 0) with F11 skew
+    is a lemma of the construction, asserted in the tests: the pipeline never
+    uses (C theta + D)^-1 C, and F11 itself is certified downstream by
+    theta_prime_blocks, gprime_action and gprime_closed_form.
     """
-    if sf.n != theta.n:
-        raise ValueError("dimension mismatch")
-    diff = theta.block(sf.p, "11") - sf.Z
+    c = 2 * sf.p
     try:
-        F11 = xl.rational_inverse(diff)
+        F11 = xl.rational_inverse(theta.M[:c, :c] - sf.Z)
     except xl.Singular:
         return DomainCheck(defined=False, F11=None)
-    if not xl.is_skew(F11):
-        raise AssertionError("F11 is not skew-symmetric")
-    C = sf.c_matrix()
-    M = C @ theta.M + sf.d_matrix()
-    expected = xl.block_diag(F11, xl.zeros(sf.q, sf.q))
-    if not xl.mat_eq(xl.rational_inverse(M) @ C, expected):
-        raise AssertionError("(C theta + D)^-1 C block identity failed")
     return DomainCheck(defined=True, F11=xl.freeze(F11))

@@ -61,16 +61,6 @@ class Theta:
     def __eq__(self, other):
         return isinstance(other, Theta) and self.n == other.n and xl.mat_eq(self.M, other.M)
 
-    def block(self, p: int, which: str) -> np.ndarray:
-        """One of the four blocks cut at row/column 2p."""
-        c = 2 * p
-        return {
-            "11": self.M[:c, :c],
-            "12": self.M[:c, c:],
-            "21": self.M[c:, :c],
-            "22": self.M[c:, c:],
-        }[which]
-
 
 def make_theta(entries) -> Theta:
     M = entries if isinstance(entries, np.ndarray) else xl.mat(entries)

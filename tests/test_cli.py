@@ -162,6 +162,49 @@ class TestCommands:
         )
         assert code2 == 0 and out2["passed"] is True
 
+    @pytest.mark.parametrize("field", ["theta", "theta_prime"])
+    def test_simulate_descriptor_theta_size_exit_2(self, tmp_path, field):
+        code, out = run(tmp_path, ["pipeline"], flip_doc())
+        desc = out["module_descriptor"]
+        desc[field] = [["0", "1/2", "1/3"], ["-1/2", "0", "1/5"], ["-1/3", "-1/5", "0"]]
+        code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
+        assert code == 2 and out["error"] == {
+            "kind": "parse",
+            "message": "theta and theta_prime must have size n = 2p+q",
+        }
+
+    @pytest.mark.parametrize(
+        "command, flags, options, field",
+        [
+            pytest.param("simulate", ["--samples", "0"], {}, "samples", id="simulate-samples-flag-0"),
+            pytest.param("simulate", ["--trials", "-1"], {}, "trials", id="simulate-trials-flag-neg"),
+            pytest.param("simulate", [], {"trials": 0}, "trials", id="simulate-trials-0"),
+            pytest.param("simulate", [], {"trials": True}, "trials", id="simulate-trials-bool"),
+            pytest.param("simulate", [], {"samples": "x"}, "samples", id="simulate-samples-str"),
+            pytest.param("simulate", [], {"samples": 1.5}, "samples", id="simulate-samples-float"),
+            pytest.param("simulate", [], {"tolerance": "x"}, "tolerance", id="simulate-tolerance-str"),
+            pytest.param("simulate", [], {"tolerance": 0}, "tolerance", id="simulate-tolerance-0"),
+            pytest.param("simulate", ["--tolerance", "inf"], {}, "tolerance", id="simulate-tolerance-flag-inf"),
+            pytest.param("campaign", [], {"trials": "x"}, "trials", id="campaign-trials-str"),
+            pytest.param("campaign", ["--trials", "0"], {}, "trials", id="campaign-trials-flag-0"),
+            pytest.param("campaign", [], {"word_length": 0}, "word_length", id="campaign-word-length-0"),
+        ],
+    )
+    def test_bad_option_exit_2(self, tmp_path, command, flags, options, field):
+        doc = flip_doc()
+        doc["options"] = options
+        code, out = run(tmp_path, [command] + flags, doc)
+        if field == "tolerance":
+            message = "tolerance must be a positive finite number"
+        else:
+            message = f"{field} must be an integer >= 1"
+        assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+
+    def test_check_one_by_one_exit_2(self, tmp_path):
+        doc = {"version": "nctorus/1", "g": {"A": [[1]], "B": [[0]], "C": [[0]], "D": [[1]]}}
+        code, out = run(tmp_path, ["check"], doc)
+        assert code == 2 and out["error"] == {"kind": "parse", "message": "n must be an integer >= 2"}
+
     def test_campaign(self, tmp_path):
         code, out = run(tmp_path, ["campaign", "--n", "2", "--seed", "7", "--trials", "4"])
         assert code == 0

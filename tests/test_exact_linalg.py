@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from nctorus import exact_linalg as xl
@@ -149,8 +150,7 @@ class TestKernelAndCompletion:
     @given(rows=int_matrices(max_r=3, max_c=4, lo=-4, hi=4))
     def test_complete_basis(self, rows):
         C = xl.mat(rows)
-        n = C.shape[1]
-        R0 = xl.complete_basis(C, n)
+        R0 = xl.complete_basis(C)
         assert abs(xl.det(R0)) == 1
         prod = C @ R0
         r = xl.rank(C)
@@ -158,8 +158,8 @@ class TestKernelAndCompletion:
         assert xl.rank(prod[:, :r]) == r
 
     def test_complete_basis_trivial(self):
-        assert xl.mat_eq(xl.complete_basis(xl.zeros(2, 2), 2), xl.eye(2))
-        assert xl.mat_eq(xl.complete_basis(xl.eye(3), 3), xl.eye(3))
+        assert xl.mat_eq(xl.complete_basis(xl.zeros(2, 2)), xl.eye(2))
+        assert xl.mat_eq(xl.complete_basis(xl.eye(3)), xl.eye(3))
 
 
 class TestAlternatingForm:
@@ -279,15 +279,93 @@ class TestSolveUnique:
                     break
             X = xl.mat([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)] for _ in range(r)])
             B = A @ X
-            X1 = xl.solve_unique(A, B, pivot_order="first")
-            X2 = xl.solve_unique(A, B, pivot_order="last")
-            assert xl.mat_eq(X1, X) and xl.mat_eq(X2, X)
+            assert xl.mat_eq(xl.solve_unique(A, B), X)
 
     def test_inconsistent(self):
         A = xl.mat([[1], [1]])
         B = xl.mat([[0], [1]])
         with pytest.raises(xl.Inconsistent):
             xl.solve_unique(A, B)
+
+
+def from_rows(rows, r, c):
+    M = xl.zeros(r, c)
+    for i, row in enumerate(rows):
+        M[i, : len(row)] = row
+    return M
+
+
+def to_sympy(M):
+    entries = [sympy.Rational(x.numerator, x.denominator) for x in xl.to_fraction(M).flat]
+    return sympy.Matrix(*M.shape, entries)
+
+
+def from_sympy(S):
+    return from_rows([[F(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)], *S.shape)
+
+
+def rational_matrices(shapes, max_inner=4):
+    """Products L @ R of small rational matrices with a drawn inner size k,
+    with a drawn set of entries then zeroed.
+
+    The rank of L @ R is at most k, so full-rank, rank-deficient and empty
+    (0 x m, m x 0) matrices are all drawn; the zeroed entries make zero
+    pivots, and so row swaps, common.
+    """
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+    def lists(rows, cols, elements):
+        return st.lists(st.lists(elements, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+    def product(rck):
+        r, c, k = rck
+        parts = st.tuples(lists(r, k, entries), lists(k, c, entries), lists(r, c, st.sampled_from([0, 1, 1])))
+        return parts.map(lambda lrm: (from_rows(lrm[0], r, k) @ from_rows(lrm[1], k, c)) * from_rows(lrm[2], r, c))
+
+    return st.tuples(shapes, st.integers(0, max_inner)).map(lambda s: (*s[0], s[1])).flatmap(product)
+
+
+SQUARE = st.integers(0, 4).map(lambda n: (n, n))
+ANY_SHAPE = st.tuples(st.integers(0, 4), st.integers(0, 4))
+TALL = ANY_SHAPE.map(lambda rc: (max(rc), min(rc)))
+
+
+class TestEliminationOracle:
+    """The elimination kernels against sympy's exact rational linear algebra."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(M=rational_matrices(ANY_SHAPE))
+    def test_rank(self, M):
+        assert xl.rank(M) == to_sympy(M).rank()
+
+    @settings(max_examples=100, deadline=None)
+    @given(M=rational_matrices(SQUARE))
+    def test_det_and_inverse(self, M):
+        S = to_sympy(M)
+        d, d_true = xl.det(M), S.det()
+        assert d == F(int(d_true.p), int(d_true.q))
+        if d == 0:
+            with pytest.raises(xl.Singular):
+                xl.rational_inverse(M)
+        else:
+            assert xl.mat_eq(xl.rational_inverse(M), from_sympy(S.inv()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(A=rational_matrices(TALL), data=st.data())
+    def test_solve_unique(self, A, data):
+        m, r = A.shape
+        s = data.draw(st.integers(0, 2))
+        if data.draw(st.booleans()):
+            B = A @ data.draw(rational_matrices(st.just((r, s))))
+        else:
+            B = data.draw(rational_matrices(st.just((m, s))))
+        SA, SB = to_sympy(A), to_sympy(B)
+        if SA.rank() < r or SA.row_join(SB).rank() > r:
+            with pytest.raises(xl.Inconsistent):
+                xl.solve_unique(A, B)
+        else:
+            X_true = (SA.T * SA).inv() * SA.T * SB
+            assert xl.mat_eq(xl.solve_unique(A, B), from_sympy(X_true))
 
 
 class TestHelpers:

@@ -50,8 +50,10 @@ class TestDetect:
             sf = nf.detect_special_form(g1)
             width = 2 * sf.p
             lead = g1.C[:, :width]
-            Z2 = xl.solve_unique(-lead, g1.D[:, :width], pivot_order="last")
-            assert xl.mat_eq(sf.Z, xl.to_fraction(Z2))
+            # full column rank makes the Z solving -lead Z = D[:, :width] unique
+            assert xl.rank(lead) == width
+            assert xl.mat_eq(-lead @ sf.Z, g1.D[:, :width])
+            assert xl.is_skew(sf.Z)
             assert all(isinstance(x, F) for x in sf.Z.flat)
 
 
@@ -113,6 +115,11 @@ class TestDomainCheck:
             assert chk.defined == tg.is_defined(g1, theta1)
             # definedness is invariant under the normalization
             assert chk.defined == tg.is_defined(g, theta)
+            if chk.defined:
+                # the lemma behind the criterion: (C theta + D)^-1 C = blk(F11, 0)
+                inv = xl.rational_inverse(tg.c_theta_plus_d(g1, theta1))
+                assert xl.mat_eq(inv @ g1.C, xl.block_diag(chk.F11, xl.zeros(sf.q, sf.q)))
+                assert xl.is_skew(chk.F11)
             hits_defined += chk.defined
             hits_undefined += not chk.defined
         assert hits_defined >= 150
