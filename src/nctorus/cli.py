@@ -9,6 +9,7 @@ certificate failed, 2 parse error, 3 action undefined.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -111,7 +112,7 @@ def _probe_theta(g):
     M1 = xl.zeros(g.n, g.n)
     M1[: 2 * sf.p, : 2 * sf.p] = sf.Z + xl.standard_symplectic(sf.p)
     theta1 = make_theta(xl.to_fraction(M1))
-    return make_theta(R0 @ theta1.M @ R0.T)
+    return make_theta(xl.matmul(R0, theta1.M, R0.T))
 
 
 def cmd_decompose(job: dict, opts) -> dict:
@@ -269,7 +270,9 @@ COMMANDS = {
 NEEDS_INPUT = {"check", "act", "normalize", "decompose", "embed", "pipeline", "simulate"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="nctorus",
         description="exact Morita-equivalence certificates for noncommutative tori",

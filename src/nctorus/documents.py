@@ -30,7 +30,7 @@ class ParseError(Exception):
 
 
 def rat_str(x) -> str:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -180,13 +180,14 @@ def descriptor_doc(d: ModuleDescriptor) -> dict:
 def descriptor_from_doc(doc) -> ModuleDescriptor:
     if not isinstance(doc, dict):
         raise ParseError("module_descriptor must be an object")
-    try:
-        p, q, k = int(doc["p"]), int(doc["q"]), int(doc["k"])
-        orders = tuple(int(x) for x in doc["orders"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad module_descriptor: {e}") from None
-    if len(orders) != k or any(x < 1 for x in orders):
+    missing = [f for f in ("p", "q", "k", "orders") if doc.get(f) is None]
+    if missing:
+        raise ParseError(f"module_descriptor is missing: {', '.join(missing)}")
+    p, q, k = (check_int(doc[f], f, 0) for f in ("p", "q", "k"))
+    orders = doc["orders"]
+    if not isinstance(orders, list) or len(orders) != k or None in orders:
         raise ParseError("orders must list k positive integers")
+    orders = tuple(check_int(x, "orders", 1) for x in orders)
     T = parse_rat_matrix(doc.get("T"), "T")
     S = parse_rat_matrix(doc.get("S"), "S")
     theta = theta_from_doc(doc.get("theta"))

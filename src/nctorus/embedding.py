@@ -144,13 +144,9 @@ def build_torsion_data(Z: np.ndarray) -> TorsionData:
         nj.append(ratio.denominator)
         cj.append(c)
         dj.append(d)
-    td = TorsionData(
+    return TorsionData(
         p=two_p // 2, m=m, R=R, h=tuple(h), mj=tuple(mj), nj=tuple(nj), cj=tuple(cj), dj=tuple(dj)
     )
-    for j in range(td.k):
-        if cj[j] * mj[j] + dj[j] * nj[j] != 1:
-            raise AssertionError("Bezout certificate failed")
-    return td
 
 
 def _blk3(td: TorsionData) -> np.ndarray:
@@ -222,7 +218,7 @@ class EmbeddingMap:
         return xl.is_integral(a_rows) and xl.is_integral(w_rows)
 
     def pullback(self) -> np.ndarray:
-        return self.matrix.T @ self.J @ self.matrix
+        return xl.matmul(self.matrix.T, self.J, self.matrix)
 
 
 def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLog) -> EmbeddingMap:
@@ -250,11 +246,12 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLo
     T = np.concatenate([T1, T2], axis=0)
     J, Jp = build_forms(p, q, td.nj)
     emb = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=xl.freeze(T), J=J, Jprime=Jp)
+    pullback = emb.pullback()
     certs.check(
         "T_pullback",
-        xl.mat_eq(emb.pullback(), theta.M),
+        xl.mat_eq(pullback, theta.M),
         "T^t J T != theta",
-        witness=emb.pullback() - theta.M,
+        witness=pullback - theta.M,
     )
     certs.check("T_lattice_rows", emb.integral_rows_ok(), "integer rows of T not integral", witness=T)
     certs.check(
@@ -315,20 +312,20 @@ def build_S(
     Tbar[n + q :, n + q :] = T4
     dual_gram_inv = None
     try:
-        dual_gram_inv = xl.rational_inverse(Tbar.T @ emb.J)
+        dual_gram_inv = xl.rational_inverse(xl.matmul(Tbar.T, emb.J))
     except xl.Singular:
         pass
     certs.check("S_tbar_invertible", dual_gram_inv is not None, "Tbar^t J is singular", witness=Tbar)
-    S = dual_gram_inv @ phi
+    S = xl.matmul(dual_gram_inv, phi)
 
     # closed form
     T11t_inv = xl.rational_inverse(T11.T)
     J0 = xl.standard_symplectic(p)
     blk3 = _blk3(td)
     W1 = xl.zeros(n + q, 2 * p)
-    W1[: 2 * p, :] = J0 @ T11t_inv @ td.R.T @ blk3
+    W1[: 2 * p, :] = xl.matmul(J0, T11t_inv, td.R.T, blk3)
     W2 = xl.zeros(n + q, q)
-    W2[: 2 * p, :] = -(J0 @ T11t_inv @ T31.T)
+    W2[: 2 * p, :] = -xl.matmul(J0, T11t_inv, T31.T)
     W2[2 * p : n, :] = xl.eye(q)
     W2[n:, :] = T32.T
     bottom = xl.zeros(2 * k, n)
@@ -370,7 +367,7 @@ def verify_duality(
         phi (the splitting build_S used) is a basis of the full certificate
         lattice: determinant +-1.
     """
-    gram = dual.matrix.T @ emb.J @ emb.matrix
+    gram = xl.matmul(dual.matrix.T, emb.J, emb.matrix)
     certs.check(
         "pairing_integral",
         xl.is_integral(gram),
@@ -414,10 +411,10 @@ def theta_prime(
     t21 = theta.M[2 * p :, : 2 * p]
     t22 = theta.M[2 * p :, 2 * p :]
     expect = xl.zeros(*tp.shape)
-    expect[: 2 * p, : 2 * p] = blk3 @ R @ F11 @ R.T @ blk3 + _corner_form(td, td.Q2 @ td.P1)
-    expect[: 2 * p, 2 * p :] = blk3 @ R @ F11 @ t12
-    expect[2 * p :, : 2 * p] = -(t21 @ F11 @ R.T @ blk3)
-    expect[2 * p :, 2 * p :] = -(t21 @ F11 @ t12) + t22
+    expect[: 2 * p, : 2 * p] = xl.matmul(blk3, R, F11, R.T, blk3) + _corner_form(td, xl.matmul(td.Q2, td.P1))
+    expect[: 2 * p, 2 * p :] = xl.matmul(blk3, R, F11, t12)
+    expect[2 * p :, : 2 * p] = -xl.matmul(t21, F11, R.T, blk3)
+    expect[2 * p :, 2 * p :] = -xl.matmul(t21, F11, t12) + t22
     certs.check(
         "theta_prime_blocks",
         xl.mat_eq(tp, expect),
@@ -450,15 +447,15 @@ def build_gprime(
     k = td.k
     blk3 = _blk3(td)
     phi_star = xl.zeros(n, n)
-    phi_star[: 2 * p, : 2 * p] = F11 @ td.R.T @ blk3
-    phi_star[: 2 * p, 2 * p :] = F11 @ theta.M[: 2 * p, 2 * p :]
+    phi_star[: 2 * p, : 2 * p] = xl.matmul(F11, td.R.T, blk3)
+    phi_star[: 2 * p, 2 * p :] = xl.matmul(F11, theta.M[: 2 * p, 2 * p :])
     phi_star[2 * p :, 2 * p :] = -xl.eye(q)
     curvature = xl.block_diag(F11, xl.zeros(q, q))
     inv = xl.rational_inverse(phi_star)
-    Cp = inv @ curvature
-    Dp = inv - Cp @ theta.M
-    Ap = phi_star.T + theta_out.M @ Cp
-    Bp = theta_out.M @ inv - Ap @ theta.M
+    Cp = xl.matmul(inv, curvature)
+    Dp = inv - xl.matmul(Cp, theta.M)
+    Ap = phi_star.T + xl.matmul(theta_out.M, Cp)
+    Bp = xl.matmul(theta_out.M, inv) - xl.matmul(Ap, theta.M)
     assembled = np.block([[Ap, Bp], [Cp, Dp]])
     certs.check(
         "gprime_integral",
@@ -488,7 +485,7 @@ def build_gprime(
     closed = np.block([[Ap_cf, Bp_cf], [Cp_cf, Dp_cf]])
     certs.check(
         "gprime_closed_form",
-        xl.mat_eq(xl.to_fraction(assembled), xl.to_fraction(closed)),
+        xl.mat_eq(assembled, closed),
         "resolvent formulas disagree with the closed forms",
         witness=assembled - closed,
     )
@@ -530,7 +527,7 @@ class ChainStep:
 
     def apply(self, theta: Theta) -> Theta:
         if self.kind == "iso_rho":
-            return make_theta(self.R @ theta.M @ self.R.T)
+            return make_theta(xl.matmul(self.R, theta.M, self.R.T))
         if self.kind == "iso_mu":
             return make_theta(theta.M + self.N)
         if self.kind == "heisenberg":
@@ -588,14 +585,11 @@ def build_embedding(
     """Run the construction on an element already in special form."""
     sf = detect_special_form(g1)
     chk = domain_check(sf, theta1)
-    certs.check("domain_defined", chk.defined, "theta_11 - Z is singular", witness=theta1.M)
+    certs.check("domain_defined", chk.F11 is not None, "theta_11 - Z is singular", witness=theta1.M)
     td = build_torsion_data(sf.Z)
     certs.check(
         "torsion_normal_form",
-        xl.mat_eq(
-            xl.to_fraction(td.R.T @ xl.canonical_alternating(list(td.h), 2 * td.p) @ td.R),
-            xl.to_fraction(td.m * sf.Z),
-        ),
+        xl.mat_eq(td.R.T @ xl.canonical_alternating(list(td.h), 2 * td.p) @ td.R, td.m * sf.Z),
         "alternating reduction does not reproduce m Z",
         witness=sf.Z,
     )
@@ -620,7 +614,7 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
     R0 = normalize_right(g)
     g1 = compose(g, rho(R0))
     R0_inv = xl.int_inverse(R0)
-    theta1 = make_theta(R0_inv @ theta.M @ R0_inv.T)
+    theta1 = make_theta(xl.matmul(R0_inv, theta.M, R0_inv.T))
     sf, td, emb, dual, F11, tp, phi_star, curvature, gp = build_embedding(g1, theta1, certs)
     N, At = decompose(g1, gp, certs)
     descriptor = ModuleDescriptor(
@@ -647,11 +641,12 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
             ChainStep(kind="iso_mu", N=N),
         ),
     )
+    endpoint = chain.endpoint()
     certs.check(
         "chain_endpoint",
-        chain.endpoint() == chain.target,
+        endpoint == chain.target,
         "composed chain does not reach g theta",
-        witness=chain.endpoint().M,
+        witness=endpoint.M,
     )
     data = EmbeddingData(
         special=sf,

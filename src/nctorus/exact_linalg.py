@@ -1,12 +1,17 @@
 """Exact dense linear algebra over the integers and rationals.
 
-Matrices are numpy arrays with ``dtype=object`` whose entries are Python
-``int`` or ``fractions.Fraction`` values, so everything here is exact; no
-floating point enters this module.
+At every public boundary a matrix is a numpy array with ``dtype=object`` whose
+entries are Python ``int`` or ``fractions.Fraction`` values, so everything
+here is exact; no floating point enters this module.
 
-``det``, ``rank``, ``rational_inverse``, ``int_inverse`` and ``solve_unique``
-all run the one elimination kernel ``_row_reduce``.  Their results are unique
-in exact arithmetic, so the kernel's pivot rule cannot change any output.  The
+Inside, the rational kernels work on rows of Python ``int`` over one common
+denominator (``_scaled_rows``) and convert back to ``Fraction`` once per
+output entry.  ``matmul`` is the one exact product of matrices that may hold
+non-integral entries: it multiplies the integer rows and divides by the
+product of the denominators once.  ``det``, ``rank``, ``rational_inverse``,
+``int_inverse`` and ``solve_unique`` all run the one fraction-free (Bareiss)
+elimination kernel ``_row_reduce``.  Their results are unique in exact
+arithmetic, so the kernel's pivot rule cannot change any output.  The
 Smith, alternating and symplectic reductions (and the kernel bases built on
 Smith) return one factor among many: their fixed pivot rules decide the output
 bytes and must stay as they are.  Any factor satisfying the stated equation is
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -57,6 +63,14 @@ def mat(rows) -> np.ndarray:
     A = np.array(rows, dtype=object)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
+    return A
+
+
+def _from_rows(rows: list[list], shape: tuple[int, int]) -> np.ndarray:
+    """The r x c matrix of nested lists of entries."""
+    A = np.empty(shape, dtype=object)
+    if A.size:
+        A[...] = rows
     return A
 
 
@@ -107,36 +121,24 @@ def is_skew(A: np.ndarray) -> bool:
     return A.shape[0] == A.shape[1] and mat_eq(A, -A.T)
 
 
-def _denominator(x) -> int:
-    return x.denominator if isinstance(x, Fraction) else 1
-
-
 def is_integral(A: np.ndarray) -> bool:
-    return all(_denominator(x) == 1 for x in A.flat)
+    return all(type(x) is int or x.denominator == 1 for x in A.ravel().tolist())
 
 
 def to_int(A: np.ndarray) -> np.ndarray:
     """Cast an exactly-integral matrix to Python-int entries."""
     if not is_integral(A):
         raise ValueError("matrix has non-integer entries")
-    B = np.empty(A.shape, dtype=object)
-    for idx, x in np.ndenumerate(A):
-        B[idx] = int(x)
-    return B
+    return _from_rows([[x if type(x) is int else int(x) for x in row] for row in A.tolist()], A.shape)
 
 
 def to_fraction(A: np.ndarray) -> np.ndarray:
-    B = np.empty(A.shape, dtype=object)
-    for idx, x in np.ndenumerate(A):
-        B[idx] = Fraction(x)
-    return B
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in A.tolist()]
+    return _from_rows(rows, A.shape)
 
 
 def lcm_denominators(A: np.ndarray) -> int:
-    m = 1
-    for x in A.flat:
-        m = m * _denominator(x) // math.gcd(m, _denominator(x))
-    return m
+    return _scaled_rows(A)[1]
 
 
 def strict_upper(A: np.ndarray) -> np.ndarray:
@@ -153,42 +155,95 @@ def freeze(A: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# integer rows over one common denominator
+
+
+def _scaled_rows(M: np.ndarray) -> tuple[list[list[int]], int]:
+    """Integer rows N and the least d > 0 with N = d * M.
+
+    Entries are tested with ``type(x) is int`` first: ``isinstance(x,
+    Fraction)`` goes through ``ABCMeta.__instancecheck__``, which costs more.
+    """
+    rows = M.tolist()
+    d = 1
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                den = x.denominator
+                if d % den:
+                    d = d // math.gcd(d, den) * den
+    if d == 1:
+        return [[x if type(x) is int else int(x) for x in row] for row in rows], 1
+    return [[x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def matmul(*mats: np.ndarray) -> np.ndarray:
+    """Exact product of one or more matrices of int/Fraction entries.
+
+    Each factor is scaled to integer rows; the rows are multiplied as Python
+    ints and the product of the denominators is divided out once per entry.
+    The entries are ints when every factor is integral.
+    """
+    rows, d = _scaled_rows(mats[0])
+    r, c = mats[0].shape
+    for M in mats[1:]:
+        if M.ndim != 2 or M.shape[0] != c:
+            raise ValueError(f"shape mismatch: {(r, c)} times {M.shape}")
+        right, e = _scaled_rows(M)
+        c = M.shape[1]
+        cols = list(zip(*right)) if right else [()] * c
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        d *= e
+    if d != 1:
+        rows = [[Fraction(x, d) for x in row] for row in rows]
+    return _from_rows(rows, (r, c))
+
+
+# ---------------------------------------------------------------------------
 # elimination-based kernels
 
 
-def _row_reduce(W: np.ndarray, ncols: int, full: bool) -> tuple[list[int], Fraction]:
-    """Gaussian elimination, in place, on the first ``ncols`` columns of W.
+def _row_reduce(W: list[list[int]], ncols: int, full: bool) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination, in place, on the first ``ncols``
+    columns of the integer rows W.
 
-    W holds ``Fraction`` entries.  Each column's pivot is the first nonzero
-    entry at or below the current row; the rows below it are cleared with the
-    factor W[i, col] / pivot.  With ``full`` the rows above are cleared too
-    and every pivot row is then scaled so its pivot is 1 (reduced echelon
-    form).  Returns the pivot columns and the determinant of the pivoted
-    block, sign of the row swaps included.
+    Each column's pivot is the first nonzero entry at or below the current
+    row.  Every other row being cleared becomes (p * row - f * pivot_row)
+    divided by the previous pivot; the division is exact, because each entry
+    is then an integer minor of the input.  Without ``full`` only the rows
+    below are cleared, and rows above a pivot are final; with ``full`` the rows
+    above are cleared too, so every pivot entry ends equal to the last pivot.
+    Returns the pivot columns, the sign of the row swaps and the last pivot,
+    which times the sign is the determinant of the pivoted block.
     """
-    m = W.shape[0]
+    m = len(W)
     pivots: list[int] = []
-    d = Fraction(1)
+    sign = prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if W[i, col] != 0), None)
+        piv = next((i for i in range(r, m) if W[i][col]), None)
         if piv is None:
             continue
         if piv != r:
-            W[[r, piv]] = W[[piv, r]]
-            d = -d
-        p = W[r, col]
-        d *= p
+            W[r], W[piv] = W[piv], W[r]
+            sign = -sign
+        top = W[r]
+        p = top[col]
         for i in range(0 if full else r + 1, m):
-            if i != r and W[i, col] != 0:
-                W[i, col:] = W[i, col:] - (W[i, col] / p) * W[r, col:]
+            if i != r:
+                row = W[i]
+                f = row[col]
+                if f:
+                    W[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+                elif prev == p:
+                    continue
+                else:
+                    W[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(col)
-    if full:
-        for r, col in enumerate(pivots):
-            W[r, col:] = W[r, col:] / W[r, col]
-    return pivots, d
+    return pivots, sign, prev
 
 
 def det(M: np.ndarray) -> Fraction:
@@ -196,17 +251,22 @@ def det(M: np.ndarray) -> Fraction:
     n, m = M.shape
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    pivots, d = _row_reduce(to_fraction(M), n, full=False)
-    return d if len(pivots) == n else Fraction(0)
+    W, d = _scaled_rows(M)
+    pivots, sign, last = _row_reduce(W, n, full=False)
+    return Fraction(sign * last, d**n) if len(pivots) == n else Fraction(0)
 
 
 def rank(M: np.ndarray) -> int:
-    pivots, _ = _row_reduce(to_fraction(M), M.shape[1], full=False)
+    W, _ = _scaled_rows(M)
+    pivots, _, _ = _row_reduce(W, M.shape[1], full=False)
     return len(pivots)
 
 
 def rational_inverse(M: np.ndarray) -> np.ndarray:
-    """Exact inverse by Gauss-Jordan elimination of [M | I].
+    """Exact inverse by fraction-free Gauss-Jordan elimination of [d M | d I].
+
+    Every pivot entry ends equal to the last pivot e, so M^-1 is the right
+    half divided by e.
 
     Raises:
         Singular: if the determinant is zero.
@@ -214,11 +274,13 @@ def rational_inverse(M: np.ndarray) -> np.ndarray:
     n, m = M.shape
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    W = np.concatenate([to_fraction(M), to_fraction(eye(n))], axis=1)
-    pivots, _ = _row_reduce(W, n, full=True)
+    W, d = _scaled_rows(M)
+    for i, row in enumerate(W):
+        row.extend(d if j == i else 0 for j in range(n))
+    pivots, _, e = _row_reduce(W, n, full=True)
     if len(pivots) < n:
         raise Singular("matrix is singular")
-    return W[:, n:]
+    return _from_rows([[Fraction(x, e) for x in row[n:]] for row in W], M.shape)
 
 
 def int_inverse(M: np.ndarray) -> np.ndarray:
@@ -229,6 +291,9 @@ def int_inverse(M: np.ndarray) -> np.ndarray:
 def solve_unique(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B exactly for A of full column rank.
 
+    Both sides are scaled by one common denominator and [d A | d B] is
+    reduced fraction-free.
+
     Raises:
         Inconsistent: if no exact solution exists or A is column-rank
             deficient.
@@ -236,13 +301,16 @@ def solve_unique(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     m, r = A.shape
     if B.shape[0] != m:
         raise ValueError("shape mismatch")
-    W = np.concatenate([to_fraction(A), to_fraction(B)], axis=1)
-    pivots, _ = _row_reduce(W, r, full=True)
+    WA, dA = _scaled_rows(A)
+    WB, dB = _scaled_rows(B)
+    d = dA // math.gcd(dA, dB) * dB
+    W = [[x * (d // dA) for x in ra] + [x * (d // dB) for x in rb] for ra, rb in zip(WA, WB)]
+    pivots, _, last = _row_reduce(W, r, full=True)
     if len(pivots) < r:
         raise Inconsistent("coefficient matrix is column-rank deficient")
-    if not is_zero(W[r:, r:]):
+    if any(x for row in W[r:] for x in row[r:]):
         raise Inconsistent("system has no exact solution")
-    return W[:r, r:]
+    return _from_rows([[Fraction(x, last) for x in row[r:]] for row in W[:r]], (r, B.shape[1]))
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -538,6 +606,6 @@ def symplectic_factor_rational(A: np.ndarray) -> np.ndarray:
         vs.append(v)
     S = np.stack(us + vs, axis=1)
     T = rational_inverse(S)
-    if not mat_eq(T.T @ standard_symplectic(p) @ T, to_fraction(A)):
+    if not mat_eq(matmul(T.T, standard_symplectic(p), T), A):
         raise AssertionError("symplectic factor re-multiplication failed")
     return T

@@ -81,7 +81,7 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
     sf = SpecialForm(
         n=n,
         p=p,
-        Z=xl.freeze(xl.to_fraction(Z)),
+        Z=xl.freeze(Z),
         C11=C[:width, :width],
         C21=C[width:, :width],
         D12=D[:width, width:],
@@ -105,8 +105,7 @@ def normalize_right(g: GroupElement) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DomainCheck:
-    defined: bool
-    F11: np.ndarray | None  # (theta_11 - Z)^-1 when defined
+    F11: np.ndarray | None  # (theta_11 - Z)^-1, or None where the action is undefined
 
 
 def domain_check(sf: SpecialForm, theta: Theta) -> DomainCheck:
@@ -122,5 +121,5 @@ def domain_check(sf: SpecialForm, theta: Theta) -> DomainCheck:
     try:
         F11 = xl.rational_inverse(theta.M[:c, :c] - sf.Z)
     except xl.Singular:
-        return DomainCheck(defined=False, F11=None)
-    return DomainCheck(defined=True, F11=xl.freeze(F11))
+        return DomainCheck(F11=None)
+    return DomainCheck(F11=xl.freeze(F11))

@@ -182,7 +182,7 @@ def sigma_flip(support, n: int) -> GroupElement:
 
 
 def c_theta_plus_d(g: GroupElement, theta: Theta) -> np.ndarray:
-    return g.C @ theta.M + g.D
+    return xl.matmul(g.C, theta.M) + g.D
 
 
 def act(g: GroupElement, theta: Theta) -> Theta:
@@ -194,19 +194,11 @@ def act(g: GroupElement, theta: Theta) -> Theta:
         Minv = xl.rational_inverse(M)
     except xl.Singular:
         raise Undefined("C theta + D is singular") from None
-    return make_theta((g.A @ theta.M + g.B) @ Minv)
+    return make_theta(xl.matmul(xl.matmul(g.A, theta.M) + g.B, Minv))
 
 
 def is_defined(g: GroupElement, theta: Theta) -> bool:
     return xl.det(c_theta_plus_d(g, theta)) != 0
-
-
-def so_form(n: int) -> np.ndarray:
-    """The split quadratic form blk(0, I; I, 0) the group preserves."""
-    K = xl.zeros(2 * n, 2 * n)
-    K[:n, n:] = xl.eye(n)
-    K[n:, :n] = xl.eye(n)
-    return K
 
 
 # ---------------------------------------------------------------------------

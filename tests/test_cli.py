@@ -174,6 +174,39 @@ class TestCommands:
         }
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("p", 1.7, "p must be an integer >= 0", id="p-float"),
+            pytest.param("p", True, "p must be an integer >= 0", id="p-bool"),
+            pytest.param("q", "0", "q must be an integer >= 0", id="q-str"),
+            pytest.param("k", 1.0, "k must be an integer >= 0", id="k-float"),
+            pytest.param("orders", [1.0], "orders must be an integer >= 1", id="orders-float"),
+            pytest.param("orders", [True], "orders must be an integer >= 1", id="orders-bool"),
+            pytest.param("orders", ["1"], "orders must be an integer >= 1", id="orders-str"),
+            pytest.param("orders", [None], "orders must list k positive integers", id="orders-null"),
+            pytest.param("p", None, "module_descriptor is missing: p", id="p-null"),
+        ],
+    )
+    def test_simulate_descriptor_non_integer_exit_2(self, tmp_path, field, value, message):
+        # g is in special form with one torsion block of order 1 (k = 1)
+        doc = {
+            "version": "nctorus/1",
+            "g": {
+                "A": [[0, -2], [-2, 0]],
+                "B": [[9, 0], [0, -9]],
+                "C": [[1, 0], [0, -1]],
+                "D": [[0, 4], [4, 0]],
+            },
+            "theta": [["0", "6"], ["-6", "0"]],
+        }
+        code, out = run(tmp_path, ["pipeline"], doc)
+        desc = out["module_descriptor"]
+        assert code == 0 and (desc["p"], desc["k"], desc["orders"]) == (1, 1, [1])
+        desc[field] = value
+        code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
+        assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+
+    @pytest.mark.parametrize(
         "command, flags, options, field",
         [
             pytest.param("simulate", ["--samples", "0"], {}, "samples", id="simulate-samples-flag-0"),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -368,6 +369,76 @@ class TestEliminationOracle:
             assert xl.mat_eq(xl.solve_unique(A, B), from_sympy(X_true))
 
 
+def factor_chains():
+    """1-4 factors of compatible shapes, sizes 0-3, mixing int and Fraction entries."""
+    entries = st.one_of(st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+    def chain(dims):
+        return st.tuples(
+            *[
+                st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r).map(
+                    lambda rows, r=r, c=c: from_rows(rows, r, c)
+                )
+                for r, c in zip(dims, dims[1:])
+            ]
+        )
+
+    dims = st.integers(1, 4).flatmap(lambda k: st.lists(st.integers(0, 3), min_size=k + 1, max_size=k + 1))
+    return dims.flatmap(chain)
+
+
+class TestMatmulOracle:
+    """The common-denominator product against object-dtype @ and sympy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mats=factor_chains())
+    def test_matches_object_matmul_and_sympy(self, mats):
+        P = xl.matmul(*mats)
+        expect = functools.reduce(lambda A, B: A @ B, mats)
+        assert P.shape == expect.shape == (mats[0].shape[0], mats[-1].shape[1])
+        assert xl.mat_eq(P, expect)
+        S = functools.reduce(lambda A, B: A * B, [to_sympy(M) for M in mats])
+        assert S.shape == P.shape
+        if P.size:
+            assert xl.mat_eq(P, from_sympy(S))
+        if all(xl.is_integral(M) for M in mats):
+            assert all(type(x) is int for x in P.flat)
+        else:
+            assert all(type(x) in (int, F) for x in P.flat)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            xl.matmul(xl.zeros(2, 3), xl.zeros(2, 3))
+
+
+class TestWideEntries:
+    """Bareiss elimination on entries of 100+ bits, beyond machine words."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_sympy(self, seed):
+        rng = random.Random(seed)
+        n = 5
+
+        def wide():
+            return F(rng.randint(-(2**130), 2**130), rng.randint(2**100, 2**110))
+
+        M = from_rows([[wide() for _ in range(n)] for _ in range(n)], n, n)
+        assert max(abs(x.numerator).bit_length() for x in M.flat) >= 100
+        S = to_sympy(M)
+        d_true = S.det()
+        assert xl.det(M) == F(int(d_true.p), int(d_true.q))
+        assert xl.mat_eq(xl.rational_inverse(M), from_sympy(S.inv()))
+        B = from_rows([[wide()] for _ in range(n)], n, 1)
+        assert xl.mat_eq(xl.solve_unique(M, B), from_sympy(S.inv() * to_sympy(B)))
+        # rank 2 from an inner size of 2: elimination runs out of pivots after two columns
+        L = from_rows([[wide() for _ in range(2)] for _ in range(n)], n, 2)
+        R = from_rows([[wide() for _ in range(n)] for _ in range(2)], 2, n)
+        low = L @ R
+        assert xl.rank(low) == 2 and xl.det(low) == 0
+        with pytest.raises(xl.Singular):
+            xl.rational_inverse(low)
+
+
 class TestHelpers:
     def test_strict_upper_splits_skew(self):
         A = xl.mat([[0, 3, -2], [-3, 0, 5], [2, -5, 0]])
@@ -377,6 +448,7 @@ class TestHelpers:
     def test_lcm_denominators(self):
         A = xl.mat([[F2(1, 2), F2(1, 3)], [2, F2(5, 6)]])
         assert xl.lcm_denominators(A) == 6
+        assert xl.lcm_denominators(xl.mat([[F2(1, 4), F2(1, 6)]])) == 12
 
     def test_block_diag(self):
         B = xl.block_diag(xl.eye(2), xl.zeros(0, 0), xl.mat([[5]]))

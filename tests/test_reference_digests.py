@@ -17,7 +17,7 @@ import pytest
 from nctorus import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRIALS_PER_SIZE = 8
+TRIALS_PER_SIZE = 40
 
 
 def load_gen():

@@ -11,6 +11,14 @@ def flip2():
     return tg.sigma_flip([1, 2], 2)
 
 
+def so_form(n):
+    """The split quadratic form blk(0, I; I, 0) the group preserves."""
+    K = xl.zeros(2 * n, 2 * n)
+    K[:n, n:] = xl.eye(n)
+    K[n:, :n] = xl.eye(n)
+    return K
+
+
 def assert_member(g):
     """Products and generators skip validation; the full check must agree."""
     assert tg.check_membership(g.A, g.B, g.C, g.D) == g
@@ -34,7 +42,7 @@ class TestMembership:
     def test_preserves_split_form(self):
         for seed in range(8):
             g = tg.random_element(seed, 5, 3)
-            K = tg.so_form(3)
+            K = so_form(3)
             assert xl.mat_eq(g.matrix().T @ K @ g.matrix(), K)
 
 
