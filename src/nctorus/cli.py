@@ -182,7 +182,7 @@ def cmd_simulate(job: dict, opts) -> dict:
         g = _element(job)
         _require(job, "theta")
         d = pipeline(g, job["theta"]).descriptor
-    seed = _option(opts, job, "seed", 0)
+    seed = docs.check_int(_option(opts, job, "seed", 0), "seed", 0)
     samples = docs.check_int(_option(opts, job, "samples", 8), "samples", 1)
     trials = docs.check_int(_option(opts, job, "trials", 100), "trials", 1)
     tol = _option(opts, job, "tolerance", 1e-9)
@@ -250,7 +250,7 @@ def cmd_campaign(job: dict, opts) -> dict:
     n = docs.check_int(opts.n if opts.n is not None else job.get("n") or options.get("n"), "n", 2)
     if n is None:
         raise docs.ParseError("campaign needs n (document field or --n)")
-    seed = _option(opts, job, "seed", 0)
+    seed = docs.check_int(_option(opts, job, "seed", 0), "seed", 0)
     trials = docs.check_int(_option(opts, job, "trials", 10), "trials", 1)
     word_length = docs.check_int(options.get("word_length", 8), "word_length", 1)
     return run_campaign(n, seed, trials, word_length)

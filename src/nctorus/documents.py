@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exact_linalg as xl
 from .embedding import EmbeddingData, MoritaChain, PipelineResult, build_forms
-from .module_sim import ModuleDescriptor
+from .module_sim import ModuleDescriptor, ModuleSimError, verify_descriptor
 from .torus_group import GroupElement, Theta, make_theta
 
 FORMAT_VERSION = "nctorus/1"
@@ -199,9 +199,14 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
     if theta.n != n or theta_prime.n != n:
         raise ParseError("theta and theta_prime must have size n = 2p+q")
     J, Jp = build_forms(p, q, orders)
-    return ModuleDescriptor(
+    d = ModuleDescriptor(
         p=p, q=q, k=k, orders=orders, T=T, S=S, theta=theta, theta_prime=theta_prime, J=J, Jprime=Jp
     )
+    try:
+        verify_descriptor(d)
+    except ModuleSimError as e:
+        raise ParseError(f"bad module_descriptor: {e}") from None
+    return d
 
 
 def chain_doc(chain: MoritaChain) -> dict:

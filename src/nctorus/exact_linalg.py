@@ -118,7 +118,12 @@ def is_zero(A: np.ndarray) -> bool:
 
 
 def is_skew(A: np.ndarray) -> bool:
-    return A.shape[0] == A.shape[1] and mat_eq(A, -A.T)
+    """A^t = -A, compared entry pair by entry pair on the rows."""
+    n = A.shape[0]
+    if A.shape[1] != n:
+        return False
+    rows = A.tolist()
+    return all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
 
 
 def is_integral(A: np.ndarray) -> bool:

@@ -4,9 +4,19 @@ Functions live on M = R^p x Z^q x W with W a finite product of cyclic
 groups.  The two unitary actions are shift-and-modulate closures built from
 the exact embedding matrices, so the algebra relations are checked pointwise
 with no grid discretization; the only floating point enters through the
-final phase/Gaussian evaluations.  Phase exponents are accumulated as exact
-rationals and reduced mod 1 before any trigonometric call, which keeps
-residuals at machine precision even for large integer arguments.
+final phase/Gaussian evaluations.
+
+All exact arithmetic runs on Python ints.  A descriptor is compiled on its
+first action (``ModuleDescriptor._kernel``): T and S become integer rows over
+one denominator, cut into coordinate blocks, with their a, w and w^ rows
+checked integral; the half forms Q = M^t J' M and the cocycle matrices theta
+and theta' become integer rows too.  Each action U_x or V_x then fixes its
+shift and its pairing once (``_Twist``): integer coefficients over one
+modulus L and float u-shifts.  A phase e(N / L) is evaluated as
+exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first and the one
+int division is correctly rounded, so it equals float(Fraction(N, L) % 1)
+bit for bit and residuals stay at machine precision even for large integer
+arguments.  Per-point evaluation builds no ``Fraction``.
 
 The optional inner product is the one place quadrature appears.
 """
@@ -14,13 +24,16 @@ The optional inner product is the one place quadrature appears.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 import numpy as np
 
+from . import exact_linalg as xl
 from .torus_group import Theta
 
 
@@ -29,7 +42,11 @@ class ModuleSimError(Exception):
 
 
 class ShapeMismatch(ModuleSimError):
-    """Vector has the wrong length or a non-integer entry in an integer slot."""
+    """A vector or embedding matrix has the wrong shape or a non-integer entry in an integer slot."""
+
+
+class IdentityViolated(ModuleSimError):
+    """The embeddings T and S of a descriptor do not satisfy their identities."""
 
 
 class QuadratureUnconverged(ModuleSimError):
@@ -64,6 +81,15 @@ class ModuleDescriptor:
     @property
     def ambient_dim(self) -> int:
         return self.n + self.q + 2 * self.k
+
+    @functools.cached_property
+    def _kernel(self) -> _Kernel:
+        """The integer-row form of T, S, theta and theta', built on first use.
+
+        Raises:
+            ShapeMismatch: if an a, w or w^ row of T or S is not integral.
+        """
+        return _Kernel(self)
 
 
 @dataclass(frozen=True)
@@ -104,9 +130,14 @@ class TestFunction:
 
 def e2pi(t) -> complex:
     """exp(2 pi i t); exact rationals are reduced mod 1 first."""
-    if isinstance(t, (Fraction, int)):
-        t = float(Fraction(t) % 1)
+    if not isinstance(t, float):
+        t = float(t % 1)
     return cmath.exp(2j * math.pi * t)
+
+
+def _e(num: int, den: int) -> complex:
+    """e(num / den) for ints, den > 0, reduced mod 1 before the one division."""
+    return cmath.exp(2j * math.pi * (num % den / den))
 
 
 def _as_int(x, what: str) -> int:
@@ -142,73 +173,173 @@ def split_coordinates(v, d: ModuleDescriptor) -> tuple[MPart, MHatPart]:
     return MPart(u=u, a=a, w=w), MHatPart(uhat=uhat, ahat=ahat, what=what)
 
 
-def pairing(m: PointM, mhat: MHatPart, d: ModuleDescriptor) -> complex:
-    """<m, m^> = e(u.u^ + a.a^ + sum_j w_j w^_j / n_j)."""
-    exact = Fraction(0)
-    for aj, bj in zip(m.a, mhat.ahat):
-        exact += aj * bj
-    for j, (wj, hj) in enumerate(zip(m.w, mhat.what)):
-        exact += Fraction(wj * hj, d.orders[j])
-    real = sum(uj * float(vj) for uj, vj in zip(m.u, mhat.uhat))
-    return e2pi(float(exact % 1) + real)
+# ---------------------------------------------------------------------------
+# the compiled descriptor
 
 
-def _column(M: np.ndarray, x) -> np.ndarray:
-    vec = np.array([int(t) for t in x], dtype=object)
-    return M @ vec
+@dataclass(frozen=True)
+class _Form:
+    """A rational matrix as integer rows over one denominator: rows / den."""
+
+    rows: list[list[int]]
+    den: int
+
+    @classmethod
+    def of(cls, M: np.ndarray) -> _Form:
+        return cls(*xl._scaled_rows(M))
+
+    def value(self, x: list[int], y: list[int]) -> int:
+        """den * x^t M y."""
+        return sum(map(mul, x, [sum(map(mul, row, y)) for row in self.rows]))
+
+    def half_phase(self, x: list[int], y: list[int]) -> complex:
+        """e(x^t M y / 2)."""
+        return _e(self.value(x, y), 2 * self.den)
+
+    def alternates_to(self, other: _Form, sign: int) -> bool:
+        """M - M^t = sign * other, cross-multiplied over both denominators."""
+        n = len(self.rows)
+        return all(
+            (self.rows[i][j] - self.rows[j][i]) * other.den == sign * other.rows[i][j] * self.den
+            for i in range(n)
+            for j in range(n)
+        )
 
 
-def _half_form(v: np.ndarray, Jprime: np.ndarray) -> Fraction:
-    return Fraction(v @ Jprime @ v) / 2
+class _Image:
+    """An embedding matrix (T or S) as integer rows cut into coordinate blocks.
+
+    The u, u^ and a^ rows are numerators over ``den``; the a, w and w^ rows
+    are integral and held divided out.  ``half`` is M^t J' M, so that
+    M(x).J'M(x) = x^t half x for a lattice vector x.
+    """
+
+    def __init__(self, M: np.ndarray, name: str, d: ModuleDescriptor):
+        if M.shape != (d.ambient_dim, d.n):
+            raise ShapeMismatch(f"{name} has shape {M.shape}, expected {(d.ambient_dim, d.n)}")
+        rows, den = xl._scaled_rows(M)
+        blocks = []
+        start = 0
+        for size in (d.p, d.p, d.q, d.q, d.k, d.k):
+            blocks.append(rows[start : start + size])
+            start += size
+        self.u, self.uhat, a, self.ahat, w, what = blocks
+        for label, block in (("a", a), ("w", w), ("w^", what)):
+            if any(x % den for row in block for x in row):
+                raise ShapeMismatch(f"{name} has a non-integer entry in its {label} rows")
+        self.a, self.w, self.what = ([[x // den for x in row] for row in b] for b in (a, w, what))
+        self.den = den
+        self.orders = d.orders
+        self.modulus = math.lcm(den, *d.orders)
+        self.half = _Form.of(xl.matmul(M.T, d.Jprime, M))
 
 
-def _shift_point(m: PointM, part: MPart, sign: int, d: ModuleDescriptor) -> PointM:
-    u = tuple(uj + sign * float(vj) for uj, vj in zip(m.u, part.u))
-    a = tuple(aj + sign * vj for aj, vj in zip(m.a, part.a))
-    w = tuple((wj + sign * vj) % d.orders[j] for j, (wj, vj) in enumerate(zip(m.w, part.w)))
-    return PointM(u=u, a=a, w=w)
+class _Kernel:
+    """A descriptor compiled to integer rows; see ``ModuleDescriptor._kernel``."""
+
+    def __init__(self, d: ModuleDescriptor):
+        self.T = _Image(d.T, "T", d)
+        self.S = _Image(d.S, "S", d)
+        self.theta = _Form.of(d.theta.M)
+        self.theta_prime = _Form.of(d.theta_prime.M)
+
+
+def verify_descriptor(d: ModuleDescriptor) -> None:
+    """Check exactly that T^t J T = theta, S^t J S = -theta' and S^t J T is integral.
+
+    Since J = J' - J'^t, the first two read Q - Q^t for the half forms
+    Q = M^t J' M that the kernel compiles.
+
+    Raises:
+        ShapeMismatch: if an a, w or w^ row of T or S is not integral.
+        IdentityViolated: naming the first identity that fails.
+    """
+    kern = d._kernel
+    if not kern.T.half.alternates_to(kern.theta, 1):
+        raise IdentityViolated("T^t J T = theta does not hold")
+    if not kern.S.half.alternates_to(kern.theta_prime, -1):
+        raise IdentityViolated("S^t J S = -theta' does not hold")
+    if not xl.is_integral(xl.matmul(d.S.T, d.J, d.T)):
+        raise IdentityViolated("S^t J T is not integral")
+
+
+def _lattice(x, d: ModuleDescriptor) -> list[int]:
+    x = [int(t) for t in x]
+    if len(x) != d.n:
+        raise ShapeMismatch(f"expected a lattice vector of length {d.n}, got {len(x)}")
+    return x
+
+
+class _Twist:
+    """The constants of one action of the lattice vector x through an image M.
+
+    With sign -1 (U_x through T) or +1 (V_x through S):
+    ``phase`` = e(-M(x).J'M(x)/2), ``shift(m)`` = m + sign M'(x) and
+    ``pair(m)`` = <m, -sign M''(x)>, where M' and M'' are the M and M-hat
+    parts of M(x).  The pairing's a and w terms are integer coefficients over
+    one modulus, its u terms floats.
+    """
+
+    __slots__ = ("phase", "_cu", "_ca", "_cw", "_modulus", "_su", "_sa", "_sw", "_orders")
+
+    def __init__(self, img: _Image, x: list[int], sign: int):
+        def image(rows):
+            return [sum(map(mul, row, x)) for row in rows]
+
+        den, L = img.den, img.modulus
+        self.phase = _e(-img.half.value(x, x), 2 * img.half.den)
+        self._su = tuple(sign * (v / den) for v in image(img.u))
+        self._sa = tuple(sign * v for v in image(img.a))
+        self._sw = tuple(sign * v % n for v, n in zip(image(img.w), img.orders))
+        self._cu = tuple(-sign * (v / den) for v in image(img.uhat))
+        self._ca = tuple(-sign * v * (L // den) % L for v in image(img.ahat))
+        self._cw = tuple(-sign * v * (L // n) % L for v, n in zip(image(img.what), img.orders))
+        self._modulus = L
+        self._orders = img.orders
+
+    def pair(self, m: PointM) -> complex:
+        """e(u.u^ + a.a^ + sum_j w_j w^_j / n_j), the exact part reduced mod 1."""
+        L = self._modulus
+        exact = (sum(map(mul, m.a, self._ca)) + sum(map(mul, m.w, self._cw))) % L
+        return cmath.exp(2j * math.pi * (exact / L + sum(map(mul, m.u, self._cu))))
+
+    def shift(self, m: PointM) -> PointM:
+        return PointM(
+            u=tuple(map(add, m.u, self._su)),
+            a=tuple(map(add, m.a, self._sa)),
+            w=tuple((wj + s) % n for wj, s, n in zip(m.w, self._sw, self._orders)),
+        )
+
+
+def _twisted(f: TestFunction, tw: _Twist, label: str) -> TestFunction:
+    """m -> phase <m, ...> f(shift(m)) for the constants of one action."""
+    phase, pair, shift = tw.phase, tw.pair, tw.shift
+
+    def ev(m: PointM) -> complex:
+        return phase * pair(m) * f(shift(m))
+
+    return TestFunction(ev, label=label)
 
 
 def right_action(f: TestFunction, x, d: ModuleDescriptor) -> TestFunction:
     """(f U_x)(m) = e(-T(x).J'T(x)/2) <m, T''(x)> f(m - T'(x))."""
-    Tx = _column(d.T, x)
-    phase = e2pi(-_half_form(Tx, d.Jprime))
-    tpart, that = split_coordinates(Tx, d)
-
-    def ev(m: PointM) -> complex:
-        return phase * pairing(m, that, d) * f(_shift_point(m, tpart, -1, d))
-
-    return TestFunction(ev, label=f"({f.label})U{tuple(x)}")
+    return _twisted(f, _Twist(d._kernel.T, _lattice(x, d), -1), f"({f.label})U{tuple(x)}")
 
 
 def left_action(x, f: TestFunction, d: ModuleDescriptor) -> TestFunction:
     """(V_x f)(m) = e(-S(x).J'S(x)/2) <m, -S''(x)> f(m + S'(x))."""
-    Sx = _column(d.S, x)
-    phase = e2pi(-_half_form(Sx, d.Jprime))
-    spart, shat = split_coordinates(Sx, d)
-    neg_shat = MHatPart(
-        uhat=tuple(-v for v in shat.uhat),
-        ahat=tuple((-v) % 1 for v in shat.ahat),
-        what=tuple((-v) % d.orders[j] for j, v in enumerate(shat.what)),
-    )
-
-    def ev(m: PointM) -> complex:
-        return phase * pairing(m, neg_shat, d) * f(_shift_point(m, spart, +1, d))
-
-    return TestFunction(ev, label=f"V{tuple(x)}({f.label})")
+    return _twisted(f, _Twist(d._kernel.S, _lattice(x, d), +1), f"V{tuple(x)}({f.label})")
 
 
 def sigma_cocycle(theta: Theta, x, y) -> complex:
     """The multiplication cocycle e((x . theta y) / 2)."""
-    xv = np.array([int(t) for t in x], dtype=object)
-    yv = np.array([int(t) for t in y], dtype=object)
-    return e2pi(Fraction(xv @ theta.M @ yv) / 2)
+    return _Form.of(theta.M).half_phase([int(t) for t in x], [int(t) for t in y])
 
 
 def check_module_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> float:
     """max_m |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|."""
     lhs = right_action(right_action(f, x, d), y, d)
-    sig = sigma_cocycle(d.theta, x, y)
+    sig = d._kernel.theta.half_phase(_lattice(x, d), _lattice(y, d))
     rhs = right_action(f, [a + b for a, b in zip(x, y)], d)
     return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
 
@@ -216,7 +347,7 @@ def check_module_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -
 def check_left_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
     lhs = left_action(x, left_action(y, f, d), d)
-    sig = sigma_cocycle(d.theta_prime, x, y)
+    sig = d._kernel.theta_prime.half_phase(_lattice(x, d), _lattice(y, d))
     rhs = left_action([a + b for a, b in zip(x, y)], f, d)
     return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
 
@@ -244,14 +375,13 @@ def gaussian(
     ca = center_a if center_a is not None else (0,) * d.q
     mod = modulation if modulation is not None else (0.0,) * (d.p + d.q)
     ch = w_char if w_char is not None else (0,) * d.k
+    orders = d.orders
 
     def ev(m: PointM) -> complex:
         s = sum((uj - cj) ** 2 for uj, cj in zip(m.u, cu))
         s += sum((aj - cj) ** 2 for aj, cj in zip(m.a, ca))
         phase = sum(t * v for t, v in zip(mod, list(m.u) + list(m.a)))
-        phase += sum(
-            float(Fraction(tj * wj, d.orders[j]) % 1) for j, (tj, wj) in enumerate(zip(ch, m.w))
-        )
+        phase += sum(tj * wj % nj / nj for tj, wj, nj in zip(ch, m.w, orders))
         return math.exp(-math.pi * s) * e2pi(phase)
 
     return TestFunction(ev, label="gaussian")
@@ -314,22 +444,15 @@ def inner_product_numeric(
     """
     if d.p > 2:
         raise ValueError("numeric inner product supports p <= 2 only")
-    coarse = _integrate(f, g, x, d, quad.u_points, quad)
-    fine = _integrate(f, g, x, d, 2 * quad.u_points, quad)
+    tw = _Twist(d._kernel.T, _lattice(x, d), +1)
+    coarse = _integrate(f, g, tw, d, quad.u_points, quad)
+    fine = _integrate(f, g, tw, d, 2 * quad.u_points, quad)
     if abs(fine - coarse) > quad.tol:
         raise QuadratureUnconverged(f"delta {abs(fine - coarse):.3e} above {quad.tol:.1e}")
     return fine
 
 
-def _integrate(f, g, x, d, n_points, quad) -> complex:
-    Tx = _column(d.T, x)
-    prefactor = e2pi(-_half_form(Tx, d.Jprime))
-    tpart, that = split_coordinates(Tx, d)
-    minus_that = MHatPart(
-        uhat=tuple(-v for v in that.uhat),
-        ahat=tuple((-v) % 1 for v in that.ahat),
-        what=tuple((-v) % d.orders[j] for j, v in enumerate(that.what)),
-    )
+def _integrate(f, g, tw: _Twist, d, n_points, quad) -> complex:
     nodes, weights = np.polynomial.legendre.leggauss(n_points)
     nodes = nodes * quad.u_halfwidth
     weights = weights * quad.u_halfwidth
@@ -364,6 +487,6 @@ def _integrate(f, g, x, d, n_points, quad) -> complex:
         for a in a_grid(d.q):
             for w in w_cells:
                 m = PointM(u=u, a=a, w=w)
-                val = pairing(m, minus_that, d) * g(_shift_point(m, tpart, +1, d)) * f(m).conjugate()
+                val = tw.pair(m) * g(tw.shift(m)) * f(m).conjugate()
                 total += wu * w_weight * val
-    return prefactor * total
+    return tw.phase * total

@@ -207,6 +207,77 @@ class TestCommands:
         assert code == 2 and out["error"] == {"kind": "parse", "message": message}
 
     @pytest.mark.parametrize(
+        "flip, matrix, row, entry, message",
+        [
+            pytest.param(False, "T", 2, "1/2", "T has a non-integer entry in its a rows", id="T-a-row"),
+            pytest.param(False, "S", 2, "1/3", "S has a non-integer entry in its a rows", id="S-a-row"),
+            pytest.param(True, "T", 2, "1/2", "T has a non-integer entry in its w rows", id="T-w-row"),
+            pytest.param(True, "T", 3, "1/2", "T has a non-integer entry in its w^ rows", id="T-what-row"),
+            pytest.param(True, "S", 3, "-1/7", "S has a non-integer entry in its w^ rows", id="S-what-row"),
+        ],
+    )
+    def test_simulate_descriptor_non_integral_row_exit_2(self, tmp_path, flip, matrix, row, entry, message):
+        # p = q = 1 (rows u, u^, a, a^), or p = k = 1 (rows u, u^, w, w^)
+        if flip:
+            doc = {
+                "version": "nctorus/1",
+                "g": {
+                    "A": [[0, -2], [-2, 0]],
+                    "B": [[9, 0], [0, -9]],
+                    "C": [[1, 0], [0, -1]],
+                    "D": [[0, 4], [4, 0]],
+                },
+                "theta": [["0", "6"], ["-6", "0"]],
+            }
+        else:
+            g = tg.sigma_flip([1, 2], 3)
+            theta = [["0", "1/2", "1/3"], ["-1/2", "0", "1/5"], ["-1/3", "-1/5", "0"]]
+            doc = {"version": "nctorus/1", "g": docs.group_doc(g), "theta": theta}
+        code, out = run(tmp_path, ["pipeline"], doc)
+        desc = out["module_descriptor"]
+        assert code == 0 and (desc["q"], desc["k"]) == ((0, 1) if flip else (1, 0))
+        desc[matrix][row][0] = entry
+        code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
+        assert code == 2 and out["error"] == {"kind": "parse", "message": f"bad module_descriptor: {message}"}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param({"T": [["1/2", "0"], ["0", "1"]]}, "T^t J T = theta does not hold", id="T-u-row"),
+            pytest.param({"S": [["1/3", "0"], ["0", "1"]]}, "S^t J S = -theta' does not hold", id="S-is-T"),
+            pytest.param({"S": [["0", "-1"], ["3", "3/2"]]}, "S^t J T is not integral", id="S-times-R"),
+        ],
+    )
+    def test_simulate_descriptor_identity_exit_2(self, tmp_path, edit, message):
+        # flip descriptor: T = [[1/3, 0], [0, 1]], S = [[0, -1], [3, 0]]; S R with
+        # R = [[1, 1/2], [0, 1]] keeps S^t J S (det R = 1) and breaks S^t J T
+        code, out = run(tmp_path, ["pipeline"], flip_doc())
+        desc = out["module_descriptor"]
+        assert code == 0 and desc["T"] == [["1/3", "0"], ["0", "1"]] and desc["S"] == [["0", "-1"], ["3", "0"]]
+        desc.update(edit)
+        code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
+        assert code == 2 and out["error"] == {"kind": "parse", "message": f"bad module_descriptor: {message}"}
+
+    @pytest.mark.parametrize("command", ["simulate", "campaign"])
+    @pytest.mark.parametrize(
+        "flags, options",
+        [
+            pytest.param([], {"seed": {"a": 1}}, id="dict"),
+            pytest.param([], {"seed": "7"}, id="str"),
+            pytest.param([], {"seed": 1.5}, id="float"),
+            pytest.param([], {"seed": True}, id="bool"),
+            pytest.param([], {"seed": -1}, id="negative"),
+            pytest.param(["--seed", "-1"], {}, id="flag-negative"),
+        ],
+    )
+    def test_bad_seed_exit_2(self, tmp_path, command, flags, options):
+        doc = flip_doc()
+        doc["options"] = options
+        argv = [command] + (["--n", "2"] if command == "campaign" else []) + flags
+        code, out = run(tmp_path, argv, doc)
+        assert code == 2 and out["error"] == {"kind": "parse", "message": "seed must be an integer >= 0"}
+
+    @pytest.mark.parametrize(
         "command, flags, options, field",
         [
             pytest.param("simulate", ["--samples", "0"], {}, "samples", id="simulate-samples-flag-0"),

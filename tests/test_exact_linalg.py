@@ -453,3 +453,17 @@ class TestHelpers:
     def test_block_diag(self):
         B = xl.block_diag(xl.eye(2), xl.zeros(0, 0), xl.mat([[5]]))
         assert B.shape == (3, 3) and B[2, 2] == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=int_matrices(lo=-2, hi=2), den=st.integers(1, 3), i=st.integers(0, 3), j=st.integers(0, 3))
+    def test_is_skew_matches_negated_transpose(self, rows, den, i, j):
+        A = xl.mat([[F(x, den) if (r + c) % 2 else x for c, x in enumerate(row)] for r, row in enumerate(rows)])
+        cases = [A]
+        n = A.shape[0]
+        if A.shape[1] == n:
+            S = A - A.T
+            broken = S.copy()
+            broken[i % n, j % n] += F(1, 2)
+            cases += [S, broken]
+        for M in cases:
+            assert xl.is_skew(M) is (M.shape[0] == M.shape[1] and xl.mat_eq(M, -M.T))

@@ -1,9 +1,12 @@
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
@@ -41,7 +44,113 @@ def shift_descriptor():
     return eb.pipeline(tg.mu(N), theta).descriptor
 
 
-ALL_DESCRIPTORS = [flip_descriptor, torsion_descriptor, mixed_descriptor, shift_descriptor]
+def torsion5_descriptor():
+    # C = 5I: torsion orders (5,), so w shifts and characters are not mere signs
+    g = tg.check_membership(
+        xl.mat([[0, -1], [1, 0]]), xl.zeros(2, 2), 5 * xl.eye(2), xl.mat([[0, -1], [1, 0]])
+    )
+    theta = tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]])
+    return eb.pipeline(g, theta).descriptor
+
+
+ALL_DESCRIPTORS = [flip_descriptor, torsion_descriptor, mixed_descriptor, shift_descriptor, torsion5_descriptor]
+
+
+# ---------------------------------------------------------------------------
+# reference: the Fraction / object-array formulas that the integer-row
+# kernel of module_sim replaced, kept verbatim as an oracle
+
+
+def ref_e2pi(t):
+    if isinstance(t, (F, int)):
+        t = float(F(t) % 1)
+    return cmath.exp(2j * math.pi * t)
+
+
+def ref_column(M, x):
+    return M @ np.array([int(t) for t in x], dtype=object)
+
+
+def ref_half_form(v, Jprime):
+    return F(v @ Jprime @ v) / 2
+
+
+def ref_pairing(m, mhat, d):
+    exact = F(0)
+    for aj, bj in zip(m.a, mhat.ahat):
+        exact += aj * bj
+    for j, (wj, hj) in enumerate(zip(m.w, mhat.what)):
+        exact += F(wj * hj, d.orders[j])
+    real = sum(uj * float(vj) for uj, vj in zip(m.u, mhat.uhat))
+    return ref_e2pi(float(exact % 1) + real)
+
+
+def ref_shift_point(m, part, sign, d):
+    u = tuple(uj + sign * float(vj) for uj, vj in zip(m.u, part.u))
+    a = tuple(aj + sign * vj for aj, vj in zip(m.a, part.a))
+    w = tuple((wj + sign * vj) % d.orders[j] for j, (wj, vj) in enumerate(zip(m.w, part.w)))
+    return ms.PointM(u=u, a=a, w=w)
+
+
+def ref_right_action(f, x, d):
+    Tx = ref_column(d.T, x)
+    phase = ref_e2pi(-ref_half_form(Tx, d.Jprime))
+    tpart, that = ms.split_coordinates(Tx, d)
+    return lambda m: phase * ref_pairing(m, that, d) * f(ref_shift_point(m, tpart, -1, d))
+
+
+def ref_left_action(x, f, d):
+    Sx = ref_column(d.S, x)
+    phase = ref_e2pi(-ref_half_form(Sx, d.Jprime))
+    spart, shat = ms.split_coordinates(Sx, d)
+    neg_shat = ms.MHatPart(
+        uhat=tuple(-v for v in shat.uhat),
+        ahat=tuple((-v) % 1 for v in shat.ahat),
+        what=tuple((-v) % d.orders[j] for j, v in enumerate(shat.what)),
+    )
+    return lambda m: phase * ref_pairing(m, neg_shat, d) * f(ref_shift_point(m, spart, +1, d))
+
+
+def ref_sigma_cocycle(theta, x, y):
+    xv = np.array([int(t) for t in x], dtype=object)
+    yv = np.array([int(t) for t in y], dtype=object)
+    return ref_e2pi(F(xv @ theta.M @ yv) / 2)
+
+
+def ref_gaussian(d, cu, ca, mod, ch):
+    def ev(m):
+        s = sum((uj - cj) ** 2 for uj, cj in zip(m.u, cu))
+        s += sum((aj - cj) ** 2 for aj, cj in zip(m.a, ca))
+        phase = sum(t * v for t, v in zip(mod, list(m.u) + list(m.a)))
+        phase += sum(float(F(tj * wj, d.orders[j]) % 1) for j, (tj, wj) in enumerate(zip(ch, m.w)))
+        return math.exp(-math.pi * s) * ref_e2pi(phase)
+
+    return ev
+
+
+@functools.cache
+def cached(make):
+    return make()
+
+
+@st.composite
+def oracle_cases(draw, make):
+    d = cached(make)
+    floats = st.floats(-3, 3, allow_nan=False)
+    lattice = st.lists(st.integers(-40, 40), min_size=d.n, max_size=d.n)
+    point = st.builds(
+        ms.PointM,
+        u=st.tuples(*[floats] * d.p),
+        a=st.tuples(*[st.integers(-6, 6)] * d.q),
+        w=st.tuples(*[st.integers(0, n - 1) for n in d.orders]),
+    )
+    params = (
+        tuple(draw(floats) for _ in range(d.p)),
+        tuple(draw(st.integers(-2, 2)) for _ in range(d.q)),
+        tuple(draw(floats) for _ in range(d.p + d.q)),
+        tuple(draw(st.integers(-5, 5)) for _ in range(d.k)),
+    )
+    return d, params, draw(lattice), draw(lattice), draw(st.lists(point, min_size=1, max_size=4))
 
 
 class TestSplitCoordinates:
@@ -215,3 +324,78 @@ class TestInnerProduct:
         )
         with pytest.raises(ValueError):
             ms.inner_product_numeric(ms.gaussian(d), ms.gaussian(d), [0, 0], big)
+
+
+class TestIntegerKernelOracle:
+    """The integer-row kernel equals the Fraction formulas bit for bit."""
+
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_actions_equal_reference(self, make, data):
+        d, params, x, y, points = data.draw(oracle_cases(make))
+        f, f_ref = ms.gaussian(d, *params), ref_gaussian(d, *params)
+        xy = [a + b for a, b in zip(x, y)]
+        cases = {
+            "f": (f, f_ref),
+            "f U_x": (ms.right_action(f, x, d), ref_right_action(f_ref, x, d)),
+            "V_y f": (ms.left_action(y, f, d), ref_left_action(y, f_ref, d)),
+            "(f U_x) U_y": (
+                ms.right_action(ms.right_action(f, x, d), y, d),
+                ref_right_action(ref_right_action(f_ref, x, d), y, d),
+            ),
+            "V_x (V_y f)": (
+                ms.left_action(x, ms.left_action(y, f, d), d),
+                ref_left_action(x, ref_left_action(y, f_ref, d), d),
+            ),
+            "V_y (f U_x)": (
+                ms.left_action(y, ms.right_action(f, x, d), d),
+                ref_left_action(y, ref_right_action(f_ref, x, d), d),
+            ),
+            "(V_y f) U_x": (
+                ms.right_action(ms.left_action(y, f, d), x, d),
+                ref_right_action(ref_left_action(y, f_ref, d), x, d),
+            ),
+            "f U_x+y": (ms.right_action(f, xy, d), ref_right_action(f_ref, xy, d)),
+            "V_x+y f": (ms.left_action(xy, f, d), ref_left_action(xy, f_ref, d)),
+        }
+        for m in points:
+            for name, (new, ref) in cases.items():
+                assert new(m) == ref(m), name
+        ref = {name: pair[1] for name, pair in cases.items()}
+        for theta in (d.theta, d.theta_prime):
+            assert ms.sigma_cocycle(theta, x, y) == ref_sigma_cocycle(theta, x, y)
+        sig = ref_sigma_cocycle(d.theta, x, y)
+        lhs, rhs = ref["(f U_x) U_y"], ref["f U_x+y"]
+        assert ms.check_module_relation(x, y, f, points, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        sig = ref_sigma_cocycle(d.theta_prime, x, y)
+        lhs, rhs = ref["V_x (V_y f)"], ref["V_x+y f"]
+        assert ms.check_left_relation(x, y, f, points, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        lhs, rhs = ref["V_y (f U_x)"], ref["(V_y f) U_x"]
+        assert ms.check_bimodule_commutation(x, y, f, points, d) == max(abs(lhs(m) - rhs(m)) for m in points)
+
+    def test_point_evaluation_builds_no_fraction(self, monkeypatch):
+        d = torsion_descriptor()
+        f = ms.gaussian(d, w_char=(1,))
+        g = ms.left_action([2, -1], ms.right_action(f, [1, 3], d), d)
+        points = ms.random_samples(random.Random(0), d, 4)
+        built = []
+        new = F.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+        values = [g(m) for m in points]
+        monkeypatch.undo()
+        assert built == [] and all(abs(v) > 0 for v in values)
+
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    def test_descriptors_satisfy_identities(self, make):
+        ms.verify_descriptor(make())
+
+    def test_wrong_lattice_length(self):
+        d = flip_descriptor()
+        with pytest.raises(ms.ShapeMismatch):
+            ms.right_action(ms.gaussian(d), [1, 0, 0], d)

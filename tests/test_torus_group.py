@@ -179,3 +179,16 @@ class TestRandomElement:
             assert_member(tg.mu(tg.random_skew_int(rng, n)))
             assert_member(tg.sigma_flip(tg.random_even_support(rng, n), n))
             assert_member(tg.identity_element(n))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0], [0, 0]],
+        [[0, F(1, 3)], [F(1, 3), 0]],
+        [[0, 1, 2], [-1, 0, 3], [-2, -3, F(1, 2)]],
+    ],
+)
+def test_make_theta_rejects_non_skew(rows):
+    with pytest.raises(ValueError, match="theta must be skew-symmetric"):
+        tg.make_theta(rows)
