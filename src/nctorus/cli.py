@@ -39,14 +39,14 @@ EXIT_UNDEFINED = 3
 
 
 def _read_input(path: str | None) -> dict:
-    if path:
-        try:
+    try:
+        if path:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
-            raise docs.ParseError(f"cannot read {path}: {e}") from None
-    else:
-        text = sys.stdin.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise docs.ParseError(f"cannot read {path or 'stdin'}: {e}") from None
     return docs.loads(text)
 
 
@@ -109,10 +109,8 @@ def _probe_theta(g):
     """A rational theta in the domain of g, built from its special form."""
     R0 = normalize_right(g)
     sf = detect_special_form(compose(g, rho(R0)))
-    M1 = xl.zeros(g.n, g.n)
-    M1[: 2 * sf.p, : 2 * sf.p] = sf.Z + xl.standard_symplectic(sf.p)
-    theta1 = make_theta(xl.to_fraction(M1))
-    return make_theta(xl.matmul(R0, theta1.M, R0.T))
+    M1 = xl.block_diag(sf.Z + xl.standard_symplectic(sf.p), xl.zeros(sf.q, sf.q))
+    return make_theta(xl.matmul(R0, M1, R0.T))
 
 
 def cmd_decompose(job: dict, opts) -> dict:

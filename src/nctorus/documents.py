@@ -1,7 +1,10 @@
 """Wire documents: exact-rational JSON in, exact-rational JSON out.
 
 Rationals travel as strings "p/q" (or "p" when integral) so that nothing is
-ever rounded; integer matrices travel as plain JSON integers.  Serialization
+ever rounded; integer matrices travel as plain JSON integers.  A rational is
+a JSON integer or a string of the form [+-]digits or [+-]digits/digits, with
+optional surrounding whitespace, and is parsed straight into the integer rows
+of an ``xl.Mat``; output strings are printed from those rows.  Serialization
 is deterministic (sorted keys, fixed separators), so identical inputs and
 seeds produce byte-identical reports.
 """
@@ -9,11 +12,12 @@ seeds produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact_linalg as xl
+from .exact_linalg import Mat
 from .embedding import EmbeddingData, MoritaChain, PipelineResult, build_forms
 from .module_sim import ModuleDescriptor, ModuleSimError, verify_descriptor
 from .torus_group import GroupElement, Theta, make_theta
@@ -29,50 +33,66 @@ class ParseError(Exception):
 # scalars and matrices
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def rat_str(x) -> str:
-    f = x if type(x) is Fraction else Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """The wire form of an int or Fraction."""
+    return _rat_text(x.numerator, x.denominator)
+
+
+def _rat_text(num: int, den: int) -> str:
+    """The wire form "p/q", or "p" when integral, of num / den for den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _rat_parts(s) -> tuple[int, int]:
+    """Numerator and positive denominator of a JSON integer or rational string."""
+    if type(s) is int:
+        return s, 1
+    if not isinstance(s, str):
+        raise ParseError(f"not a rational: {s!r}")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise ParseError(f"bad rational {s!r}")
+    try:
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"bad rational {s!r}: too many digits") from None
+    if den == 0:
+        raise ParseError(f"bad rational {s!r}: zero denominator")
+    return num, den
 
 
 def parse_rat(s) -> Fraction:
-    if isinstance(s, bool):
-        raise ParseError(f"not a rational: {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        try:
-            return Fraction(s.strip())
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"bad rational {s!r}: {e}") from None
-    raise ParseError(f"not a rational: {s!r}")
+    return Fraction(*_rat_parts(s))
 
 
-def rat_matrix_doc(M: np.ndarray) -> list[list[str]]:
-    return [[rat_str(x) for x in row] for row in M.tolist()]
+def rat_matrix_doc(M: Mat) -> list[list[str]]:
+    return [[_rat_text(x, M.den) for x in row] for row in M.rows]
 
 
-def int_matrix_doc(M: np.ndarray) -> list[list[int]]:
-    return [[int(x) for x in row] for row in M.tolist()]
+def int_matrix_doc(M: Mat) -> list[list[int]]:
+    return [list(row) for row in M.rows]
 
 
-def parse_rat_matrix(rows, what="matrix") -> np.ndarray:
+def parse_rat_matrix(rows, what="matrix") -> Mat:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{what} must be a non-empty list of rows")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError(f"{what} rows have unequal lengths")
-    M = xl.zeros(len(rows), width)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            M[i, j] = parse_rat(x)
-    return M
+    parts = [[_rat_parts(x) for x in row] for row in rows]
+    den = math.lcm(*(d for row in parts for _, d in row))
+    return Mat([[n * (den // d) for n, d in row] for row in parts], den, width)
 
 
-def parse_int_matrix(rows, what="matrix") -> np.ndarray:
+def parse_int_matrix(rows, what="matrix") -> Mat:
     M = parse_rat_matrix(rows, what)
     if not xl.is_integral(M):
         raise ParseError(f"{what} must have integer entries")
-    return xl.to_int(M)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +115,7 @@ def theta_doc(theta: Theta) -> list[list[str]]:
     return rat_matrix_doc(theta.M)
 
 
-def group_blocks_from_doc(doc, n: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def group_blocks_from_doc(doc, n: int | None = None) -> tuple[Mat, Mat, Mat, Mat]:
     """Parse the four blocks; membership is checked by the caller."""
     if not isinstance(doc, dict) or set("ABCD") - set(doc):
         raise ParseError("g must be an object with blocks A, B, C, D")
@@ -158,7 +178,7 @@ def certificates_doc(certs) -> list[dict]:
     for c in certs:
         entry: dict = {"name": c.name, "passed": c.passed}
         if not c.passed and c.witness is not None:
-            entry["witness"] = rat_matrix_doc(xl.to_fraction(c.witness))
+            entry["witness"] = rat_matrix_doc(c.witness)
         out.append(entry)
     return out
 
@@ -280,7 +300,7 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # ValueError: bad syntax, or an integer with too many digits
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")

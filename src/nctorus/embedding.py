@@ -25,12 +25,12 @@ p > 0 and q > 0, while -I_q reproduces the resolvent-formula output exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact_linalg as xl
+from .exact_linalg import Mat
 from .module_sim import ModuleDescriptor
 from .normal_form import SpecialForm, detect_special_form, domain_check, normalize_right
 from .torus_group import (
@@ -62,7 +62,7 @@ class EmbeddingError(Exception):
 class Certificate:
     name: str
     passed: bool
-    witness: np.ndarray | None = None
+    witness: Mat | None = None
 
 
 class CertificateLog:
@@ -99,7 +99,7 @@ class TorsionData:
 
     p: int
     m: int
-    R: np.ndarray
+    R: Mat
     h: tuple[int, ...]
     mj: tuple[int, ...]
     nj: tuple[int, ...]
@@ -111,37 +111,37 @@ class TorsionData:
         return len(self.h)
 
     @property
-    def P1(self) -> np.ndarray:
+    def P1(self) -> Mat:
         return xl.diag([Fraction(1, n) for n in self.nj])
 
     @property
-    def P2(self) -> np.ndarray:
+    def P2(self) -> Mat:
         return xl.diag(list(self.mj))
 
     @property
-    def Q1(self) -> np.ndarray:
+    def Q1(self) -> Mat:
         return xl.diag(list(self.dj))
 
     @property
-    def Q2(self) -> np.ndarray:
+    def Q2(self) -> Mat:
         return xl.diag(list(self.cj))
 
     @property
-    def T4(self) -> np.ndarray:
+    def T4(self) -> Mat:
         return xl.diag(list(self.nj) + list(self.nj))
 
 
-def build_torsion_data(Z: np.ndarray) -> TorsionData:
+def build_torsion_data(Z: Mat) -> TorsionData:
     """Clear denominators, reduce the alternating form, and take Bezout data."""
     two_p = Z.shape[0]
-    m = xl.lcm_denominators(Z)
-    R, h = xl.alternating_normal_form_int(xl.to_int(m * Z))
+    m = Z.den
+    R, h = xl.alternating_normal_form_int(m * Z)
     mj, nj, cj, dj = [], [], [], []
     for hj in h:
-        ratio = Fraction(hj, m)
-        g, c, d = xl.ext_gcd(ratio.numerator, ratio.denominator)
-        mj.append(ratio.numerator)
-        nj.append(ratio.denominator)
+        g = math.gcd(hj, m)
+        _, c, d = xl.ext_gcd(hj // g, m // g)
+        mj.append(hj // g)
+        nj.append(m // g)
         cj.append(c)
         dj.append(d)
     return TorsionData(
@@ -149,41 +149,29 @@ def build_torsion_data(Z: np.ndarray) -> TorsionData:
     )
 
 
-def _blk3(td: TorsionData) -> np.ndarray:
+def _blk3(td: TorsionData) -> Mat:
     """diag-block (P1, P1, -I) cut as (k, k, 2p - 2k)."""
     return xl.block_diag(td.P1, td.P1, -xl.eye(2 * td.p - 2 * td.k))
 
 
-def _corner_form(td: TorsionData, top_right: np.ndarray) -> np.ndarray:
+def _corner_form(td: TorsionData, top_right: Mat) -> Mat:
     """[[0, -X, 0], [X, 0, 0], [0, 0, 0]] cut as (k, k, 2p - 2k)."""
-    k = td.k
-    M = xl.zeros(2 * td.p, 2 * td.p)
-    M[:k, k : 2 * k] = -top_right
-    M[k : 2 * k, :k] = top_right
-    return M
+    k, rest = td.k, 2 * td.p - 2 * td.k
+    Z = xl.zeros
+    return xl.block([[Z(k, k), -top_right, Z(k, rest)], [top_right, Z(k, k), Z(k, rest)], [Z(rest, 2 * td.p)]])
 
 
 # ---------------------------------------------------------------------------
 # phase-space form and embedding maps
 
 
-def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[Mat, Mat]:
     """The 2-form J on the ambient space and its positive half J'."""
     k = len(orders)
-    J0 = xl.standard_symplectic(p)
-    J1 = xl.zeros(2 * p + 2 * q, 2 * p + 2 * q)
-    J1[: 2 * p, : 2 * p] = J0
-    J1[2 * p : 2 * p + q, 2 * p + q :] = xl.eye(q)
-    J1[2 * p + q :, 2 * p : 2 * p + q] = -xl.eye(q)
     P1 = xl.diag([Fraction(1, n) for n in orders])
-    J2 = xl.zeros(2 * k, 2 * k)
-    J2[:k, k:] = P1
-    J2[k:, :k] = -P1
-    J = xl.block_diag(J1, J2)
-    Jp = xl.zeros(*J.shape)
-    for idx, v in np.ndenumerate(J):
-        if v > 0:
-            Jp[idx] = v
+    J2 = xl.block([[xl.zeros(k, k), P1], [-P1, xl.zeros(k, k)]])
+    J = xl.block_diag(xl.standard_symplectic(p), xl.standard_symplectic(q), J2)
+    Jp = Mat([[max(x, 0) for x in row] for row in J.rows], J.den, J.shape[1])
     return J, Jp
 
 
@@ -200,15 +188,15 @@ class EmbeddingMap:
     q: int
     k: int
     orders: tuple[int, ...]
-    matrix: np.ndarray
-    J: np.ndarray
-    Jprime: np.ndarray
+    matrix: Mat
+    J: Mat
+    Jprime: Mat
 
     @property
     def n(self) -> int:
         return 2 * self.p + self.q
 
-    def tilde(self) -> np.ndarray:
+    def tilde(self) -> Mat:
         """Projection onto the (u, u^, a) rows."""
         return self.matrix[: 2 * self.p + self.q, :]
 
@@ -217,7 +205,7 @@ class EmbeddingMap:
         w_rows = self.matrix[self.n + self.q :, :]
         return xl.is_integral(a_rows) and xl.is_integral(w_rows)
 
-    def pullback(self) -> np.ndarray:
+    def pullback(self) -> Mat:
         return xl.matmul(self.matrix.T, self.J, self.matrix)
 
 
@@ -231,21 +219,19 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLo
     """
     p, q, k = sf.p, sf.q, td.k
     n = sf.n
+    Z = xl.zeros
     T11 = xl.symplectic_factor_rational(theta.M[: 2 * p, : 2 * p] - sf.Z)
     T31 = theta.M[2 * p :, : 2 * p]
     T32 = xl.strict_upper(theta.M[2 * p :, 2 * p :])
-    T1 = xl.zeros(n + q, n)
-    T1[: 2 * p, : 2 * p] = T11
-    T1[2 * p : n, 2 * p :] = xl.eye(q)
-    T1[n:, : 2 * p] = T31
-    T1[n:, 2 * p :] = T32
-    B0 = xl.zeros(2 * k, n)
-    B0[:k, :k] = td.P2
-    B0[k:, k : 2 * k] = xl.eye(k)
-    T2 = B0 @ xl.block_diag(td.R, xl.eye(q))
-    T = np.concatenate([T1, T2], axis=0)
+    T = xl.block([
+        [T11, Z(2 * p, q)],
+        [Z(q, 2 * p), xl.eye(q)],
+        [T31, T32],
+        [td.P2 @ td.R[:k, :], Z(k, q)],
+        [td.R[k : 2 * k, :], Z(k, q)],
+    ])
     J, Jp = build_forms(p, q, td.nj)
-    emb = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=xl.freeze(T), J=J, Jprime=Jp)
+    emb = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=T, J=J, Jprime=Jp)
     pullback = emb.pullback()
     certs.check(
         "T_pullback",
@@ -256,14 +242,14 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLo
     certs.check("T_lattice_rows", emb.integral_rows_ok(), "integer rows of T not integral", witness=T)
     certs.check(
         "T_tilde_invertible",
-        xl.det(emb.tilde()[:, :n]) != 0,
+        xl.det(emb.tilde()) != 0,
         "projection of T is singular",
         witness=emb.tilde(),
     )
     return emb
 
 
-def _phi_matrices(td: TorsionData, p: int, q: int) -> np.ndarray:
+def _phi_matrices(td: TorsionData, p: int, q: int) -> Mat:
     """The embedding of the lattice into the ambient certificate coordinates.
 
     Coordinates are cut (2p, q, q, 2k); the middle q block is identically
@@ -271,26 +257,23 @@ def _phi_matrices(td: TorsionData, p: int, q: int) -> np.ndarray:
     """
     k = td.k
     n = 2 * p + q
-    amb = n + q + 2 * k
-    phi1 = xl.zeros(amb, n)
+    phi1 = [[0] * n for _ in range(n + q + 2 * k)]
     for j in range(k):
-        phi1[j, j] = -td.dj[j]
+        phi1[j][j] = -td.dj[j]
+        phi1[2 * p + 2 * q + j][j] = td.cj[j]
+        phi1[2 * p + 2 * q + k + j][k + j] = 1
     for i in range(2 * k, 2 * p):
-        phi1[i, i] = 1
+        phi1[i][i] = 1
     for j in range(q):
-        phi1[2 * p + q + j, 2 * p + j] = 1
-    for j in range(k):
-        phi1[2 * p + 2 * q + j, j] = td.cj[j]
-    for j in range(k):
-        phi1[2 * p + 2 * q + k + j, k + j] = 1
-    return xl.block_diag(td.R.T, xl.eye(2 * q + 2 * k)) @ phi1
+        phi1[2 * p + q + j][2 * p + j] = 1
+    return xl.block_diag(td.R.T, xl.eye(2 * q + 2 * k)) @ Mat(phi1, 1, n)
 
 
 def build_S(
     sf: SpecialForm,
     td: TorsionData,
     emb: EmbeddingMap,
-    phi: np.ndarray,
+    phi: Mat,
     certs: CertificateLog,
 ) -> EmbeddingMap:
     """The dual embedding onto the annihilator of the image lattice.
@@ -300,16 +283,14 @@ def build_S(
     """
     p, q, k = sf.p, sf.q, td.k
     n = sf.n
-    T1, T2 = emb.matrix[: n + q], emb.matrix[n + q :]
+    Z = xl.zeros
+    T1, T2 = emb.matrix[: n + q, :], emb.matrix[n + q :, :]
     T11, T31, T32 = T1[: 2 * p, : 2 * p], T1[n:, : 2 * p], T1[n:, 2 * p :]
-    T3 = xl.zeros(n + q, q)
-    T3[n:, :] = -xl.eye(q)
-    T4 = td.T4
-    Tbar = xl.zeros(emb.matrix.shape[0], emb.matrix.shape[0])
-    Tbar[: n + q, :n] = T1
-    Tbar[: n + q, n : n + q] = T3
-    Tbar[n + q :, :n] = T2
-    Tbar[n + q :, n + q :] = T4
+    Tbar = xl.block([
+        [T1[:n, :], Z(n, q), Z(n, 2 * k)],
+        [T1[n:, :], -xl.eye(q), Z(q, 2 * k)],
+        [T2, Z(2 * k, q), td.T4],
+    ])
     dual_gram_inv = None
     try:
         dual_gram_inv = xl.rational_inverse(xl.matmul(Tbar.T, emb.J))
@@ -321,31 +302,24 @@ def build_S(
     # closed form
     T11t_inv = xl.rational_inverse(T11.T)
     J0 = xl.standard_symplectic(p)
-    blk3 = _blk3(td)
-    W1 = xl.zeros(n + q, 2 * p)
-    W1[: 2 * p, :] = xl.matmul(J0, T11t_inv, td.R.T, blk3)
-    W2 = xl.zeros(n + q, q)
-    W2[: 2 * p, :] = -xl.matmul(J0, T11t_inv, T31.T)
-    W2[2 * p : n, :] = xl.eye(q)
-    W2[n:, :] = T32.T
-    bottom = xl.zeros(2 * k, n)
-    bottom[:k, k : 2 * k] = -xl.eye(k)
-    bottom[k:, :k] = td.Q2
-    S_closed = xl.zeros(*S.shape)
-    S_closed[: n + q, : 2 * p] = W1
-    S_closed[: n + q, 2 * p :] = W2
-    S_closed[n + q :, :] = bottom
+    S_closed = xl.block([
+        [xl.matmul(J0, T11t_inv, td.R.T, _blk3(td)), -xl.matmul(J0, T11t_inv, T31.T)],
+        [Z(q, 2 * p), xl.eye(q)],
+        [Z(q, 2 * p), T32.T],
+        [Z(k, k), -xl.eye(k), Z(k, n - 2 * k)],
+        [td.Q2, Z(k, n - k)],
+    ])
     certs.check(
         "S_closed_form",
         xl.mat_eq(S, S_closed),
         "computed dual map disagrees with its closed form",
         witness=S - S_closed,
     )
-    dual = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=xl.freeze(S), J=emb.J, Jprime=emb.Jprime)
+    dual = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=S, J=emb.J, Jprime=emb.Jprime)
     certs.check("S_lattice_rows", dual.integral_rows_ok(), "integer rows of S not integral", witness=S)
     certs.check(
         "S_tilde_invertible",
-        xl.det(dual.tilde()[:, :n]) != 0,
+        xl.det(dual.tilde()) != 0,
         "projection of S is singular",
         witness=dual.tilde(),
     )
@@ -356,7 +330,7 @@ def verify_duality(
     emb: EmbeddingMap,
     dual: EmbeddingMap,
     td: TorsionData,
-    phi: np.ndarray,
+    phi: Mat,
     certs: CertificateLog,
 ) -> None:
     """Two exact duality checks.
@@ -376,19 +350,17 @@ def verify_duality(
     )
     p, q, k = emb.p, emb.q, emb.k
     n = emb.n
-    delta = xl.zeros(n + q + 2 * k, 2 * k)
-    delta[:n, :] = emb.matrix[n + q :].T
-    delta[n + q :, :] = td.T4
-    stack = np.concatenate([delta, phi], axis=1)
+    delta = xl.block([[emb.matrix[n + q :, :].T], [xl.zeros(q, 2 * k)], [td.T4]])
+    stack = xl.block([[delta, phi]])
     if not xl.is_zero(stack[2 * p : 2 * p + q, :]):
         certs.check(
             "dual_lattice_unimodular", False, "stack has entries in the zero block", witness=stack
         )
     keep = list(range(2 * p)) + list(range(2 * p + q, n + q + 2 * k))
-    square = xl.to_int(stack[keep, :])
+    square = stack[keep, :]
     certs.check(
         "dual_lattice_unimodular",
-        abs(xl.det(square)) == 1,
+        xl.is_integral(square) and abs(xl.det(square)) == 1,
         "stacked lattice basis is not unimodular",
         witness=square,
     )
@@ -398,7 +370,7 @@ def theta_prime(
     dual: EmbeddingMap,
     td: TorsionData,
     theta: Theta,
-    F11: np.ndarray,
+    F11: Mat,
     certs: CertificateLog,
 ) -> Theta:
     """theta' = -S^t J S, cross-checked against the four displayed blocks."""
@@ -410,11 +382,10 @@ def theta_prime(
     t12 = theta.M[: 2 * p, 2 * p :]
     t21 = theta.M[2 * p :, : 2 * p]
     t22 = theta.M[2 * p :, 2 * p :]
-    expect = xl.zeros(*tp.shape)
-    expect[: 2 * p, : 2 * p] = xl.matmul(blk3, R, F11, R.T, blk3) + _corner_form(td, xl.matmul(td.Q2, td.P1))
-    expect[: 2 * p, 2 * p :] = xl.matmul(blk3, R, F11, t12)
-    expect[2 * p :, : 2 * p] = -xl.matmul(t21, F11, R.T, blk3)
-    expect[2 * p :, 2 * p :] = -xl.matmul(t21, F11, t12) + t22
+    expect = xl.block([
+        [xl.matmul(blk3, R, F11, R.T, blk3) + _corner_form(td, xl.matmul(td.Q2, td.P1)), xl.matmul(blk3, R, F11, t12)],
+        [-xl.matmul(t21, F11, R.T, blk3), t22 - xl.matmul(t21, F11, t12)],
+    ])
     certs.check(
         "theta_prime_blocks",
         xl.mat_eq(tp, expect),
@@ -429,9 +400,9 @@ def build_gprime(
     td: TorsionData,
     theta: Theta,
     theta_out: Theta,
-    F11: np.ndarray,
+    F11: Mat,
     certs: CertificateLog,
-) -> tuple[np.ndarray, np.ndarray, GroupElement]:
+) -> tuple[Mat, Mat, GroupElement]:
     """The dual tangent matrix, the normalized curvature, and g'.
 
     g' is assembled from the resolvent formulas
@@ -445,18 +416,17 @@ def build_gprime(
     p, q = sf.p, sf.q
     n = sf.n
     k = td.k
-    blk3 = _blk3(td)
-    phi_star = xl.zeros(n, n)
-    phi_star[: 2 * p, : 2 * p] = xl.matmul(F11, td.R.T, blk3)
-    phi_star[: 2 * p, 2 * p :] = xl.matmul(F11, theta.M[: 2 * p, 2 * p :])
-    phi_star[2 * p :, 2 * p :] = -xl.eye(q)
+    phi_star = xl.block([
+        [xl.matmul(F11, td.R.T, _blk3(td)), xl.matmul(F11, theta.M[: 2 * p, 2 * p :])],
+        [xl.zeros(q, 2 * p), -xl.eye(q)],
+    ])
     curvature = xl.block_diag(F11, xl.zeros(q, q))
     inv = xl.rational_inverse(phi_star)
     Cp = xl.matmul(inv, curvature)
     Dp = inv - xl.matmul(Cp, theta.M)
     Ap = phi_star.T + xl.matmul(theta_out.M, Cp)
     Bp = xl.matmul(theta_out.M, inv) - xl.matmul(Ap, theta.M)
-    assembled = np.block([[Ap, Bp], [Cp, Dp]])
+    assembled = xl.block([[Ap, Bp], [Cp, Dp]])
     certs.check(
         "gprime_integral",
         xl.is_integral(assembled),
@@ -466,7 +436,7 @@ def build_gprime(
     gp = None
     detail = ""
     try:
-        gp = check_membership(xl.to_int(Ap), xl.to_int(Bp), xl.to_int(Cp), xl.to_int(Dp))
+        gp = check_membership(Ap, Bp, Cp, Dp)
     except (RelationViolated, DeterminantNotOne) as e:
         detail = str(e)
     certs.check("gprime_membership", gp is not None, detail, witness=assembled)
@@ -482,17 +452,17 @@ def build_gprime(
     Dp_cf = xl.block_diag(_corner_form(td, td.P2) @ td.R, -xl.eye(q))
     Ap_cf = xl.block_diag(_corner_form(td, td.Q2) @ Rt_inv, -xl.eye(q))
     Bp_cf = xl.block_diag(xl.block_diag(td.Q1, td.Q1, -xl.eye(rest)) @ td.R, xl.zeros(q, q))
-    closed = np.block([[Ap_cf, Bp_cf], [Cp_cf, Dp_cf]])
+    closed = xl.block([[Ap_cf, Bp_cf], [Cp_cf, Dp_cf]])
     certs.check(
         "gprime_closed_form",
         xl.mat_eq(assembled, closed),
         "resolvent formulas disagree with the closed forms",
         witness=assembled - closed,
     )
-    return xl.freeze(phi_star), xl.freeze(curvature), gp
+    return phi_star, curvature, gp
 
 
-def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple[np.ndarray, np.ndarray]:
+def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple[Mat, Mat]:
     """Factor g = mu(N) rho(A) g' and verify the reassembly exactly."""
     gt = compose(g, invert_element(gp))
     certs.check("decomp_ctilde_zero", xl.is_zero(gt.C), "C block of g (g')^-1 is nonzero", witness=gt.C)
@@ -511,7 +481,7 @@ def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple
         "mu(N) rho(A) g' does not reproduce g",
         witness=rebuilt.matrix(),
     )
-    return xl.to_int(N), gt.A.copy()
+    return N, gt.A
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +491,8 @@ def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple
 @dataclass(frozen=True, eq=False)
 class ChainStep:
     kind: str  # "iso_rho" | "iso_mu" | "heisenberg"
-    R: np.ndarray | None = None
-    N: np.ndarray | None = None
+    R: Mat | None = None
+    N: Mat | None = None
     descriptor: ModuleDescriptor | None = None
 
     def apply(self, theta: Theta) -> Theta:
@@ -556,15 +526,15 @@ class EmbeddingData:
     torsion: TorsionData
     emb: EmbeddingMap
     dual: EmbeddingMap
-    f11: np.ndarray
+    f11: Mat
     theta_in: Theta
     theta_out: Theta
-    phi_star: np.ndarray
-    curvature: np.ndarray
+    phi_star: Mat
+    curvature: Mat
     g_prime: GroupElement
-    shear: np.ndarray
-    basis_change: np.ndarray
-    r0: np.ndarray
+    shear: Mat
+    basis_change: Mat
+    r0: Mat
     g1: GroupElement
     certificates: tuple[Certificate, ...]
 
@@ -581,7 +551,7 @@ class PipelineResult:
 
 def build_embedding(
     g1: GroupElement, theta1: Theta, certs: CertificateLog
-) -> tuple[SpecialForm, TorsionData, EmbeddingMap, EmbeddingMap, np.ndarray, Theta, np.ndarray, np.ndarray, GroupElement]:
+) -> tuple[SpecialForm, TorsionData, EmbeddingMap, EmbeddingMap, Mat, Theta, Mat, Mat, GroupElement]:
     """Run the construction on an element already in special form."""
     sf = detect_special_form(g1)
     chk = domain_check(sf, theta1)

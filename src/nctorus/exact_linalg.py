@@ -1,23 +1,22 @@
 """Exact dense linear algebra over the integers and rationals.
 
-At every public boundary a matrix is a numpy array with ``dtype=object`` whose
-entries are Python ``int`` or ``fractions.Fraction`` values, so everything
-here is exact; no floating point enters this module.
+Every matrix is a ``Mat``: rows of Python ``int`` over one positive
+denominator, kept reduced (the gcd of the denominator and all entries is 1).
+Equality is therefore structural, and a matrix is integral exactly when its
+denominator is 1.  Nothing here rounds; no floating point enters this module.
 
-Inside, the rational kernels work on rows of Python ``int`` over one common
-denominator (``_scaled_rows``) and convert back to ``Fraction`` once per
-output entry.  ``matmul`` is the one exact product of matrices that may hold
-non-integral entries: it multiplies the integer rows and divides by the
-product of the denominators once.  ``det``, ``rank``, ``rational_inverse``,
-``int_inverse`` and ``solve_unique`` all run the one fraction-free (Bareiss)
-elimination kernel ``_row_reduce``.  Their results are unique in exact
-arithmetic, so the kernel's pivot rule cannot change any output.  The
-Smith, alternating and symplectic reductions (and the kernel bases built on
-Smith) return one factor among many: their fixed pivot rules decide the output
-bytes and must stay as they are.  Any factor satisfying the stated equation is
-correct, and each reduction re-multiplies and checks itself before returning.
+``matmul`` is the one exact product: one integer product of the rows and one
+gcd pass.  ``det``, ``rank``, ``rational_inverse``, ``int_inverse`` and
+``solve_unique`` all run the one fraction-free (Bareiss) elimination kernel
+``_row_reduce`` on the rows.  Their results are unique in exact arithmetic, so
+the kernel's pivot rule cannot change any output.  The Smith, alternating and
+symplectic reductions (and the kernel bases built on Smith) return one factor
+among many: their fixed pivot rules decide the output bytes and must stay as
+they are.  Any factor satisfying the stated equation is correct, and each
+reduction re-multiplies and checks itself before returning.
 
-Empty blocks (0xm, mx0) are first-class values throughout.
+Empty blocks (0xm, mx0) are first-class values throughout; their denominator
+is 1.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-
-import numpy as np
+from itertools import chain
+from operator import add, mul, sub
 
 
 class ExactLinalgError(Exception):
@@ -55,153 +53,239 @@ class Inconsistent(ExactLinalgError):
 
 
 # ---------------------------------------------------------------------------
-# constructors and predicates
+# the matrix type
 
 
-def mat(rows) -> np.ndarray:
-    """Build an object-dtype matrix from nested sequences of int/Fraction."""
-    A = np.array(rows, dtype=object)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    return A
+class Mat:
+    """An immutable exact rational matrix with entries ``rows[i][j] / den``.
+
+    ``Mat(rows, den, ncols)`` takes integer rows over a nonzero ``den`` and
+    reduces them; ``ncols`` is needed only when there are no rows.  ``M[i, j]``
+    is an entry (an ``int`` when ``den == 1``, else a ``Fraction``); indexing
+    both axes with slices or index lists gives a submatrix.  ``+``, ``-``,
+    ``@`` and multiplication by an int or ``Fraction`` are exact.
+    """
+
+    __slots__ = ("rows", "den", "shape")
+
+    def __init__(self, rows, den: int = 1, ncols: int | None = None):
+        rows = [list(row) for row in rows]
+        if ncols is None:
+            if not rows:
+                raise ValueError("a matrix without rows needs ncols")
+            ncols = len(rows[0])
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("rows have unequal lengths")
+        self.rows, self.den = _lowest_terms(rows, den)
+        self.shape = (len(rows), ncols)
+
+    def __repr__(self) -> str:
+        return f"Mat({self.tolist()!r})"
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Mat)
+            and self.shape == other.shape
+            and self.den == other.den
+            and self.rows == other.rows
+        )
+
+    def tolist(self) -> list[list]:
+        """The entries as nested lists: ints when integral, else Fractions."""
+        if self.den == 1:
+            return [list(row) for row in self.rows]
+        return [[Fraction(x, self.den) for x in row] for row in self.rows]
+
+    def __getitem__(self, key):
+        i, j = key
+        if type(i) is int and type(j) is int:
+            x = self.rows[i][j]
+            return x if self.den == 1 else Fraction(x, self.den)
+        rows = self.rows[i] if type(i) is slice else [self.rows[t] for t in i]
+        if type(j) is slice:
+            ncols = len(range(*j.indices(self.shape[1])))
+            rows = [row[j] for row in rows]
+        else:
+            ncols = len(j)
+            rows = [[row[t] for t in j] for row in rows]
+        return _reduced(rows, self.den, (len(rows), ncols))
+
+    @property
+    def T(self) -> Mat:
+        r, c = self.shape
+        return _raw(tuple(zip(*self.rows)) if r else ((),) * c, self.den, (c, r))
+
+    def __neg__(self) -> Mat:
+        return _raw(tuple(tuple(-x for x in row) for row in self.rows), self.den, self.shape)
+
+    def __add__(self, other: Mat) -> Mat:
+        return _combine(self, other, 1)
+
+    def __sub__(self, other: Mat) -> Mat:
+        return _combine(self, other, -1)
+
+    def __mul__(self, k) -> Mat:
+        if not isinstance(k, (int, Fraction)):
+            return NotImplemented
+        num = k.numerator
+        return _reduced([[x * num for x in row] for row in self.rows], self.den * k.denominator, self.shape)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: Mat) -> Mat:
+        return matmul(self, other)
 
 
-def _from_rows(rows: list[list], shape: tuple[int, int]) -> np.ndarray:
-    """The r x c matrix of nested lists of entries."""
-    A = np.empty(shape, dtype=object)
-    if A.size:
-        A[...] = rows
-    return A
+def _lowest_terms(rows: list, den: int) -> tuple[tuple, int]:
+    """Integer rows over a nonzero den, divided through by their common gcd, as tuples."""
+    if den < 0:
+        rows, den = [[-x for x in row] for row in rows], -den
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            rows, den = [[x // g for x in row] for row in rows], den // g
+    return tuple(map(tuple, rows)), den
 
 
-def zeros(r: int, c: int) -> np.ndarray:
-    A = np.empty((r, c), dtype=object)
-    A[...] = 0
-    return A
+def _raw(rows: tuple, den: int, shape: tuple[int, int]) -> Mat:
+    """A Mat of tuple rows that are already reduced over den > 0."""
+    M = object.__new__(Mat)
+    M.rows, M.den, M.shape = rows, den, shape
+    return M
 
 
-def eye(n: int) -> np.ndarray:
-    A = zeros(n, n)
-    for i in range(n):
-        A[i, i] = 1
-    return A
+def _reduced(rows: list, den: int, shape: tuple[int, int]) -> Mat:
+    """A Mat of integer rows of the given shape over a nonzero den."""
+    return _raw(*_lowest_terms(rows, den), shape)
 
 
-def diag(entries) -> np.ndarray:
-    entries = list(entries)
-    A = zeros(len(entries), len(entries))
-    for i, e in enumerate(entries):
-        A[i, i] = e
-    return A
-
-
-def block_diag(*mats: np.ndarray) -> np.ndarray:
-    r = sum(M.shape[0] for M in mats)
-    c = sum(M.shape[1] for M in mats)
-    A = zeros(r, c)
-    i = j = 0
-    for M in mats:
-        A[i : i + M.shape[0], j : j + M.shape[1]] = M
-        i += M.shape[0]
-        j += M.shape[1]
-    return A
-
-
-def mat_eq(A: np.ndarray, B: np.ndarray) -> bool:
+def _combine(A: Mat, B: Mat, sign: int) -> Mat:
+    """A + sign * B."""
     if A.shape != B.shape:
-        return False
-    return bool((A == B).all()) if A.size else True
+        raise ValueError(f"shape mismatch: {A.shape} and {B.shape}")
+    a, b = A.den, B.den
+    if a == b:
+        op = add if sign > 0 else sub
+        return _reduced([list(map(op, ra, rb)) for ra, rb in zip(A.rows, B.rows)], a, A.shape)
+    d = a // math.gcd(a, b) * b
+    sa, sb = d // a, sign * (d // b)
+    return _reduced([[x * sa + y * sb for x, y in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)], d, A.shape)
 
 
-def is_zero(A: np.ndarray) -> bool:
-    return bool((A == 0).all()) if A.size else True
+def mat(entries) -> Mat:
+    """The matrix of nested sequences of int/Fraction entries; a Mat is returned as is."""
+    if isinstance(entries, Mat):
+        return entries
+    rows = [list(row) for row in entries]
+    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        raise TypeError("matrix entries must be int or Fraction")
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return Mat([[x.numerator * (den // x.denominator) for x in row] for row in rows], den, len(rows[0]) if rows else 0)
 
 
-def is_skew(A: np.ndarray) -> bool:
+def zeros(r: int, c: int) -> Mat:
+    return _raw(((0,) * c,) * r, 1, (r, c))
+
+
+def eye(n: int) -> Mat:
+    return Mat(_identity_rows(n), 1, n)
+
+
+def diag(entries) -> Mat:
+    entries = list(entries)
+    return mat([[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
+
+
+def block(grid) -> Mat:
+    """Assemble a matrix from a grid of blocks.
+
+    Blocks in one grid row share their row count, and every grid row has the
+    same total width.  Over the lcm of the block denominators the result is
+    reduced already, since each block is.
+    """
+    den = math.lcm(*(B.den for brow in grid for B in brow))
+    rows: list[tuple] = []
+    width = None
+    for brow in grid:
+        h = brow[0].shape[0]
+        w = sum(B.shape[1] for B in brow)
+        if any(B.shape[0] != h for B in brow) or width not in (None, w):
+            raise ValueError(f"block shapes do not fit: {[[B.shape for B in r] for r in grid]}")
+        width = w
+        parts = [B.rows if B.den == den else _scaled(B.rows, den // B.den) for B in brow]
+        rows.extend([sum(pieces, ()) for pieces in zip(*parts)])
+    return _raw(tuple(rows), den, (len(rows), width or 0))
+
+
+def _scaled(rows: tuple, s: int) -> list[tuple]:
+    return [tuple([x * s for x in row]) for row in rows]
+
+
+def block_diag(*mats: Mat) -> Mat:
+    den = math.lcm(*(M.den for M in mats))
+    width = sum(M.shape[1] for M in mats)
+    rows: list[tuple] = []
+    left = 0
+    for M in mats:
+        pad = (0,) * left, (0,) * (width - left - M.shape[1])
+        rows.extend([pad[0] + row + pad[1] for row in (M.rows if M.den == den else _scaled(M.rows, den // M.den))])
+        left += M.shape[1]
+    return _raw(tuple(rows), den, (len(rows), width))
+
+
+def mat_eq(A: Mat, B: Mat) -> bool:
+    return A == B
+
+
+def is_zero(A: Mat) -> bool:
+    return not any(map(any, A.rows))
+
+
+def is_skew(A: Mat) -> bool:
     """A^t = -A, compared entry pair by entry pair on the rows."""
     n = A.shape[0]
     if A.shape[1] != n:
         return False
-    rows = A.tolist()
+    rows = A.rows
     return all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
 
 
-def is_integral(A: np.ndarray) -> bool:
-    return all(type(x) is int or x.denominator == 1 for x in A.ravel().tolist())
+def is_integral(A: Mat) -> bool:
+    return A.den == 1
 
 
-def to_int(A: np.ndarray) -> np.ndarray:
-    """Cast an exactly-integral matrix to Python-int entries."""
-    if not is_integral(A):
+def to_int(M) -> Mat:
+    """The integer matrix of a Mat or of nested int/Fraction entries.
+
+    Raises:
+        ValueError: if an entry is not an integer.
+    """
+    M = mat(M)
+    if M.den != 1:
         raise ValueError("matrix has non-integer entries")
-    return _from_rows([[x if type(x) is int else int(x) for x in row] for row in A.tolist()], A.shape)
+    return M
 
 
-def to_fraction(A: np.ndarray) -> np.ndarray:
-    rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in A.tolist()]
-    return _from_rows(rows, A.shape)
+def strict_upper(A: Mat) -> Mat:
+    return _reduced([[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(A.rows)], A.den, A.shape)
 
 
-def lcm_denominators(A: np.ndarray) -> int:
-    return _scaled_rows(A)[1]
+def matmul(*mats: Mat) -> Mat:
+    """Exact product of one or more matrices.
 
-
-def strict_upper(A: np.ndarray) -> np.ndarray:
-    B = zeros(*A.shape)
-    for i in range(A.shape[0]):
-        for j in range(i + 1, A.shape[1]):
-            B[i, j] = A[i, j]
-    return B
-
-
-def freeze(A: np.ndarray) -> np.ndarray:
-    A.flags.writeable = False
-    return A
-
-
-# ---------------------------------------------------------------------------
-# integer rows over one common denominator
-
-
-def _scaled_rows(M: np.ndarray) -> tuple[list[list[int]], int]:
-    """Integer rows N and the least d > 0 with N = d * M.
-
-    Entries are tested with ``type(x) is int`` first: ``isinstance(x,
-    Fraction)`` goes through ``ABCMeta.__instancecheck__``, which costs more.
+    The integer rows are multiplied as Python ints, and the product of the
+    denominators is divided out with one gcd pass at the end.
     """
-    rows = M.tolist()
-    d = 1
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                den = x.denominator
-                if d % den:
-                    d = d // math.gcd(d, den) * den
-    if d == 1:
-        return [[x if type(x) is int else int(x) for x in row] for row in rows], 1
-    return [[x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
-def matmul(*mats: np.ndarray) -> np.ndarray:
-    """Exact product of one or more matrices of int/Fraction entries.
-
-    Each factor is scaled to integer rows; the rows are multiplied as Python
-    ints and the product of the denominators is divided out once per entry.
-    The entries are ints when every factor is integral.
-    """
-    rows, d = _scaled_rows(mats[0])
     r, c = mats[0].shape
+    rows, d = mats[0].rows, mats[0].den
     for M in mats[1:]:
-        if M.ndim != 2 or M.shape[0] != c:
+        if M.shape[0] != c:
             raise ValueError(f"shape mismatch: {(r, c)} times {M.shape}")
-        right, e = _scaled_rows(M)
         c = M.shape[1]
-        cols = list(zip(*right)) if right else [()] * c
+        cols = list(zip(*M.rows)) if M.rows else [()] * c
         rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-        d *= e
-    if d != 1:
-        rows = [[Fraction(x, d) for x in row] for row in rows]
-    return _from_rows(rows, (r, c))
+        d *= M.den
+    return _reduced(rows, d, (r, c))
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +335,25 @@ def _row_reduce(W: list[list[int]], ncols: int, full: bool) -> tuple[list[int], 
     return pivots, sign, prev
 
 
-def det(M: np.ndarray) -> Fraction:
+def det(M: Mat) -> Fraction:
     """Exact determinant; det of the empty 0x0 matrix is 1."""
     n, m = M.shape
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    W, d = _scaled_rows(M)
-    pivots, sign, last = _row_reduce(W, n, full=False)
-    return Fraction(sign * last, d**n) if len(pivots) == n else Fraction(0)
+    pivots, sign, last = _row_reduce([list(row) for row in M.rows], n, full=False)
+    return Fraction(sign * last, M.den**n) if len(pivots) == n else Fraction(0)
 
 
-def rank(M: np.ndarray) -> int:
-    W, _ = _scaled_rows(M)
-    pivots, _, _ = _row_reduce(W, M.shape[1], full=False)
+def rank(M: Mat) -> int:
+    pivots, _, _ = _row_reduce([list(row) for row in M.rows], M.shape[1], full=False)
     return len(pivots)
 
 
-def rational_inverse(M: np.ndarray) -> np.ndarray:
+def rational_inverse(M: Mat) -> Mat:
     """Exact inverse by fraction-free Gauss-Jordan elimination of [d M | d I].
 
     Every pivot entry ends equal to the last pivot e, so M^-1 is the right
-    half divided by e.
+    half over e.
 
     Raises:
         Singular: if the determinant is zero.
@@ -279,24 +361,23 @@ def rational_inverse(M: np.ndarray) -> np.ndarray:
     n, m = M.shape
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    W, d = _scaled_rows(M)
-    for i, row in enumerate(W):
-        row.extend(d if j == i else 0 for j in range(n))
+    d = M.den
+    W = [list(row) + [d if j == i else 0 for j in range(n)] for i, row in enumerate(M.rows)]
     pivots, _, e = _row_reduce(W, n, full=True)
     if len(pivots) < n:
         raise Singular("matrix is singular")
-    return _from_rows([[Fraction(x, e) for x in row[n:]] for row in W], M.shape)
+    return _reduced([row[n:] for row in W], e, (n, n))
 
 
-def int_inverse(M: np.ndarray) -> np.ndarray:
+def int_inverse(M: Mat) -> Mat:
     """Inverse of a unimodular integer matrix, with integer entries."""
     return to_int(rational_inverse(M))
 
 
-def solve_unique(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def solve_unique(A: Mat, B: Mat) -> Mat:
     """Solve A X = B exactly for A of full column rank.
 
-    Both sides are scaled by one common denominator and [d A | d B] is
+    Both sides are brought over one common denominator d and [d A | d B] is
     reduced fraction-free.
 
     Raises:
@@ -306,16 +387,16 @@ def solve_unique(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     m, r = A.shape
     if B.shape[0] != m:
         raise ValueError("shape mismatch")
-    WA, dA = _scaled_rows(A)
-    WB, dB = _scaled_rows(B)
+    dA, dB = A.den, B.den
     d = dA // math.gcd(dA, dB) * dB
-    W = [[x * (d // dA) for x in ra] + [x * (d // dB) for x in rb] for ra, rb in zip(WA, WB)]
+    sA, sB = d // dA, d // dB
+    W = [[x * sA for x in ra] + [x * sB for x in rb] for ra, rb in zip(A.rows, B.rows)]
     pivots, _, last = _row_reduce(W, r, full=True)
     if len(pivots) < r:
         raise Inconsistent("coefficient matrix is column-rank deficient")
     if any(x for row in W[r:] for x in row[r:]):
         raise Inconsistent("system has no exact solution")
-    return _from_rows([[Fraction(x, last) for x in row[r:]] for row in W[:r]], (r, B.shape[1]))
+    return _reduced([row[r:] for row in W[:r]], last, (r, B.shape[1]))
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -331,25 +412,9 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         raise BothZero("gcd(0, 0) has no certificate")
     if b == 0:
         return abs(a), (1 if a > 0 else -1), 0
-    g, c0, d0 = _euclid(a, b)
-    step = abs(b) // g
-    c = c0 % step
-    d = (g - c * a) // b
-    return g, c, d
-
-
-def _euclid(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    g = math.gcd(a, b)
+    c = pow(a // g, -1, abs(b) // g)  # the one c in [0, |b|/g) with c * a = g (mod b)
+    return g, c, (g - c * a) // b
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +425,35 @@ def _euclid(a: int, b: int) -> tuple[int, int, int]:
 class SnfResult:
     """U @ M @ V = D with U, V unimodular and D in Smith form."""
 
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
+    U: Mat
+    D: Mat
+    V: Mat
 
 
-def _min_entry(M: np.ndarray, t: int, upper: bool = False):
-    """Row-major first nonzero entry of least absolute value in M[t:, t:],
-    or with ``upper`` in the strict upper triangle of M[t:, :]."""
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _swap_columns(W: list[list[int]], i: int, j: int) -> None:
+    for row in W:
+        row[i], row[j] = row[j], row[i]
+
+
+def _min_entry(W: list[list[int]], t: int, upper: bool = False):
+    """Row-major first nonzero entry of least absolute value in W[t:, t:],
+    or with ``upper`` in the strict upper triangle of W[t:, :]."""
     best = None
     best_val = None
-    for i in range(t, M.shape[0]):
-        for j in range(i + 1 if upper else t, M.shape[1]):
-            v = M[i, j]
+    for i in range(t, len(W)):
+        row = W[i]
+        for j in range(i + 1 if upper else t, len(row)):
+            v = row[j]
             if v != 0 and (best is None or abs(v) < best_val):
                 best, best_val = (i, j), abs(v)
     return best
 
 
-def smith_normal_form(M: np.ndarray) -> SnfResult:
+def smith_normal_form(M: Mat) -> SnfResult:
     """Smith normal form with a fixed pivot rule.
 
     Pivot selection takes the nonzero entry of smallest absolute value in the
@@ -386,10 +461,10 @@ def smith_normal_form(M: np.ndarray) -> SnfResult:
     sign-normalized to be non-negative.  The result is verified by
     re-multiplication before returning.
     """
-    A = to_int(M)
-    m, n = A.shape
-    U = eye(m)
-    V = eye(n)
+    m, n = M.shape
+    A = [list(row) for row in to_int(M).rows]
+    U = _identity_rows(m)
+    V = _identity_rows(n)
     t = 0
     while t < min(m, n):
         if _min_entry(A, t) is None:
@@ -397,58 +472,55 @@ def smith_normal_form(M: np.ndarray) -> SnfResult:
         while True:
             i, j = _min_entry(A, t)
             if i != t:
-                A[[t, i]] = A[[i, t]]
-                U[[t, i]] = U[[i, t]]
+                A[t], A[i] = A[i], A[t]
+                U[t], U[i] = U[i], U[t]
             if j != t:
-                A[:, [t, j]] = A[:, [j, t]]
-                V[:, [t, j]] = V[:, [j, t]]
-            p = A[t, t]
+                _swap_columns(A, t, j)
+                _swap_columns(V, t, j)
+            p = A[t][t]
             again = False
             for r in range(t + 1, m):
-                if A[r, t] != 0:
-                    q = A[r, t] // p
+                if A[r][t] != 0:
+                    q = A[r][t] // p
                     if q:
-                        A[r] = A[r] - q * A[t]
-                        U[r] = U[r] - q * U[t]
-                    if A[r, t] != 0:
+                        A[r] = [a - q * b for a, b in zip(A[r], A[t])]
+                        U[r] = [a - q * b for a, b in zip(U[r], U[t])]
+                    if A[r][t] != 0:
                         again = True
             if again:
                 continue
             for c in range(t + 1, n):
-                if A[t, c] != 0:
-                    q = A[t, c] // p
+                if A[t][c] != 0:
+                    q = A[t][c] // p
                     if q:
-                        A[:, c] = A[:, c] - q * A[:, t]
-                        V[:, c] = V[:, c] - q * V[:, t]
-                    if A[t, c] != 0:
+                        for W in (A, V):
+                            for row in W:
+                                row[c] -= q * row[t]
+                    if A[t][c] != 0:
                         again = True
             if again:
                 continue
-            bad = None
-            for r in range(t + 1, m):
-                if any(A[r, c] % p != 0 for c in range(t + 1, n)):
-                    bad = r
-                    break
+            bad = next((r for r in range(t + 1, m) if any(A[r][c] % p for c in range(t + 1, n))), None)
             if bad is None:
                 break
-            A[t] = A[t] + A[bad]
-            U[t] = U[t] + U[bad]
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+            U[t] = [a + b for a, b in zip(U[t], U[bad])]
         t += 1
     for i in range(min(m, n)):
-        if A[i, i] < 0:
-            A[i] = -A[i]
-            U[i] = -U[i]
-    res = SnfResult(U=U, D=A, V=V)
+        if A[i][i] < 0:
+            A[i] = [-a for a in A[i]]
+            U[i] = [-a for a in U[i]]
+    res = SnfResult(U=Mat(U, 1, m), D=Mat(A, 1, n), V=Mat(V, 1, n))
     _check_snf(M, res)
     return res
 
 
-def _check_snf(M: np.ndarray, res: SnfResult) -> None:
-    if not mat_eq(res.U @ to_int(M) @ res.V, res.D):
+def _check_snf(M: Mat, res: SnfResult) -> None:
+    if res.U @ M @ res.V != res.D:
         raise AssertionError("smith factor re-multiplication failed")
     if abs(det(res.U)) != 1 or abs(det(res.V)) != 1:
         raise AssertionError("smith transforms are not unimodular")
-    d = [res.D[i, i] for i in range(min(res.D.shape))]
+    d = [res.D.rows[i][i] for i in range(min(res.D.shape))]
     for a, b in zip(d, d[1:]):
         if a == 0 and b != 0:
             raise AssertionError("zero invariant factor precedes a nonzero one")
@@ -456,54 +528,50 @@ def _check_snf(M: np.ndarray, res: SnfResult) -> None:
             raise AssertionError("invariant factors do not divide in order")
 
 
-def snf_rank(res: SnfResult) -> int:
-    return sum(1 for i in range(min(res.D.shape)) if res.D[i, i] != 0)
-
-
-def kernel_lattice_basis(C: np.ndarray) -> np.ndarray:
+def kernel_lattice_basis(C: Mat) -> Mat:
     """Primitive basis of the integer kernel {x : Cx = 0}, as columns.
 
     The basis is saturated: it spans the full lattice of integer kernel
     vectors, not a finite-index sublattice.
     """
     res = smith_normal_form(C)
-    r = snf_rank(res)
-    return res.V[:, r:].copy()
+    return res.V[:, sum(1 for i in range(min(res.D.shape)) if res.D.rows[i][i]) :]
 
 
-def complete_basis(C: np.ndarray) -> np.ndarray:
+def complete_basis(C: Mat) -> Mat:
     """Unimodular matrix whose trailing columns span the integer kernel of C."""
-    return smith_normal_form(C).V.copy()
+    return smith_normal_form(C).V
 
 
 # ---------------------------------------------------------------------------
 # alternating and symplectic normal forms
 
 
-def _congr_swap(W: np.ndarray, Q: np.ndarray, i: int, j: int) -> None:
-    W[[i, j]] = W[[j, i]]
-    W[:, [i, j]] = W[:, [j, i]]
-    Q[:, [i, j]] = Q[:, [j, i]]
+def _congr_swap(W: list[list[int]], Q: list[list[int]], i: int, j: int) -> None:
+    W[i], W[j] = W[j], W[i]
+    _swap_columns(W, i, j)
+    _swap_columns(Q, i, j)
 
 
-def _congr_add(W: np.ndarray, Q: np.ndarray, dst: int, src: int, s) -> None:
+def _congr_add(W: list[list[int]], Q: list[list[int]], dst: int, src: int, s: int) -> None:
     # column op followed by its mirrored row op keeps W congruent-skew.
-    W[:, dst] = W[:, dst] + s * W[:, src]
-    W[dst, :] = W[dst, :] + s * W[src, :]
-    Q[:, dst] = Q[:, dst] + s * Q[:, src]
+    for M in (W, Q):
+        for row in M:
+            row[dst] += s * row[src]
+    W[dst] = [a + s * b for a, b in zip(W[dst], W[src])]
 
 
-def canonical_alternating(h: list, size: int) -> np.ndarray:
+def canonical_alternating(h: list, size: int) -> Mat:
     """The block matrix [[0, P, 0], [-P, 0, 0], [0, 0, 0]] with P = diag(h)."""
     k = len(h)
-    M = zeros(size, size)
+    rows = [[0] * size for _ in range(size)]
     for j, v in enumerate(h):
-        M[j, k + j] = v
-        M[k + j, j] = -v
-    return M
+        rows[j][k + j] = v
+        rows[k + j][j] = -v
+    return Mat(rows, 1, size)
 
 
-def alternating_normal_form_int(A: np.ndarray) -> tuple[np.ndarray, list]:
+def alternating_normal_form_int(A: Mat) -> tuple[Mat, list]:
     """Reduce an integer alternating form: A = R^t * canonical * R.
 
     Returns (R, h) with R unimodular and h the positive block multipliers
@@ -514,12 +582,12 @@ def alternating_normal_form_int(A: np.ndarray) -> tuple[np.ndarray, list]:
         OddSize: if A is not of even size.
     """
     n = A.shape[0]
-    if A.shape[0] != A.shape[1] or not is_skew(A):
+    if not is_skew(A):
         raise NotSkew("alternating reduction needs an integer skew-symmetric matrix")
     if n % 2 != 0:
         raise OddSize("alternating reduction is defined for even size")
-    W = to_int(A)
-    Q = eye(n)
+    W = [list(row) for row in to_int(A).rows]
+    Q = _identity_rows(n)
     t = 0
     hs: list = []
     while t < n:
@@ -534,21 +602,21 @@ def alternating_normal_form_int(A: np.ndarray) -> tuple[np.ndarray, list]:
                     j = i
             if j != t + 1:
                 _congr_swap(W, Q, t + 1, j)
-            a = W[t, t + 1]
+            a = W[t][t + 1]
             again = False
             for c in range(t + 2, n):
-                if W[t, c] != 0:
-                    _congr_add(W, Q, c, t + 1, -(W[t, c] // a))
-                    if W[t, c] != 0:
+                if W[t][c] != 0:
+                    _congr_add(W, Q, c, t + 1, -(W[t][c] // a))
+                    if W[t][c] != 0:
                         again = True
-                if W[t + 1, c] != 0:
-                    # W[t+1, t] = -a, so adding s*col_t moves W[t+1,c] by -s*a.
-                    _congr_add(W, Q, c, t, W[t + 1, c] // a)
-                    if W[t + 1, c] != 0:
+                if W[t + 1][c] != 0:
+                    # W[t+1][t] = -a, so adding s*col_t moves W[t+1][c] by -s*a.
+                    _congr_add(W, Q, c, t, W[t + 1][c] // a)
+                    if W[t + 1][c] != 0:
                         again = True
             if not again:
                 break
-        hs.append(W[t, t + 1])
+        hs.append(W[t][t + 1])
         t += 2
     for idx in range(len(hs)):
         if hs[idx] < 0:
@@ -556,30 +624,36 @@ def alternating_normal_form_int(A: np.ndarray) -> tuple[np.ndarray, list]:
             hs[idx] = -hs[idx]
     k = len(hs)
     order = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)) + list(range(2 * k, n))
-    W = W[np.ix_(order, order)]
-    Q = Q[:, order]
-    R = int_inverse(Q)
+    R = int_inverse(Mat([[row[j] for j in order] for row in Q], 1, n))
     target = canonical_alternating(hs, n)
-    if not mat_eq(W, target) or not mat_eq(R.T @ target @ R, to_int(A)):
+    if Mat([[W[i][j] for j in order] for i in order], 1, n) != target or R.T @ target @ R != A:
         raise AssertionError("alternating reduction re-multiplication failed")
     return R, hs
 
 
-def standard_symplectic(p: int) -> np.ndarray:
-    J0 = zeros(2 * p, 2 * p)
-    for i in range(p):
-        J0[i, p + i] = 1
-        J0[p + i, i] = -1
-    return J0
+def standard_symplectic(p: int) -> Mat:
+    return canonical_alternating([1] * p, 2 * p)
 
 
-def symplectic_factor_rational(A: np.ndarray) -> np.ndarray:
+def _vector(xs: list[int], d: int) -> tuple[list[int], int]:
+    """The vector xs / d as reduced integers over a positive denominator."""
+    if d < 0:
+        xs, d = [-x for x in xs], -d
+    g = math.gcd(d, *xs)
+    return ([x // g for x in xs], d // g) if g != 1 else (xs, d)
+
+
+def symplectic_factor_rational(A: Mat) -> Mat:
     """Rational T with T^t J0 T = A for invertible skew rational A.
 
     Symplectic Gram-Schmidt over the rationals: the pivot is the first basis
     vector not yet consumed, its partner the first remaining vector with
     nonzero pairing, and the pivot is rescaled so the pair couples to 1.
     Verified by re-multiplication.
+
+    Each vector is held as integers xs over its own denominator dx, and with
+    A = F / dA the pairing of x and y is (xs^t F ys) / (dx dA dy), so every
+    pairing and update runs on ints.
 
     Raises:
         NotSkew: if A is not skew-symmetric.
@@ -592,25 +666,42 @@ def symplectic_factor_rational(A: np.ndarray) -> np.ndarray:
     if n == 0:
         return zeros(0, 0)
     p = n // 2
-    F = to_fraction(A)
+    cols, dA = list(zip(*A.rows)), A.den
 
-    def pair(x, y):
-        return x @ F @ y
+    def covector(x: list[int]) -> list[int]:
+        """xs^t F, so that the pairing numerator with ys is a dot product."""
+        return [sum(map(mul, x, col)) for col in cols]
 
-    remaining = [to_fraction(eye(n))[i] for i in range(n)]
+    def dot(x, y) -> int:
+        return sum(map(mul, x, y))
+
+    remaining = [(row, 1) for row in _identity_rows(n)]
     us, vs = [], []
     while remaining:
-        u = remaining.pop(0)
-        idx = next((i for i, w in enumerate(remaining) if pair(u, w) != 0), None)
+        u, du = remaining.pop(0)
+        uF = covector(u)
+        idx = next((i for i, (w, _) in enumerate(remaining) if dot(uF, w)), None)
         if idx is None:
             raise Singular("alternating form is degenerate")
-        v = remaining.pop(idx)
-        u = u / pair(u, v)
-        remaining = [r + pair(v, r) * u - pair(u, r) * v for r in remaining]
-        us.append(u)
-        vs.append(v)
-    S = np.stack(us + vs, axis=1)
+        v, dv = remaining.pop(idx)
+        # u / pair(u, v) = u * dA * dv / (us^t F vs)
+        u, du = _vector([x * dA * dv for x in u], dot(uF, v))
+        uF, vF = covector(u), covector(v)
+        updated = []
+        for r, dr in remaining:
+            pvr, pur = dot(vF, r), dot(uF, r)
+            if pvr or pur:
+                # r + pair(v, r) u - pair(u, r) v over dr dv dA du
+                scale = dv * dA * du
+                r, dr = _vector([x * scale + pvr * a - pur * b for x, a, b in zip(r, u, v)], dr * scale)
+            updated.append((r, dr))
+        remaining = updated
+        us.append((u, du))
+        vs.append((v, dv))
+    basis = us + vs
+    den = math.lcm(*(d for _, d in basis))
+    S = Mat([[x * (den // d) for x in xs] for xs, d in basis], den, n).T
     T = rational_inverse(S)
-    if not mat_eq(matmul(T.T, standard_symplectic(p), T), A):
+    if matmul(T.T, standard_symplectic(p), T) != A:
         raise AssertionError("symplectic factor re-multiplication failed")
     return T

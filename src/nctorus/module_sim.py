@@ -7,10 +7,10 @@ with no grid discretization; the only floating point enters through the
 final phase/Gaussian evaluations.
 
 All exact arithmetic runs on Python ints.  A descriptor is compiled on its
-first action (``ModuleDescriptor._kernel``): T and S become integer rows over
-one denominator, cut into coordinate blocks, with their a, w and w^ rows
-checked integral; the half forms Q = M^t J' M and the cocycle matrices theta
-and theta' become integer rows too.  Each action U_x or V_x then fixes its
+first action (``ModuleDescriptor._images``): the integer rows of T and S are
+cut into coordinate blocks, with their a, w and w^ rows checked integral, and
+the half forms Q = M^t J' M are formed once.  The cocycles read the integer
+rows of theta and theta' directly.  Each action U_x or V_x then fixes its
 shift and its pairing once (``_Twist``): integer coefficients over one
 modulus L and float u-shifts.  A phase e(N / L) is evaluated as
 exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first and the one
@@ -18,7 +18,7 @@ int division is correctly rounded, so it equals float(Fraction(N, L) % 1)
 bit for bit and residuals stay at machine precision even for large integer
 arguments.  Per-point evaluation builds no ``Fraction``.
 
-The optional inner product is the one place quadrature appears.
+The optional inner product is the one place quadrature, and numpy, appear.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 
-import numpy as np
-
 from . import exact_linalg as xl
+from .exact_linalg import Mat
 from .torus_group import Theta
 
 
@@ -65,14 +63,14 @@ class ModuleDescriptor:
     q: int
     k: int
     orders: tuple[int, ...]  # torsion orders n_1..n_k
-    T: np.ndarray  # embedding matrix for theta, (n+q+2k) x n
-    S: np.ndarray  # embedding matrix for -theta_prime
+    T: Mat  # embedding matrix for theta, (n+q+2k) x n
+    S: Mat  # embedding matrix for -theta_prime
     theta: Theta
     theta_prime: Theta
-    J: np.ndarray
-    Jprime: np.ndarray
-    curvature: np.ndarray | None = None
-    phi_star: np.ndarray | None = None
+    J: Mat
+    Jprime: Mat
+    curvature: Mat | None = None
+    phi_star: Mat | None = None
 
     @property
     def n(self) -> int:
@@ -83,13 +81,13 @@ class ModuleDescriptor:
         return self.n + self.q + 2 * self.k
 
     @functools.cached_property
-    def _kernel(self) -> _Kernel:
-        """The integer-row form of T, S, theta and theta', built on first use.
+    def _images(self) -> tuple[_Image, _Image]:
+        """T and S cut into coordinate blocks, built on first use.
 
         Raises:
             ShapeMismatch: if an a, w or w^ row of T or S is not integral.
         """
-        return _Kernel(self)
+        return _Image(self.T, "T", self), _Image(self.S, "S", self)
 
 
 @dataclass(frozen=True)
@@ -99,20 +97,6 @@ class PointM:
     u: tuple[float, ...]
     a: tuple[int, ...]
     w: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MPart:
-    u: tuple[Fraction, ...]
-    a: tuple[int, ...]
-    w: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MHatPart:
-    uhat: tuple[Fraction, ...]
-    ahat: tuple[Fraction, ...]
-    what: tuple[int, ...]
 
 
 class TestFunction:
@@ -140,70 +124,18 @@ def _e(num: int, den: int) -> complex:
     return cmath.exp(2j * math.pi * (num % den / den))
 
 
-def _as_int(x, what: str) -> int:
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise ShapeMismatch(f"{what} slot holds non-integer value {x!r}")
-
-
-def split_coordinates(v, d: ModuleDescriptor) -> tuple[MPart, MHatPart]:
-    """Split an ambient vector into its M and M-hat parts.
-
-    Integer slots (a, w, w^) must hold exactly integral values; residues are
-    reduced mod the torsion orders and the torus part mod 1.
-    """
-    v = list(v)
-    if len(v) != d.ambient_dim:
-        raise ShapeMismatch(f"expected {d.ambient_dim} coordinates, got {len(v)}")
-    p, q, k = d.p, d.q, d.k
-    u = tuple(Fraction(x) for x in v[:p])
-    uhat = tuple(Fraction(x) for x in v[p : 2 * p])
-    a = tuple(_as_int(x, "a") for x in v[2 * p : 2 * p + q])
-    ahat = tuple(Fraction(x) % 1 for x in v[2 * p + q : 2 * p + 2 * q])
-    w = tuple(
-        _as_int(x, "w") % d.orders[j] for j, x in enumerate(v[2 * p + 2 * q : 2 * p + 2 * q + k])
-    )
-    what = tuple(
-        _as_int(x, "w^") % d.orders[j] for j, x in enumerate(v[2 * p + 2 * q + k :])
-    )
-    return MPart(u=u, a=a, w=w), MHatPart(uhat=uhat, ahat=ahat, what=what)
-
-
 # ---------------------------------------------------------------------------
 # the compiled descriptor
 
 
-@dataclass(frozen=True)
-class _Form:
-    """A rational matrix as integer rows over one denominator: rows / den."""
+def _value(M: Mat, x: list[int], y: list[int]) -> int:
+    """den * x^t M y for integer vectors x and y."""
+    return sum(map(mul, x, [sum(map(mul, row, y)) for row in M.rows]))
 
-    rows: list[list[int]]
-    den: int
 
-    @classmethod
-    def of(cls, M: np.ndarray) -> _Form:
-        return cls(*xl._scaled_rows(M))
-
-    def value(self, x: list[int], y: list[int]) -> int:
-        """den * x^t M y."""
-        return sum(map(mul, x, [sum(map(mul, row, y)) for row in self.rows]))
-
-    def half_phase(self, x: list[int], y: list[int]) -> complex:
-        """e(x^t M y / 2)."""
-        return _e(self.value(x, y), 2 * self.den)
-
-    def alternates_to(self, other: _Form, sign: int) -> bool:
-        """M - M^t = sign * other, cross-multiplied over both denominators."""
-        n = len(self.rows)
-        return all(
-            (self.rows[i][j] - self.rows[j][i]) * other.den == sign * other.rows[i][j] * self.den
-            for i in range(n)
-            for j in range(n)
-        )
+def _half_phase(M: Mat, x: list[int], y: list[int]) -> complex:
+    """e(x^t M y / 2)."""
+    return _e(_value(M, x, y), 2 * M.den)
 
 
 class _Image:
@@ -214,10 +146,10 @@ class _Image:
     M(x).J'M(x) = x^t half x for a lattice vector x.
     """
 
-    def __init__(self, M: np.ndarray, name: str, d: ModuleDescriptor):
+    def __init__(self, M: Mat, name: str, d: ModuleDescriptor):
         if M.shape != (d.ambient_dim, d.n):
             raise ShapeMismatch(f"{name} has shape {M.shape}, expected {(d.ambient_dim, d.n)}")
-        rows, den = xl._scaled_rows(M)
+        rows, den = M.rows, M.den
         blocks = []
         start = 0
         for size in (d.p, d.p, d.q, d.q, d.k, d.k):
@@ -231,33 +163,23 @@ class _Image:
         self.den = den
         self.orders = d.orders
         self.modulus = math.lcm(den, *d.orders)
-        self.half = _Form.of(xl.matmul(M.T, d.Jprime, M))
-
-
-class _Kernel:
-    """A descriptor compiled to integer rows; see ``ModuleDescriptor._kernel``."""
-
-    def __init__(self, d: ModuleDescriptor):
-        self.T = _Image(d.T, "T", d)
-        self.S = _Image(d.S, "S", d)
-        self.theta = _Form.of(d.theta.M)
-        self.theta_prime = _Form.of(d.theta_prime.M)
+        self.half = xl.matmul(M.T, d.Jprime, M)
 
 
 def verify_descriptor(d: ModuleDescriptor) -> None:
     """Check exactly that T^t J T = theta, S^t J S = -theta' and S^t J T is integral.
 
     Since J = J' - J'^t, the first two read Q - Q^t for the half forms
-    Q = M^t J' M that the kernel compiles.
+    Q = M^t J' M that ``_images`` compiles.
 
     Raises:
         ShapeMismatch: if an a, w or w^ row of T or S is not integral.
         IdentityViolated: naming the first identity that fails.
     """
-    kern = d._kernel
-    if not kern.T.half.alternates_to(kern.theta, 1):
+    T, S = d._images
+    if T.half - T.half.T != d.theta.M:
         raise IdentityViolated("T^t J T = theta does not hold")
-    if not kern.S.half.alternates_to(kern.theta_prime, -1):
+    if S.half - S.half.T != -d.theta_prime.M:
         raise IdentityViolated("S^t J S = -theta' does not hold")
     if not xl.is_integral(xl.matmul(d.S.T, d.J, d.T)):
         raise IdentityViolated("S^t J T is not integral")
@@ -287,7 +209,7 @@ class _Twist:
             return [sum(map(mul, row, x)) for row in rows]
 
         den, L = img.den, img.modulus
-        self.phase = _e(-img.half.value(x, x), 2 * img.half.den)
+        self.phase = _e(-_value(img.half, x, x), 2 * img.half.den)
         self._su = tuple(sign * (v / den) for v in image(img.u))
         self._sa = tuple(sign * v for v in image(img.a))
         self._sw = tuple(sign * v % n for v, n in zip(image(img.w), img.orders))
@@ -323,23 +245,23 @@ def _twisted(f: TestFunction, tw: _Twist, label: str) -> TestFunction:
 
 def right_action(f: TestFunction, x, d: ModuleDescriptor) -> TestFunction:
     """(f U_x)(m) = e(-T(x).J'T(x)/2) <m, T''(x)> f(m - T'(x))."""
-    return _twisted(f, _Twist(d._kernel.T, _lattice(x, d), -1), f"({f.label})U{tuple(x)}")
+    return _twisted(f, _Twist(d._images[0], _lattice(x, d), -1), f"({f.label})U{tuple(x)}")
 
 
 def left_action(x, f: TestFunction, d: ModuleDescriptor) -> TestFunction:
     """(V_x f)(m) = e(-S(x).J'S(x)/2) <m, -S''(x)> f(m + S'(x))."""
-    return _twisted(f, _Twist(d._kernel.S, _lattice(x, d), +1), f"V{tuple(x)}({f.label})")
+    return _twisted(f, _Twist(d._images[1], _lattice(x, d), +1), f"V{tuple(x)}({f.label})")
 
 
 def sigma_cocycle(theta: Theta, x, y) -> complex:
     """The multiplication cocycle e((x . theta y) / 2)."""
-    return _Form.of(theta.M).half_phase([int(t) for t in x], [int(t) for t in y])
+    return _half_phase(theta.M, [int(t) for t in x], [int(t) for t in y])
 
 
 def check_module_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> float:
     """max_m |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|."""
     lhs = right_action(right_action(f, x, d), y, d)
-    sig = d._kernel.theta.half_phase(_lattice(x, d), _lattice(y, d))
+    sig = _half_phase(d.theta.M, _lattice(x, d), _lattice(y, d))
     rhs = right_action(f, [a + b for a, b in zip(x, y)], d)
     return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
 
@@ -347,7 +269,7 @@ def check_module_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -
 def check_left_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
     lhs = left_action(x, left_action(y, f, d), d)
-    sig = d._kernel.theta_prime.half_phase(_lattice(x, d), _lattice(y, d))
+    sig = _half_phase(d.theta_prime.M, _lattice(x, d), _lattice(y, d))
     rhs = left_action([a + b for a, b in zip(x, y)], f, d)
     return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
 
@@ -444,7 +366,7 @@ def inner_product_numeric(
     """
     if d.p > 2:
         raise ValueError("numeric inner product supports p <= 2 only")
-    tw = _Twist(d._kernel.T, _lattice(x, d), +1)
+    tw = _Twist(d._images[0], _lattice(x, d), +1)
     coarse = _integrate(f, g, tw, d, quad.u_points, quad)
     fine = _integrate(f, g, tw, d, 2 * quad.u_points, quad)
     if abs(fine - coarse) > quad.tol:
@@ -453,6 +375,8 @@ def inner_product_numeric(
 
 
 def _integrate(f, g, tw: _Twist, d, n_points, quad) -> complex:
+    import numpy as np  # only the quadrature needs it, so importing the package does not
+
     nodes, weights = np.polynomial.legendre.leggauss(n_points)
     nodes = nodes * quad.u_halfwidth
     weights = weights * quad.u_halfwidth

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exact_linalg as xl
+from .exact_linalg import Mat
 from .torus_group import GroupElement, Theta
 
 
@@ -34,18 +33,18 @@ class OddRank(NormalFormError):
 class SpecialForm:
     n: int
     p: int
-    Z: np.ndarray  # 2p x 2p rational skew
-    C11: np.ndarray
-    C21: np.ndarray
-    D12: np.ndarray
-    D22: np.ndarray
+    Z: Mat  # 2p x 2p rational skew
+    C11: Mat
+    C21: Mat
+    D12: Mat
+    D22: Mat
 
     @property
     def q(self) -> int:
         return self.n - 2 * self.p
 
-    def mixed_matrix(self) -> np.ndarray:
-        return np.block([[self.C11, self.D12], [self.C21, self.D22]])
+    def mixed_matrix(self) -> Mat:
+        return xl.block([[self.C11, self.D12], [self.C21, self.D22]])
 
 
 def detect_special_form(g: GroupElement) -> SpecialForm:
@@ -81,7 +80,7 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
     sf = SpecialForm(
         n=n,
         p=p,
-        Z=xl.freeze(Z),
+        Z=Z,
         C11=C[:width, :width],
         C21=C[width:, :width],
         D12=D[:width, width:],
@@ -92,7 +91,7 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
     return sf
 
 
-def normalize_right(g: GroupElement) -> np.ndarray:
+def normalize_right(g: GroupElement) -> Mat:
     """Unimodular R0 such that g * rho(R0) is in special form.
 
     The trailing columns of R0 are a primitive basis of the integer kernel
@@ -105,7 +104,7 @@ def normalize_right(g: GroupElement) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DomainCheck:
-    F11: np.ndarray | None  # (theta_11 - Z)^-1, or None where the action is undefined
+    F11: Mat | None  # (theta_11 - Z)^-1, or None where the action is undefined
 
 
 def domain_check(sf: SpecialForm, theta: Theta) -> DomainCheck:
@@ -122,4 +121,4 @@ def domain_check(sf: SpecialForm, theta: Theta) -> DomainCheck:
         F11 = xl.rational_inverse(theta.M[:c, :c] - sf.Z)
     except xl.Singular:
         return DomainCheck(F11=None)
-    return DomainCheck(F11=xl.freeze(F11))
+    return DomainCheck(F11=F11)

@@ -20,9 +20,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact_linalg as xl
+from .exact_linalg import Mat
 
 
 class GroupError(Exception):
@@ -56,21 +55,21 @@ class Theta:
     """A rational skew-symmetric n x n matrix, n >= 2."""
 
     n: int
-    M: np.ndarray
+    M: Mat
 
     def __eq__(self, other):
-        return isinstance(other, Theta) and self.n == other.n and xl.mat_eq(self.M, other.M)
+        return isinstance(other, Theta) and self.M == other.M
 
 
 def make_theta(entries) -> Theta:
-    M = entries if isinstance(entries, np.ndarray) else xl.mat(entries)
-    M = xl.to_fraction(M)
+    """Theta from a Mat or nested lists of int/Fraction entries."""
+    M = xl.mat(entries)
     n = M.shape[0]
     if n < 2 or M.shape[1] != n:
         raise ValueError("theta must be square of size >= 2")
     if not xl.is_skew(M):
         raise ValueError("theta must be skew-symmetric")
-    return Theta(n=n, M=xl.freeze(M))
+    return Theta(n=n, M=M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,35 +82,38 @@ class GroupElement:
     """
 
     n: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    A: Mat
+    B: Mat
+    C: Mat
+    D: Mat
 
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, self.D]])
+    def matrix(self) -> Mat:
+        return xl.block([[self.A, self.B], [self.C, self.D]])
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
-            and self.n == other.n
-            and xl.mat_eq(self.matrix(), other.matrix())
+            and self.A == other.A
+            and self.B == other.B
+            and self.C == other.C
+            and self.D == other.D
         )
 
 
 def check_membership(A, B, C, D) -> GroupElement:
     """Validate the block relations and determinant, or name the violation."""
-    blocks = [xl.to_int(M if isinstance(M, np.ndarray) else xl.mat(M)) for M in (A, B, C, D)]
+    blocks = [xl.to_int(M) for M in (A, B, C, D)]
     A, B, C, D = blocks
     n = A.shape[0]
     for M in blocks:
         if M.shape != (n, n):
             raise ValueError("blocks must be square and of equal size")
-    if not xl.is_zero(A.T @ C + C.T @ A):
+    At, Ct = A.T, C.T
+    if not xl.is_zero(At @ C + Ct @ A):
         raise RelationViolated("A^t C + C^t A = 0")
     if not xl.is_zero(B.T @ D + D.T @ B):
         raise RelationViolated("B^t D + D^t B = 0")
-    if not xl.mat_eq(A.T @ D + C.T @ B, xl.eye(n)):
+    if At @ D + Ct @ B != xl.eye(n):
         raise RelationViolated("A^t D + C^t B = I")
     g = _element(A, B, C, D)
     if xl.det(g.matrix()) != 1:
@@ -119,9 +121,9 @@ def check_membership(A, B, C, D) -> GroupElement:
     return g
 
 
-def _element(A, B, C, D) -> GroupElement:
-    """Freeze integer blocks whose membership is already established."""
-    return GroupElement(n=A.shape[0], A=xl.freeze(A), B=xl.freeze(B), C=xl.freeze(C), D=xl.freeze(D))
+def _element(A: Mat, B: Mat, C: Mat, D: Mat) -> GroupElement:
+    """Wrap integer blocks whose membership is already established."""
+    return GroupElement(n=A.shape[0], A=A, B=B, C=C, D=D)
 
 
 def identity_element(n: int) -> GroupElement:
@@ -148,7 +150,7 @@ def compose(g: GroupElement, h: GroupElement, *rest: GroupElement) -> GroupEleme
 
 def rho(R) -> GroupElement:
     """Block-diagonal element diag(R, (R^-1)^t) from a unimodular R."""
-    R = xl.to_int(R if isinstance(R, np.ndarray) else xl.mat(R))
+    R = xl.to_int(R)
     if abs(xl.det(R)) != 1:
         raise NotUnimodular("rho needs a matrix with determinant +-1")
     n = R.shape[0]
@@ -157,7 +159,7 @@ def rho(R) -> GroupElement:
 
 def mu(N) -> GroupElement:
     """Upper-triangular shear blk(I, N; 0, I) from an integer skew N."""
-    N = xl.to_int(N if isinstance(N, np.ndarray) else xl.mat(N))
+    N = xl.to_int(N)
     if not xl.is_skew(N):
         raise xl.NotSkew("mu needs an integer skew-symmetric matrix")
     n = N.shape[0]
@@ -171,18 +173,13 @@ def sigma_flip(support, n: int) -> GroupElement:
         raise ValueError("support indices must lie in 1..n")
     if len(support) % 2 != 0:
         raise OddSupport("flip support must have even size")
-    on = xl.zeros(n, n)
-    off = xl.zeros(n, n)
-    for i in range(1, n + 1):
-        if i in support:
-            on[i - 1, i - 1] = 1
-        else:
-            off[i - 1, i - 1] = 1
+    on = xl.diag([int(i in support) for i in range(1, n + 1)])
+    off = xl.diag([int(i not in support) for i in range(1, n + 1)])
     return _element(off, on, on, off)
 
 
-def c_theta_plus_d(g: GroupElement, theta: Theta) -> np.ndarray:
-    return xl.matmul(g.C, theta.M) + g.D
+def c_theta_plus_d(g: GroupElement, theta: Theta) -> Mat:
+    return g.C @ theta.M + g.D
 
 
 def act(g: GroupElement, theta: Theta) -> Theta:
@@ -194,7 +191,7 @@ def act(g: GroupElement, theta: Theta) -> Theta:
         Minv = xl.rational_inverse(M)
     except xl.Singular:
         raise Undefined("C theta + D is singular") from None
-    return make_theta(xl.matmul(xl.matmul(g.A, theta.M) + g.B, Minv))
+    return make_theta(xl.matmul(g.A @ theta.M + g.B, Minv))
 
 
 def is_defined(g: GroupElement, theta: Theta) -> bool:
@@ -205,32 +202,32 @@ def is_defined(g: GroupElement, theta: Theta) -> bool:
 # seeded random constructors
 
 
-def random_unimodular(rng: random.Random, n: int, ops: int | None = None) -> np.ndarray:
+def random_unimodular(rng: random.Random, n: int, ops: int | None = None) -> Mat:
     """Product of elementary row operations; determinant is +-1."""
-    R = xl.eye(n)
+    R = [[int(i == j) for j in range(n)] for i in range(n)]
     if n == 1:
-        return R
+        return Mat(R, 1, n)
     for _ in range(ops if ops is not None else rng.randint(2, 4)):
         kind = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
         if kind == 0:
             c = rng.choice([-3, -2, -1, 1, 2, 3])
-            R[i] = R[i] + c * R[j]
+            R[i] = [a + c * b for a, b in zip(R[i], R[j])]
         elif kind == 1:
-            R[[i, j]] = R[[j, i]]
+            R[i], R[j] = R[j], R[i]
         else:
-            R[i] = -R[i]
-    return R
+            R[i] = [-a for a in R[i]]
+    return Mat(R, 1, n)
 
 
-def random_skew_int(rng: random.Random, n: int, bound: int = 3) -> np.ndarray:
-    N = xl.zeros(n, n)
+def random_skew_int(rng: random.Random, n: int, bound: int = 3) -> Mat:
+    N = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             v = rng.randint(-bound, bound)
-            N[i, j] = v
-            N[j, i] = -v
-    return N
+            N[i][j] = v
+            N[j][i] = -v
+    return Mat(N, 1, n)
 
 
 def random_even_support(rng: random.Random, n: int) -> list[int]:
@@ -256,10 +253,10 @@ def random_element(seed, word_length: int, n: int) -> GroupElement:
 
 def random_theta(seed, n: int, max_den: int = 12) -> Theta:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    M = xl.zeros(n, n)
+    M = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             v = Fraction(rng.randint(-max_den, max_den), rng.randint(1, max_den))
-            M[i, j] = v
-            M[j, i] = -v
+            M[i][j] = v
+            M[j][i] = -v
     return make_theta(M)

@@ -1,7 +1,10 @@
+import copy
+import functools
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import cli
 from nctorus import documents as docs
@@ -37,16 +40,16 @@ class TestRationalRoundTrip:
     def test_scalars(self):
         for s in ["0", "5", "-7", "1/3", "-22/7"]:
             assert docs.rat_str(docs.parse_rat(s)) == s
+        assert docs.parse_rat(" +2/4 ") == F(1, 2) and docs.parse_rat(-3) == -3
 
     def test_matrix(self):
         M = xl.mat([[F(1, 3), -2], [F(5, 7), 0]])
-        assert xl.mat_eq(docs.parse_rat_matrix(docs.rat_matrix_doc(M)), xl.to_fraction(M))
+        assert xl.mat_eq(docs.parse_rat_matrix(docs.rat_matrix_doc(M)), M)
 
     def test_bad_rational(self):
-        with pytest.raises(docs.ParseError):
-            docs.parse_rat("1/0")
-        with pytest.raises(docs.ParseError):
-            docs.parse_rat("x")
+        for s in ["1/0", "x", "0.5", "1e3", "1_0/3", "1 / 3", "1/-3", "", True, 0.5, None]:
+            with pytest.raises(docs.ParseError):
+                docs.parse_rat(s)
 
     def test_theta_round_trip(self):
         theta = tg.random_theta(3, 4)
@@ -94,6 +97,22 @@ class TestCommands:
     def test_act_undefined_exit_3(self, tmp_path):
         code, out = run(tmp_path, ["act"], flip_doc(theta12="0"))
         assert code == 3 and out["error"]["kind"] == "undefined"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(b"\xff\xfe{", "cannot read", id="not-utf8"),
+            pytest.param(b"[" * 200000, "invalid JSON: maximum recursion depth", id="deep-nesting"),
+            pytest.param(b'{"n": 1' + b"0" * 5000 + b"}", "invalid JSON: Exceeds the limit", id="long-integer"),
+            pytest.param(docs.dumps(flip_doc("1e999999")).encode(), "bad rational '1e999999'", id="exponent"),
+        ],
+    )
+    def test_unreadable_input_exit_2(self, tmp_path, data, message):
+        inp, out = tmp_path / "in.json", tmp_path / "out.json"
+        inp.write_bytes(data)
+        code = cli.main(["act", "--input", str(inp), "--output", str(out)])
+        error = json.loads(out.read_text())["error"]
+        assert code == 2 and error["kind"] == "parse" and error["message"].startswith(message)
 
     def test_parse_error_exit_2(self, tmp_path):
         inp = tmp_path / "bad.json"
@@ -356,3 +375,77 @@ class TestCommands:
             assert cli.main(["pipeline", "--input", str(inp), "--output", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# the input contract: every document ends in a documented exit code
+
+
+CONTRACT_COMMANDS = ["check", "act", "normalize", "decompose", "embed", "pipeline", "simulate"]
+RATIONAL_STRINGS = ["0", "-2", "1/3", " 5/4 ", "0.5", "1e3", "1_0/3", "1/0", "", "x", "--1", "1/-3"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(RATIONAL_STRINGS),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@functools.cache
+def valid_documents():
+    """A 2x2 pipeline job and a simulate job on its module descriptor, both with small options."""
+    job = flip_doc()
+    job["options"] = {"trials": 2, "samples": 2}
+    loaded = docs.load_job(job)
+    from nctorus.embedding import pipeline
+
+    res = pipeline(tg.check_membership(*loaded["g_blocks"]), loaded["theta"])
+    sim = {"version": "nctorus/1", "module_descriptor": docs.pipeline_doc(res)["module_descriptor"]}
+    sim["options"] = dict(job["options"])
+    return job, sim
+
+
+def slots(value, path=()):
+    """Every (path, key) of an entry inside the nested lists and objects of value."""
+    keys = range(len(value)) if isinstance(value, list) else value if isinstance(value, dict) else ()
+    for key in keys:
+        yield path, key
+        yield from slots(value[key], path + (key,))
+
+
+@st.composite
+def contract_documents(draw):
+    """An arbitrary JSON value, or a valid document with a few fields dropped, replaced or resized."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = copy.deepcopy(draw(st.sampled_from(valid_documents())))
+    for _ in range(draw(st.integers(1, 3))):
+        path, key = draw(st.sampled_from(list(slots(doc))))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        action = draw(st.sampled_from(["drop", "replace", "rational", "grow"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace":
+            parent[key] = draw(json_values)
+        elif action == "rational":
+            parent[key] = draw(st.sampled_from(RATIONAL_STRINGS))
+        elif isinstance(parent[key], list) and parent[key]:
+            parent[key].append(copy.deepcopy(parent[key][-1]))
+        if not list(slots(doc)):
+            break
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=contract_documents())
+def test_every_document_ends_in_a_documented_exit_code(tmp_path_factory, doc):
+    work = tmp_path_factory.mktemp("contract")
+    inp, out = work / "in.json", work / "out.json"
+    inp.write_text(json.dumps(doc))
+    for command in CONTRACT_COMMANDS:
+        code = cli.main([command, "--input", str(inp), "--output", str(out)])
+        assert code in (0, 1, 2, 3), command
+        assert isinstance(json.loads(out.read_text()), dict), command

@@ -2,9 +2,9 @@ import cmath
 import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,8 +57,51 @@ ALL_DESCRIPTORS = [flip_descriptor, torsion_descriptor, mixed_descriptor, shift_
 
 
 # ---------------------------------------------------------------------------
-# reference: the Fraction / object-array formulas that the integer-row
-# kernel of module_sim replaced, kept verbatim as an oracle
+# reference: the Fraction formulas that the integer-row kernel of module_sim
+# replaced, kept as an oracle
+
+
+@dataclass(frozen=True)
+class MPart:
+    u: tuple[F, ...]
+    a: tuple[int, ...]
+    w: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class MHatPart:
+    uhat: tuple[F, ...]
+    ahat: tuple[F, ...]
+    what: tuple[int, ...]
+
+
+def _as_int(x, what):
+    if isinstance(x, int):
+        return x
+    if isinstance(x, F) and x.denominator == 1:
+        return x.numerator
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ms.ShapeMismatch(f"{what} slot holds non-integer value {x!r}")
+
+
+def split_coordinates(v, d):
+    """Split an ambient vector into its M and M-hat parts.
+
+    Integer slots (a, w, w^) must hold exactly integral values; residues are
+    reduced mod the torsion orders and the torus part mod 1.
+    """
+    v = list(v)
+    if len(v) != d.ambient_dim:
+        raise ms.ShapeMismatch(f"expected {d.ambient_dim} coordinates, got {len(v)}")
+    p, q, k = d.p, d.q, d.k
+    u = tuple(F(x) for x in v[:p])
+    uhat = tuple(F(x) for x in v[p : 2 * p])
+    a = tuple(_as_int(x, "a") for x in v[2 * p : 2 * p + q])
+    ahat = tuple(F(x) % 1 for x in v[2 * p + q : 2 * p + 2 * q])
+    w = tuple(_as_int(x, "w") % d.orders[j] for j, x in enumerate(v[2 * p + 2 * q : 2 * p + 2 * q + k]))
+    what = tuple(_as_int(x, "w^") % d.orders[j] for j, x in enumerate(v[2 * p + 2 * q + k :]))
+    return MPart(u=u, a=a, w=w), MHatPart(uhat=uhat, ahat=ahat, what=what)
 
 
 def ref_e2pi(t):
@@ -67,12 +110,17 @@ def ref_e2pi(t):
     return cmath.exp(2j * math.pi * t)
 
 
+def ref_bilinear(x, M, y):
+    """x^t M y with Fraction arithmetic on the entries of M."""
+    return sum((F(xi) * mij * yj for xi, row in zip(x, M.tolist()) for mij, yj in zip(row, y)), F(0))
+
+
 def ref_column(M, x):
-    return M @ np.array([int(t) for t in x], dtype=object)
+    return [sum((F(m) * int(t) for m, t in zip(row, x)), F(0)) for row in M.tolist()]
 
 
 def ref_half_form(v, Jprime):
-    return F(v @ Jprime @ v) / 2
+    return ref_bilinear(v, Jprime, v) / 2
 
 
 def ref_pairing(m, mhat, d):
@@ -95,15 +143,15 @@ def ref_shift_point(m, part, sign, d):
 def ref_right_action(f, x, d):
     Tx = ref_column(d.T, x)
     phase = ref_e2pi(-ref_half_form(Tx, d.Jprime))
-    tpart, that = ms.split_coordinates(Tx, d)
+    tpart, that = split_coordinates(Tx, d)
     return lambda m: phase * ref_pairing(m, that, d) * f(ref_shift_point(m, tpart, -1, d))
 
 
 def ref_left_action(x, f, d):
     Sx = ref_column(d.S, x)
     phase = ref_e2pi(-ref_half_form(Sx, d.Jprime))
-    spart, shat = ms.split_coordinates(Sx, d)
-    neg_shat = ms.MHatPart(
+    spart, shat = split_coordinates(Sx, d)
+    neg_shat = MHatPart(
         uhat=tuple(-v for v in shat.uhat),
         ahat=tuple((-v) % 1 for v in shat.ahat),
         what=tuple((-v) % d.orders[j] for j, v in enumerate(shat.what)),
@@ -112,9 +160,7 @@ def ref_left_action(x, f, d):
 
 
 def ref_sigma_cocycle(theta, x, y):
-    xv = np.array([int(t) for t in x], dtype=object)
-    yv = np.array([int(t) for t in y], dtype=object)
-    return ref_e2pi(F(xv @ theta.M @ yv) / 2)
+    return ref_e2pi(ref_bilinear([int(t) for t in x], theta.M, [int(t) for t in y]) / 2)
 
 
 def ref_gaussian(d, cu, ca, mod, ch):
@@ -156,29 +202,29 @@ def oracle_cases(draw, make):
 class TestSplitCoordinates:
     def test_flip_columns(self):
         d = flip_descriptor()
-        mpart, mhat = ms.split_coordinates([F(1, 3), 0], d)
+        mpart, mhat = split_coordinates([F(1, 3), 0], d)
         assert mpart.u == (F(1, 3),) and mhat.uhat == (F(0),)
 
     def test_zero_vector(self):
         d = mixed_descriptor()
-        mpart, mhat = ms.split_coordinates([0] * d.ambient_dim, d)
+        mpart, mhat = split_coordinates([0] * d.ambient_dim, d)
         assert mpart.u == (F(0),) * 1 and mpart.a == (0,) and mhat.what == ()
 
     def test_integrality_gate(self):
         d = mixed_descriptor()
         v = [0, 0, 2.0, 0]  # a-slot holds an integral float
-        ms.split_coordinates(v, d)
+        split_coordinates(v, d)
         v[2] = 2.5
         with pytest.raises(ms.ShapeMismatch):
-            ms.split_coordinates(v, d)
+            split_coordinates(v, d)
 
     def test_wrong_length(self):
         with pytest.raises(ms.ShapeMismatch):
-            ms.split_coordinates([0, 0, 0], flip_descriptor())
+            split_coordinates([0, 0, 0], flip_descriptor())
 
     def test_residue_reduction(self):
         d = torsion_descriptor()
-        mpart, mhat = ms.split_coordinates([0, 0, 5, -3], d)
+        mpart, mhat = split_coordinates([0, 0, 5, -3], d)
         assert mpart.w == (1,) and mhat.what == (1,)
 
 
@@ -279,8 +325,8 @@ class TestRelations:
             rng = random.Random(34)
             for _ in range(20):
                 x = ms.random_lattice_vector(rng, d)
-                v = d.T @ xl.mat([[t] for t in x])[:, 0]
-                phase = ms.e2pi(-F(v @ d.Jprime @ v) / 2)
+                v = [row[0] for row in (d.T @ xl.mat([[t] for t in x])).tolist()]
+                phase = ms.e2pi(-ref_half_form(v, d.Jprime))
                 assert abs(abs(phase) - 1) < 1e-12
 
 

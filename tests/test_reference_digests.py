@@ -3,7 +3,10 @@
 perfbench/reference.json holds the SHA-256 of the input and output document
 of every benchmark pool trial.  A fixed slice of those trials is replayed
 through the command-line entry point; any change to the bytes of a
-`pipeline` document fails here.  perfbench/ is only read.
+`pipeline` document fails here.  The slice takes the first 40 trials of each
+size n <= 6 and the first 4 of n = 8, 12 and 16, whose larger Smith,
+alternating and symplectic reductions (p up to 6, torsion orders up to 28)
+fix the bytes of T and R.  perfbench/ is only read.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import pytest
 from nctorus import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRIALS_PER_SIZE = 40
+TRIALS_PER_SIZE = {2: 40, 3: 40, 4: 40, 5: 40, 6: 40, 8: 4, 12: 4, 16: 4}
 
 
 def load_gen():
@@ -32,11 +35,11 @@ def load_gen():
     return gen
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", sorted(TRIALS_PER_SIZE))
 def test_pipeline_documents_match_reference(tmp_path, n):
     gen = load_gen()
     pool = json.loads((PERFBENCH / "reference.json").read_text())["pools"][str(n)]
-    for s, entry in enumerate(pool[:TRIALS_PER_SIZE]):
+    for s, entry in enumerate(pool[: TRIALS_PER_SIZE[n]]):
         data = gen.pipeline_doc(n, s)
         assert hashlib.sha256(data).hexdigest() == entry["in"], gen.trial_id(n, s)
         inp, out = tmp_path / "in.json", tmp_path / "out.json"
