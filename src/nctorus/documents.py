@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
-from .embedding import EmbeddingData, MoritaChain, PipelineResult, build_forms
+from .embedding import EmbeddingData, MoritaChain, PipelineResult
 from .module_sim import ModuleDescriptor, ModuleSimError, verify_descriptor
 from .torus_group import GroupElement, Theta, make_theta
 
@@ -44,7 +45,15 @@ def rat_str(x) -> str:
 def _rat_text(num: int, den: int) -> str:
     """The wire form "p/q", or "p" when integral, of num / den for den > 0."""
     g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:  # more digits than str() converts
+        raise _too_many_digits() from None
+
+
+def _too_many_digits() -> ParseError:
+    """A result past the interpreter's digit limit is refused as an input past it is."""
+    return ParseError(f"result has a number of more than {sys.get_int_max_str_digits()} digits")
 
 
 def _rat_parts(s) -> tuple[int, int]:
@@ -130,12 +139,7 @@ def group_blocks_from_doc(doc, n: int | None = None) -> tuple[Mat, Mat, Mat, Mat
 
 
 def group_doc(g: GroupElement) -> dict:
-    return {
-        "A": int_matrix_doc(g.A),
-        "B": int_matrix_doc(g.B),
-        "C": int_matrix_doc(g.C),
-        "D": int_matrix_doc(g.D),
-    }
+    return {key: int_matrix_doc(getattr(g, key)) for key in "ABCD"}
 
 
 def check_int(value, name: str, floor: int):
@@ -174,13 +178,7 @@ def load_job(doc: dict) -> dict:
 
 
 def certificates_doc(certs) -> list[dict]:
-    out = []
-    for c in certs:
-        entry: dict = {"name": c.name, "passed": c.passed}
-        if not c.passed and c.witness is not None:
-            entry["witness"] = rat_matrix_doc(c.witness)
-        out.append(entry)
-    return out
+    return [{"name": c.name, "passed": c.passed} for c in certs]
 
 
 def descriptor_doc(d: ModuleDescriptor) -> dict:
@@ -218,10 +216,7 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
         raise ParseError("T and S must have shape (n+q+2k) x n")
     if theta.n != n or theta_prime.n != n:
         raise ParseError("theta and theta_prime must have size n = 2p+q")
-    J, Jp = build_forms(p, q, orders)
-    d = ModuleDescriptor(
-        p=p, q=q, k=k, orders=orders, T=T, S=S, theta=theta, theta_prime=theta_prime, J=J, Jprime=Jp
-    )
+    d = ModuleDescriptor(p=p, q=q, k=k, orders=orders, T=T, S=S, theta=theta, theta_prime=theta_prime)
     try:
         verify_descriptor(d)
     except ModuleSimError as e:
@@ -294,7 +289,10 @@ def error_doc(kind: str, message: str, name: str | None = None) -> dict:
 def dumps(doc: dict) -> str:
     doc = dict(doc)
     doc.setdefault("version", FORMAT_VERSION)
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    except ValueError:  # an integer with more digits than str() converts
+        raise _too_many_digits() from None
 
 
 def loads(text: str) -> dict:

@@ -31,18 +31,18 @@ from fractions import Fraction
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
-from .module_sim import ModuleDescriptor
+from .module_sim import ModuleDescriptor, build_forms
 from .normal_form import SpecialForm, detect_special_form, domain_check, normalize_right
 from .torus_group import (
     DeterminantNotOne,
     GroupElement,
     RelationViolated,
     Theta,
+    Undefined,
     act,
-    check_membership,
+    check_matrix,
     compose,
     invert_element,
-    is_defined,
     make_theta,
     mu,
     rho,
@@ -62,7 +62,6 @@ class EmbeddingError(Exception):
 class Certificate:
     name: str
     passed: bool
-    witness: Mat | None = None
 
 
 class CertificateLog:
@@ -72,7 +71,7 @@ class CertificateLog:
         self.entries: list[Certificate] = []
 
     def check(self, name: str, ok: bool, message: str, witness=None):
-        self.entries.append(Certificate(name=name, passed=bool(ok), witness=None if ok else witness))
+        self.entries.append(Certificate(name=name, passed=bool(ok)))
         if not ok:
             raise EmbeddingError(name, message, witness=witness)
 
@@ -165,16 +164,6 @@ def _corner_form(td: TorsionData, top_right: Mat) -> Mat:
 # phase-space form and embedding maps
 
 
-def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[Mat, Mat]:
-    """The 2-form J on the ambient space and its positive half J'."""
-    k = len(orders)
-    P1 = xl.diag([Fraction(1, n) for n in orders])
-    J2 = xl.block([[xl.zeros(k, k), P1], [-P1, xl.zeros(k, k)]])
-    J = xl.block_diag(xl.standard_symplectic(p), xl.standard_symplectic(q), J2)
-    Jp = Mat([[max(x, 0) for x in row] for row in J.rows], J.den, J.shape[1])
-    return J, Jp
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
     """A linear map into the ambient phase space carrying the lattice.
@@ -190,7 +179,6 @@ class EmbeddingMap:
     orders: tuple[int, ...]
     matrix: Mat
     J: Mat
-    Jprime: Mat
 
     @property
     def n(self) -> int:
@@ -230,8 +218,8 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLo
         [td.P2 @ td.R[:k, :], Z(k, q)],
         [td.R[k : 2 * k, :], Z(k, q)],
     ])
-    J, Jp = build_forms(p, q, td.nj)
-    emb = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=T, J=J, Jprime=Jp)
+    J, _ = build_forms(p, q, td.nj)
+    emb = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=T, J=J)
     pullback = emb.pullback()
     certs.check(
         "T_pullback",
@@ -315,7 +303,7 @@ def build_S(
         "computed dual map disagrees with its closed form",
         witness=S - S_closed,
     )
-    dual = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=S, J=emb.J, Jprime=emb.Jprime)
+    dual = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=S, J=emb.J)
     certs.check("S_lattice_rows", dual.integral_rows_ok(), "integer rows of S not integral", witness=S)
     certs.check(
         "S_tilde_invertible",
@@ -436,16 +424,15 @@ def build_gprime(
     gp = None
     detail = ""
     try:
-        gp = check_membership(Ap, Bp, Cp, Dp)
+        gp = check_matrix(assembled)
     except (RelationViolated, DeterminantNotOne) as e:
         detail = str(e)
     certs.check("gprime_membership", gp is not None, detail, witness=assembled)
-    certs.check(
-        "gprime_action",
-        is_defined(gp, theta) and act(gp, theta) == theta_out,
-        "g' theta != theta'",
-        witness=assembled,
-    )
+    try:
+        acts = act(gp, theta) == theta_out
+    except Undefined:
+        acts = False
+    certs.check("gprime_action", acts, "g' theta != theta'", witness=assembled)
     Rt_inv = xl.int_inverse(td.R).T
     rest = 2 * p - 2 * k
     Cp_cf = xl.block_diag(xl.block_diag(td.T4, -xl.eye(rest)) @ Rt_inv, xl.zeros(q, q))
@@ -465,23 +452,24 @@ def build_gprime(
 def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple[Mat, Mat]:
     """Factor g = mu(N) rho(A) g' and verify the reassembly exactly."""
     gt = compose(g, invert_element(gp))
+    A = gt.A
     certs.check("decomp_ctilde_zero", xl.is_zero(gt.C), "C block of g (g')^-1 is nonzero", witness=gt.C)
     certs.check(
         "decomp_unimodular",
-        xl.mat_eq(gt.A.T @ gt.D, xl.eye(g.n)),
+        xl.mat_eq(A.T @ gt.D, xl.eye(g.n)),
         "A^t D != I in the triangular factor",
-        witness=gt.matrix(),
+        witness=gt.M,
     )
-    N = gt.B @ gt.A.T
+    N = gt.B @ A.T
     certs.check("decomp_shear_skew", xl.is_skew(N), "B A^t is not skew", witness=N)
-    rebuilt = compose(mu(N), rho(gt.A), gp)
+    rebuilt = compose(mu(N), rho(A), gp)
     certs.check(
         "decomp_reassembly",
         rebuilt == g,
         "mu(N) rho(A) g' does not reproduce g",
-        witness=rebuilt.matrix(),
+        witness=rebuilt.M,
     )
-    return N, gt.A
+    return N, A
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +542,8 @@ def build_embedding(
 ) -> tuple[SpecialForm, TorsionData, EmbeddingMap, EmbeddingMap, Mat, Theta, Mat, Mat, GroupElement]:
     """Run the construction on an element already in special form."""
     sf = detect_special_form(g1)
-    chk = domain_check(sf, theta1)
-    certs.check("domain_defined", chk.F11 is not None, "theta_11 - Z is singular", witness=theta1.M)
+    F11 = domain_check(sf, theta1)
+    certs.check("domain_defined", F11 is not None, "theta_11 - Z is singular", witness=theta1.M)
     td = build_torsion_data(sf.Z)
     certs.check(
         "torsion_normal_form",
@@ -567,9 +555,9 @@ def build_embedding(
     phi = _phi_matrices(td, sf.p, sf.q)
     dual = build_S(sf, td, emb, phi, certs)
     verify_duality(emb, dual, td, phi, certs)
-    tp = theta_prime(dual, td, theta1, chk.F11, certs)
-    phi_star, curvature, gp = build_gprime(sf, td, theta1, tp, chk.F11, certs)
-    return sf, td, emb, dual, chk.F11, tp, phi_star, curvature, gp
+    tp = theta_prime(dual, td, theta1, F11, certs)
+    phi_star, curvature, gp = build_gprime(sf, td, theta1, tp, F11, certs)
+    return sf, td, emb, dual, F11, tp, phi_star, curvature, gp
 
 
 def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
@@ -596,10 +584,6 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
         S=dual.matrix,
         theta=theta1,
         theta_prime=tp,
-        J=emb.J,
-        Jprime=emb.Jprime,
-        curvature=curvature,
-        phi_star=phi_star,
     )
     chain = MoritaChain(
         source=theta,

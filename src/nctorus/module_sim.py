@@ -28,6 +28,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, mul
 
 from . import exact_linalg as xl
@@ -67,10 +68,6 @@ class ModuleDescriptor:
     S: Mat  # embedding matrix for -theta_prime
     theta: Theta
     theta_prime: Theta
-    J: Mat
-    Jprime: Mat
-    curvature: Mat | None = None
-    phi_star: Mat | None = None
 
     @property
     def n(self) -> int:
@@ -79,6 +76,18 @@ class ModuleDescriptor:
     @property
     def ambient_dim(self) -> int:
         return self.n + self.q + 2 * self.k
+
+    @functools.cached_property
+    def _forms(self) -> tuple[Mat, Mat]:
+        return build_forms(self.p, self.q, self.orders)
+
+    @property
+    def J(self) -> Mat:
+        return self._forms[0]
+
+    @property
+    def Jprime(self) -> Mat:
+        return self._forms[1]
 
     @functools.cached_property
     def _images(self) -> tuple[_Image, _Image]:
@@ -126,6 +135,16 @@ def _e(num: int, den: int) -> complex:
 
 # ---------------------------------------------------------------------------
 # the compiled descriptor
+
+
+def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[Mat, Mat]:
+    """The 2-form J on the ambient space and its positive half J', with J = J' - J'^t."""
+    k = len(orders)
+    P1 = xl.diag([Fraction(1, n) for n in orders])
+    J2 = xl.block([[xl.zeros(k, k), P1], [-P1, xl.zeros(k, k)]])
+    J = xl.block_diag(xl.standard_symplectic(p), xl.standard_symplectic(q), J2)
+    Jp = Mat([[max(x, 0) for x in row] for row in J.rows], J.den, J.shape[1])
+    return J, Jp
 
 
 def _value(M: Mat, x: list[int], y: list[int]) -> int:

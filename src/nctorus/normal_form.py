@@ -102,23 +102,18 @@ def normalize_right(g: GroupElement) -> Mat:
     return xl.complete_basis(g.C)
 
 
-@dataclass(frozen=True, eq=False)
-class DomainCheck:
-    F11: Mat | None  # (theta_11 - Z)^-1, or None where the action is undefined
-
-
-def domain_check(sf: SpecialForm, theta: Theta) -> DomainCheck:
+def domain_check(sf: SpecialForm, theta: Theta) -> Mat | None:
     """Decide definedness of the action from theta_11 - Z alone.
 
-    When defined, F11 = (theta_11 - Z)^-1 is returned; undefined is a value,
-    not an error.  That (C theta + D)^-1 C = blk(F11, 0; 0, 0) with F11 skew
-    is a lemma of the construction, asserted in the tests: the pipeline never
-    uses (C theta + D)^-1 C, and F11 itself is certified downstream by
-    theta_prime_blocks, gprime_action and gprime_closed_form.
+    Returns F11 = (theta_11 - Z)^-1, or None where the action is undefined;
+    undefined is a value, not an error.  That (C theta + D)^-1 C =
+    blk(F11, 0; 0, 0) with F11 skew is a lemma of the construction, asserted
+    in the tests: the pipeline never uses (C theta + D)^-1 C, and F11 itself
+    is certified downstream by theta_prime_blocks, gprime_action and
+    gprime_closed_form.
     """
     c = 2 * sf.p
     try:
-        F11 = xl.rational_inverse(theta.M[:c, :c] - sf.Z)
+        return xl.rational_inverse(theta.M[:c, :c] - sf.Z)
     except xl.Singular:
-        return DomainCheck(F11=None)
-    return DomainCheck(F11=F11)
+        return None

@@ -1,12 +1,11 @@
-"""The integer split orthogonal group and its action on skew matrices.
+"""The integer split orthogonal group SO(n,n|Z) and its action on skew matrices.
 
-Elements are stored in 2x2 block form (A, B, C, D) of n x n integer
-matrices.  Membership means the block relations
+An element is one integer 2n x 2n matrix M with
 
-    A^t C + C^t A = 0,   B^t D + D^t B = 0,   A^t D + C^t B = I,
+    M^t eta M = eta,   eta = [[0, I], [I, 0]],   det M = 1.
 
-together with determinant one for the assembled 2n x 2n matrix.  The
-(partial) action on a skew matrix is theta -> (A theta + B)(C theta + D)^-1,
+Its n x n blocks A, B, C, D (M = [[A, B], [C, D]]) are read-only slices of M.
+The (partial) action on a skew matrix is theta -> (A theta + B)(C theta + D)^-1,
 defined whenever C theta + D is invertible; an undefined action is a
 recoverable outcome, not a crash.
 
@@ -74,78 +73,81 @@ def make_theta(entries) -> Theta:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A group member.
+    """A group member: its 2n x 2n integer matrix M = [[A, B], [C, D]].
 
-    Elements entering the program are validated by check_membership; the
-    generators and group operations build theirs through _element, since
-    membership of a product or inverse follows from that of its factors.
+    Elements entering the program are validated by check_membership or
+    check_matrix; the generators and group operations build theirs through
+    _element, since membership of a product or inverse follows from that of
+    its factors.
     """
 
     n: int
-    A: Mat
-    B: Mat
-    C: Mat
-    D: Mat
+    M: Mat
 
-    def matrix(self) -> Mat:
-        return xl.block([[self.A, self.B], [self.C, self.D]])
+    A = property(lambda g: g.M[: g.n, : g.n])
+    B = property(lambda g: g.M[: g.n, g.n :])
+    C = property(lambda g: g.M[g.n :, : g.n])
+    D = property(lambda g: g.M[g.n :, g.n :])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.A == other.A
-            and self.B == other.B
-            and self.C == other.C
-            and self.D == other.D
-        )
+        return isinstance(other, GroupElement) and self.M == other.M
+
+
+def _swap(n: int) -> list[int]:
+    """Indices that exchange the two halves: X[_swap(n), :] is eta X."""
+    return [*range(n, 2 * n), *range(n)]
 
 
 def check_membership(A, B, C, D) -> GroupElement:
-    """Validate the block relations and determinant, or name the violation."""
-    blocks = [xl.to_int(M) for M in (A, B, C, D)]
-    A, B, C, D = blocks
-    n = A.shape[0]
-    for M in blocks:
-        if M.shape != (n, n):
-            raise ValueError("blocks must be square and of equal size")
-    At, Ct = A.T, C.T
-    if not xl.is_zero(At @ C + Ct @ A):
+    """The element with integer blocks A, B, C, D, validated by check_matrix."""
+    blocks = [xl.to_int(X) for X in (A, B, C, D)]
+    n = blocks[0].shape[0]
+    if any(X.shape != (n, n) for X in blocks):
+        raise ValueError("blocks must be square and of equal size")
+    return check_matrix(xl.block([blocks[:2], blocks[2:]]))
+
+
+def check_matrix(M: Mat) -> GroupElement:
+    """Validate M^t eta M = eta and det M = 1 for an integer 2n x 2n M, or name the violation.
+
+    F = M^t (eta M) is symmetric with blocks A^t C + C^t A, A^t D + C^t B and
+    B^t D + D^t B, so these three decide it.
+    """
+    n = M.shape[0] // 2
+    F = M.T @ M[_swap(n), :]
+    if not xl.is_zero(F[:n, :n]):
         raise RelationViolated("A^t C + C^t A = 0")
-    if not xl.is_zero(B.T @ D + D.T @ B):
+    if not xl.is_zero(F[n:, n:]):
         raise RelationViolated("B^t D + D^t B = 0")
-    if At @ D + Ct @ B != xl.eye(n):
+    if F[:n, n:] != xl.eye(n):
         raise RelationViolated("A^t D + C^t B = I")
-    g = _element(A, B, C, D)
-    if xl.det(g.matrix()) != 1:
+    if xl.det(M) != 1:
         raise DeterminantNotOne("assembled matrix must have determinant 1")
-    return g
+    return _element(M)
 
 
-def _element(A: Mat, B: Mat, C: Mat, D: Mat) -> GroupElement:
-    """Wrap integer blocks whose membership is already established."""
-    return GroupElement(n=A.shape[0], A=A, B=B, C=C, D=D)
+def _element(M: Mat) -> GroupElement:
+    """Wrap an integer 2n x 2n matrix whose membership is already established."""
+    return GroupElement(n=M.shape[0] // 2, M=M)
 
 
 def identity_element(n: int) -> GroupElement:
-    return _element(xl.eye(n), xl.zeros(n, n), xl.zeros(n, n), xl.eye(n))
+    return _element(xl.eye(2 * n))
 
 
 def invert_element(g: GroupElement) -> GroupElement:
-    """The inverse is the block transpose (D^t, B^t, C^t, A^t)."""
-    return _element(g.D.T, g.B.T, g.C.T, g.A.T)
+    """The inverse eta M^t eta, the block transpose [[D^t, B^t], [C^t, A^t]]."""
+    s = _swap(g.n)
+    return _element(g.M.T[s, s])
 
 
 def compose(g: GroupElement, h: GroupElement, *rest: GroupElement) -> GroupElement:
-    if rest:
-        return compose(compose(g, h), *rest)
-    if g.n != h.n:
-        raise ValueError("dimension mismatch")
-    return _element(
-        g.A @ h.A + g.B @ h.C,
-        g.A @ h.B + g.B @ h.D,
-        g.C @ h.A + g.D @ h.C,
-        g.C @ h.B + g.D @ h.D,
-    )
+    M = g.M
+    for f in (h, *rest):
+        if f.n != g.n:
+            raise ValueError("dimension mismatch")
+        M = M @ f.M
+    return _element(M)
 
 
 def rho(R) -> GroupElement:
@@ -153,8 +155,7 @@ def rho(R) -> GroupElement:
     R = xl.to_int(R)
     if abs(xl.det(R)) != 1:
         raise NotUnimodular("rho needs a matrix with determinant +-1")
-    n = R.shape[0]
-    return _element(R, xl.zeros(n, n), xl.zeros(n, n), xl.int_inverse(R).T)
+    return _element(xl.block_diag(R, xl.int_inverse(R).T))
 
 
 def mu(N) -> GroupElement:
@@ -163,7 +164,7 @@ def mu(N) -> GroupElement:
     if not xl.is_skew(N):
         raise xl.NotSkew("mu needs an integer skew-symmetric matrix")
     n = N.shape[0]
-    return _element(xl.eye(n), N, xl.zeros(n, n), xl.eye(n))
+    return _element(xl.block([[xl.eye(n), N], [xl.zeros(n, n), xl.eye(n)]]))
 
 
 def sigma_flip(support, n: int) -> GroupElement:
@@ -173,9 +174,10 @@ def sigma_flip(support, n: int) -> GroupElement:
         raise ValueError("support indices must lie in 1..n")
     if len(support) % 2 != 0:
         raise OddSupport("flip support must have even size")
-    on = xl.diag([int(i in support) for i in range(1, n + 1)])
-    off = xl.diag([int(i not in support) for i in range(1, n + 1)])
-    return _element(off, on, on, off)
+    perm = list(range(2 * n))
+    for i in support:
+        perm[i - 1], perm[n + i - 1] = n + i - 1, i - 1
+    return _element(xl.eye(2 * n)[perm, :])
 
 
 def c_theta_plus_d(g: GroupElement, theta: Theta) -> Mat:

@@ -1,7 +1,11 @@
 import copy
 import functools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +117,21 @@ class TestCommands:
         code = cli.main(["act", "--input", str(inp), "--output", str(out)])
         error = json.loads(out.read_text())["error"]
         assert code == 2 and error["kind"] == "parse" and error["message"].startswith(message)
+
+    def test_oversized_result_exit_2(self, tmp_path):
+        """A result with a number past the digit limit gets the policy oversized inputs get."""
+        big = "7" * 3000
+        doc = {
+            "version": "nctorus/1",
+            "n": 3,
+            "g": docs.group_doc(tg.sigma_flip([1, 2], 3)),
+            "theta": [["0", f"1/{big}", big], [f"-1/{big}", "0", big], [f"-{big}", f"-{big}", "0"]],
+        }
+        code, out = run(tmp_path, ["act"], doc)
+        message = f"result has a number of more than {sys.get_int_max_str_digits()} digits"
+        assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+        with pytest.raises(docs.ParseError, match=message):
+            docs.dumps({"n": 10**5000})
 
     def test_parse_error_exit_2(self, tmp_path):
         inp = tmp_path / "bad.json"
@@ -449,3 +468,10 @@ def test_every_document_ends_in_a_documented_exit_code(tmp_path_factory, doc):
         code = cli.main([command, "--input", str(inp), "--output", str(out)])
         assert code in (0, 1, 2, 3), command
         assert isinstance(json.loads(out.read_text()), dict), command
+
+
+def test_cli_import_loads_no_numpy():
+    """Only the quadrature inner product imports numpy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import sys, nctorus.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

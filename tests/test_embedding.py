@@ -172,7 +172,7 @@ class TestDegenerateClosure:
         d = res.data
         assert d.special.p == 0
         assert d.theta_out == d.theta_in
-        assert xl.mat_eq(d.g_prime.matrix(), -xl.eye(6))
+        assert xl.mat_eq(d.g_prime.M, -xl.eye(6))
         assert xl.mat_eq(d.shear, N)
         assert res.chain.endpoint() == tg.act(g, theta)
         assert d.all_passed()

@@ -84,21 +84,20 @@ class TestDomainCheck:
     def test_p_zero_always_defined(self):
         g = tg.mu(tg.random_skew_int(random.Random(6), 2))
         sf = nf.detect_special_form(g)
-        chk = nf.domain_check(sf, tg.random_theta(1, 2))
-        assert chk.F11 is not None and chk.F11.shape == (0, 0)
+        F11 = nf.domain_check(sf, tg.random_theta(1, 2))
+        assert F11 is not None and F11.shape == (0, 0)
 
     def test_flip_third(self):
         sf = nf.detect_special_form(flip2())
-        chk = nf.domain_check(sf, tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]]))
-        assert chk.F11 is not None
-        assert xl.mat_eq(chk.F11, xl.mat([[0, -3], [3, 0]]))
+        F11 = nf.domain_check(sf, tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]]))
+        assert F11 is not None
+        assert xl.mat_eq(F11, xl.mat([[0, -3], [3, 0]]))
 
     def test_theta11_equals_z(self):
         M = xl.mat([[0, 2], [-2, 0]])
         g = tg.compose(flip2(), tg.mu(M))
         sf = nf.detect_special_form(g)
-        chk = nf.domain_check(sf, tg.make_theta(-M))
-        assert chk.F11 is None
+        assert nf.domain_check(sf, tg.make_theta(-M)) is None
 
     def test_agrees_with_direct_singularity(self):
         hits_defined = hits_undefined = 0
@@ -111,16 +110,16 @@ class TestDomainCheck:
             g1 = tg.compose(g, tg.rho(R0))
             theta1 = tg.act(tg.rho(xl.int_inverse(R0)), theta)
             sf = nf.detect_special_form(g1)
-            chk = nf.domain_check(sf, theta1)
-            defined = chk.F11 is not None
+            F11 = nf.domain_check(sf, theta1)
+            defined = F11 is not None
             assert defined == tg.is_defined(g1, theta1)
             # definedness is invariant under the normalization
             assert defined == tg.is_defined(g, theta)
             if defined:
                 # the lemma behind the criterion: (C theta + D)^-1 C = blk(F11, 0)
                 inv = xl.rational_inverse(tg.c_theta_plus_d(g1, theta1))
-                assert xl.mat_eq(inv @ g1.C, xl.block_diag(chk.F11, xl.zeros(sf.q, sf.q)))
-                assert xl.is_skew(chk.F11)
+                assert xl.mat_eq(inv @ g1.C, xl.block_diag(F11, xl.zeros(sf.q, sf.q)))
+                assert xl.is_skew(F11)
             hits_defined += defined
             hits_undefined += not defined
         assert hits_defined >= 150

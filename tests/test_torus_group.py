@@ -7,6 +7,10 @@ from nctorus import exact_linalg as xl
 from nctorus import torus_group as tg
 
 
+I2, O2 = xl.eye(2), xl.zeros(2, 2)
+OFF, ON = xl.diag([0, 1]), xl.diag([1, 0])
+
+
 def flip2():
     return tg.sigma_flip([1, 2], 2)
 
@@ -31,16 +35,26 @@ class TestMembership:
         assert xl.mat_eq(g.B, xl.eye(2)) and xl.mat_eq(g.C, xl.eye(2))
         assert xl.is_zero(g.A) and xl.is_zero(g.D)
 
-    def test_violation_named(self):
-        with pytest.raises(tg.RelationViolated) as e:
-            tg.check_membership(2 * xl.eye(2), xl.zeros(2, 2), xl.zeros(2, 2), xl.eye(2))
-        assert "A^t D + C^t B" in str(e.value)
+    @pytest.mark.parametrize(
+        "blocks, error, text",
+        [
+            pytest.param((I2, O2, I2, I2), tg.RelationViolated, "A^t C + C^t A = 0", id="AtC"),
+            pytest.param((I2, I2, O2, I2), tg.RelationViolated, "B^t D + D^t B = 0", id="BtD"),
+            pytest.param((2 * I2, O2, O2, I2), tg.RelationViolated, "A^t D + C^t B = I", id="AtD"),
+            # an odd flip: preserves eta, det -1
+            pytest.param((OFF, ON, ON, OFF), tg.DeterminantNotOne, "determinant 1", id="det"),
+        ],
+    )
+    def test_violation_named(self, blocks, error, text):
+        with pytest.raises(error) as e:
+            tg.check_membership(*blocks)
+        assert text in str(e.value)
 
     def test_preserves_split_form(self):
         for seed in range(8):
             g = tg.random_element(seed, 5, 3)
             K = so_form(3)
-            assert xl.mat_eq(g.matrix().T @ K @ g.matrix(), K)
+            assert xl.mat_eq(g.M.T @ K @ g.M, K)
 
 
 class TestInverseCompose:
@@ -64,8 +78,8 @@ class TestInverseCompose:
 
     def test_inverse_matches_matrix_inverse(self):
         g = tg.random_element(42, 5, 3)
-        inv = tg.invert_element(g).matrix()
-        assert xl.mat_eq(inv, xl.rational_inverse(g.matrix()))
+        inv = tg.invert_element(g).M
+        assert xl.mat_eq(inv, xl.rational_inverse(g.M))
 
     def test_rho_homomorphism(self):
         rng = random.Random(7)
