@@ -25,7 +25,6 @@ from .torus_group import (
     act,
     check_membership,
     compose,
-    is_defined,
     make_theta,
     random_element,
     random_theta,
@@ -192,35 +191,34 @@ def cmd_simulate(job: dict, opts) -> dict:
 
 
 def campaign_trial(n: int, trial_seed: str, word_length: int = 8, max_den: int = 12, retries: int = 20):
-    """One seeded trial: random word, retry theta until defined, run pipeline.
+    """One seeded trial: random word, run pipeline, redrawing theta while undefined.
 
+    pipeline raises Undefined from its first step, the action g theta, and
+    nowhere later, so an undefined theta costs one elimination and no more.
     Trials are independent pure computations keyed by their seed string, so
     callers may evaluate them concurrently; reports stay deterministic as
     long as they are assembled in trial order.
     """
     rng = random.Random(trial_seed)
     g = random_element(f"{trial_seed}:g", rng.randint(1, word_length), n)
-    theta = None
     for r in range(retries):
-        cand = random_theta(f"{trial_seed}:theta:{r}", n, max_den)
-        if is_defined(g, cand):
-            theta = cand
-            break
-    if theta is None:
-        return {"defined": False}, None
-    try:
-        res = pipeline(g, theta)
-    except EmbeddingError as e:
-        return {"defined": True, "passed": False, "failed_certificate": e.name}, None
-    info = {
-        "defined": True,
-        "passed": res.data.all_passed(),
-        "p": res.data.special.p,
-        "q": res.data.special.q,
-        "k": res.data.torsion.k,
-        "orders": list(res.data.torsion.nj),
-    }
-    return info, res
+        theta = random_theta(f"{trial_seed}:theta:{r}", n, max_den)
+        try:
+            res = pipeline(g, theta)
+        except Undefined:
+            continue
+        except EmbeddingError as e:
+            return {"defined": True, "passed": False, "failed_certificate": e.name}, None
+        info = {
+            "defined": True,
+            "passed": res.data.all_passed(),
+            "p": res.data.special.p,
+            "q": res.data.special.q,
+            "k": res.data.torsion.k,
+            "orders": list(res.data.torsion.nj),
+        }
+        return info, res
+    return {"defined": False}, None
 
 
 def run_campaign(n: int, seed, trials: int, word_length: int = 8, max_den: int = 12) -> dict:

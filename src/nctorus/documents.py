@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
@@ -287,12 +288,62 @@ def error_doc(kind: str, message: str, name: str | None = None) -> dict:
 
 
 def dumps(doc: dict) -> str:
+    """The document as json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) writes it.
+
+    json.dumps runs its pure-Python encoder whenever it indents, so the same
+    bytes are written here directly.
+    """
     doc = dict(doc)
     doc.setdefault("version", FORMAT_VERSION)
+    out: list[str] = []
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+        _write(doc, "\n", out)
     except ValueError:  # an integer with more digits than str() converts
         raise _too_many_digits() from None
+    out.append("\n")
+    return "".join(out)
+
+
+_CONSTANTS = {value: json.dumps(value) for value in (True, False, None)}
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON text of value; newline is "\n" plus the current indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(_string(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if kind is dict:
+            out.append("{" + inner)
+            for key, item in sorted(value.items()):
+                out.append(_string(key) + ": ")
+                _write(item, inner, out)
+                out.append(sep)
+            out[-1] = newline + "}"
+            return
+        out.append("[" + inner)
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            out.append(sep.join(map(int.__repr__, value)))
+        elif kinds == {str}:
+            out.append(sep.join(map(_string, value)))
+        else:
+            for item in value:
+                _write(item, inner, out)
+                out.append(sep)
+            out.pop()
+        out.append(newline + "]")
+    elif kind is bool or value is None:
+        out.append(_CONSTANTS[value])
+    else:  # floats, and anything else json itself encodes or refuses
+        out.append(json.dumps(value))
 
 
 def loads(text: str) -> dict:

@@ -5,10 +5,10 @@ denominator, kept reduced (the gcd of the denominator and all entries is 1).
 Equality is therefore structural, and a matrix is integral exactly when its
 denominator is 1.  Nothing here rounds; no floating point enters this module.
 
-``matmul`` is the one exact product: one integer product of the rows and one
-gcd pass.  ``det``, ``rank``, ``rational_inverse``, ``int_inverse`` and
-``solve_unique`` all run the one fraction-free (Bareiss) elimination kernel
-``_row_reduce`` on the rows.  Their results are unique in exact arithmetic, so
+``matmul`` is the one exact product: one integer product of the rows, which
+skips zero coefficients, and one gcd pass.  ``det``, ``rank``,
+``rational_inverse``, ``int_inverse`` and ``solve_unique`` all run the one
+fraction-free (Bareiss) elimination kernel ``_row_reduce`` on the rows.  Their results are unique in exact arithmetic, so
 the kernel's pivot rule cannot change any output.  The Smith, alternating and
 symplectic reductions (and the kernel bases built on Smith) return one factor
 among many: their fixed pivot rules decide the output bytes and must stay as
@@ -21,6 +21,7 @@ is 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,7 +188,9 @@ def zeros(r: int, c: int) -> Mat:
     return _raw(((0,) * c,) * r, 1, (r, c))
 
 
+@functools.cache
 def eye(n: int) -> Mat:
+    """The n x n identity; memoized by size, which is safe because a Mat is immutable."""
     return Mat(_identity_rows(n), 1, n)
 
 
@@ -273,8 +276,9 @@ def strict_upper(A: Mat) -> Mat:
 def matmul(*mats: Mat) -> Mat:
     """Exact product of one or more matrices.
 
-    The integer rows are multiplied as Python ints, and the product of the
-    denominators is divided out with one gcd pass at the end.
+    Each product row is the sum of the right factor's rows weighted by the
+    nonzero entries of the left row, so zero coefficients cost nothing; the
+    product of the denominators is divided out with one gcd pass at the end.
     """
     r, c = mats[0].shape
     rows, d = mats[0].rows, mats[0].den
@@ -282,10 +286,25 @@ def matmul(*mats: Mat) -> Mat:
         if M.shape[0] != c:
             raise ValueError(f"shape mismatch: {(r, c)} times {M.shape}")
         c = M.shape[1]
-        cols = list(zip(*M.rows)) if M.rows else [()] * c
-        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        rows = [_combination(row, M.rows, c) for row in rows]
         d *= M.den
     return _reduced(rows, d, (r, c))
+
+
+def _combination(coeffs, rows: tuple, width: int):
+    """sum(a * row for a, row in zip(coeffs, rows)), skipping the zero coefficients."""
+    acc = None
+    for a, row in zip(coeffs, rows):
+        if a:
+            if acc is None:
+                acc = row if a == 1 else [a * x for x in row]
+            elif a == 1:
+                acc = list(map(add, acc, row))
+            elif a == -1:
+                acc = list(map(sub, acc, row))
+            else:
+                acc = [x + a * y for x, y in zip(acc, row)]
+    return acc if acc is not None else [0] * width
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +650,9 @@ def alternating_normal_form_int(A: Mat) -> tuple[Mat, list]:
     return R, hs
 
 
+@functools.cache
 def standard_symplectic(p: int) -> Mat:
+    """[[0, I_p], [-I_p, 0]]; memoized by size like eye."""
     return canonical_alternating([1] * p, 2 * p)
 
 

@@ -71,6 +71,33 @@ class TestRationalRoundTrip:
             assert all(isinstance(x, str) for x in flat), key
 
 
+# ---------------------------------------------------------------------------
+# the document writer
+
+writer_scalars = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+writer_values = st.recursive(
+    writer_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.text(), writer_values, max_size=4))
+def test_dumps_writes_the_bytes_of_json_indent(doc):
+    """Nested empties, non-ASCII and control characters, bools, None, non-finite floats, big ints."""
+    expect = json.dumps({"version": docs.FORMAT_VERSION, **doc}, sort_keys=True, indent=2, separators=(",", ": "))
+    assert docs.dumps(doc) == expect + "\n"
+
+
 class TestCommands:
     def test_check_ok(self, tmp_path):
         code, out = run(tmp_path, ["check"], flip_doc())

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
@@ -234,3 +236,129 @@ class TestRandomCampaignSmall:
         theta = tg.make_theta(xl.zeros(2, 2))
         with pytest.raises(tg.Undefined):
             eb.pipeline(flip2(), theta)
+
+
+# ---------------------------------------------------------------------------
+# verified closed forms
+
+
+def mixed_torsion_case():
+    """Acceptance trial 5:15: g and theta with p = 2, q = 1, k = 2 and orders (6, 1)."""
+    rng = random.Random("acceptance:5:15")
+    g = tg.random_element("acceptance:5:15:g", rng.randint(1, 8), 5)
+    for r in range(20):
+        theta = tg.random_theta(f"acceptance:5:15:theta:{r}", 5, 12)
+        if tg.is_defined(g, theta):
+            return g, theta
+    raise AssertionError("no theta in the domain")
+
+
+def defined_pipelines(g, seed, count):
+    """pipeline(g, theta) for the first `count` drawn theta in the domain of g."""
+    results = []
+    for r in range(40):
+        try:
+            results.append(eb.pipeline(g, tg.random_theta(f"{seed}:theta:{r}", g.n)))
+        except tg.Undefined:
+            continue
+        if len(results) == count:
+            break
+    return results
+
+
+def failed_certificate(g, theta) -> str:
+    with pytest.raises(eb.EmbeddingError) as info:
+        eb.pipeline(g, theta)
+    return info.value.name
+
+
+class TestVerifiedClosedForms:
+    """S and g' come from closed forms checked against their defining systems,
+    so a wrong closed form must fail a certificate."""
+
+    def test_case_shape(self):
+        d = eb.pipeline(*mixed_torsion_case()).data
+        assert (d.special.p, d.special.q, d.torsion.k, d.torsion.nj) == (2, 1, 2, (6, 1))
+        assert d.all_passed()
+
+    @pytest.mark.parametrize("row", [0, 5, -1])  # rows of the u, a^ and w^ blocks
+    def test_perturbed_dual_closed_form(self, monkeypatch, row):
+        closed = eb._dual_closed_form
+
+        def perturbed(*args):
+            S = closed(*args)
+            rows = [list(r) for r in S.rows]
+            rows[row][0] += S.den
+            return xl.Mat(rows, S.den, S.shape[1])
+
+        monkeypatch.setattr(eb, "_dual_closed_form", perturbed)
+        assert failed_certificate(*mixed_torsion_case()) == "S_closed_form"
+
+    @pytest.mark.parametrize(
+        "perturb, name",
+        [
+            # a half in D': not integral
+            (lambda A, B, C, D, E: (A, B, C, D + F(1, 2) * E), "gprime_integral"),
+            # a one in D': integral, but not a group member
+            (lambda A, B, C, D, E: (A, B, C, D + E), "gprime_membership"),
+            # g' mu(N) for a skew N: a group member that moves theta elsewhere
+            (lambda A, B, C, D, E: (A, A @ (E - E.T) + B, C, C @ (E - E.T) + D), "gprime_action"),
+        ],
+    )
+    def test_perturbed_gprime_closed_form(self, monkeypatch, perturb, name):
+        closed = eb._gprime_closed_form
+
+        def perturbed(td, q):
+            A, B, C, D = closed(td, q)
+            n = A.shape[0]
+            E = xl.Mat([[int((i, j) == (0, n - 1)) for j in range(n)] for i in range(n)], 1, n)
+            return perturb(A, B, C, D, E)
+
+        monkeypatch.setattr(eb, "_gprime_closed_form", perturbed)
+        assert failed_certificate(*mixed_torsion_case()) == name
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
+    def test_tbar_determinant_factors(self, seed, n):
+        """det Tbar = (-1)^q det T~ prod n_j^2: S_tbar_invertible rests on this."""
+        g = tg.random_element(f"tbar{seed}", 1 + seed % 8, n)
+        results = defined_pipelines(g, f"tbar{seed}", 1)
+        assume(results)
+        d = results[0].data
+        td = d.torsion
+        orders = math.prod(nj**2 for nj in td.nj)
+        assert xl.det(eb._tbar(d.emb, td)) == (-1) ** d.special.q * d.emb.tilde_det * orders
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
+    def test_closed_forms_equal_the_solved_systems(self, seed, n):
+        """The inversions the certificates no longer perform give the same S and g'."""
+        g = tg.random_element(f"solve{seed}", 1 + seed % 8, n)
+        results = defined_pipelines(g, f"solve{seed}", 1)
+        assume(results)
+        d = results[0].data
+        td, p, q = d.torsion, d.special.p, d.special.q
+        phi = eb._phi_matrices(td, p, q)
+        gram = xl.matmul(eb._tbar(d.emb, td).T, d.emb.J)
+        assert xl.matmul(xl.rational_inverse(gram), phi) == d.dual.matrix
+        inv = xl.rational_inverse(d.phi_star)
+        theta, theta_out = d.theta_in.M, d.theta_out.M
+        Cp = xl.matmul(inv, d.curvature)
+        Dp = inv - xl.matmul(Cp, theta)
+        Ap = d.phi_star.T + xl.matmul(theta_out, Cp)
+        Bp = xl.matmul(theta_out, inv) - xl.matmul(Ap, theta)
+        assert xl.block([[Ap, Bp], [Cp, Dp]]) == d.g_prime.M
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
+def test_factorization_does_not_depend_on_theta(seed, n):
+    """g', N, A~ and R0 are functions of g alone: two theta in the domain agree."""
+    g = tg.random_element(f"indep{seed}", 1 + seed % 8, n)
+    results = defined_pipelines(g, f"indep{seed}", 2)
+    assume(len(results) == 2 and results[0].chain.source != results[1].chain.source)
+    a, b = (r.data for r in results)
+    assert a.g_prime == b.g_prime
+    assert a.shear == b.shear
+    assert a.basis_change == b.basis_change
+    assert a.r0 == b.r0

@@ -1,12 +1,11 @@
 """Output stability across commits: `pipeline` documents match recorded digests.
 
 perfbench/reference.json holds the SHA-256 of the input and output document
-of every benchmark pool trial.  A fixed slice of those trials is replayed
-through the command-line entry point; any change to the bytes of a
-`pipeline` document fails here.  The slice takes the first 40 trials of each
-size n <= 6 and the first 4 of n = 8, 12 and 16, whose larger Smith,
-alternating and symplectic reductions (p up to 6, torsion orders up to 28)
-fix the bytes of T and R.  perfbench/ is only read.
+of every benchmark pool trial.  All 1120 trials (200 of each size n <= 6,
+then 60, 36 and 24 of n = 8, 12 and 16, whose larger Smith, alternating and
+symplectic reductions fix the bytes of T and R) are replayed through the
+command-line entry point; any change to the bytes of a `pipeline` document
+fails here.  perfbench/ is only read.
 """
 
 import hashlib
@@ -20,7 +19,7 @@ import pytest
 from nctorus import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRIALS_PER_SIZE = {2: 40, 3: 40, 4: 40, 5: 40, 6: 40, 8: 4, 12: 4, 16: 4}
+SIZES = [2, 3, 4, 5, 6, 8, 12, 16]
 
 
 def load_gen():
@@ -35,11 +34,12 @@ def load_gen():
     return gen
 
 
-@pytest.mark.parametrize("n", sorted(TRIALS_PER_SIZE))
+@pytest.mark.parametrize("n", SIZES)
 def test_pipeline_documents_match_reference(tmp_path, n):
     gen = load_gen()
     pool = json.loads((PERFBENCH / "reference.json").read_text())["pools"][str(n)]
-    for s, entry in enumerate(pool[: TRIALS_PER_SIZE[n]]):
+    assert len(pool) == {8: 60, 12: 36, 16: 24}.get(n, 200)
+    for s, entry in enumerate(pool):
         data = gen.pipeline_doc(n, s)
         assert hashlib.sha256(data).hexdigest() == entry["in"], gen.trial_id(n, s)
         inp, out = tmp_path / "in.json", tmp_path / "out.json"
