@@ -8,10 +8,7 @@ check of the induced Heisenberg module actions.
 """
 
 from .embedding import (
-    Certificate,
-    EmbeddingData,
     EmbeddingError,
-    MoritaChain,
     PipelineResult,
     build_torsion_data,
     pipeline,
@@ -28,7 +25,6 @@ from .exact_linalg import (
 from .module_sim import (
     ModuleDescriptor,
     PointM,
-    TestFunction,
     check_bimodule_commutation,
     check_left_relation,
     check_module_relation,

@@ -118,15 +118,14 @@ def cmd_decompose(job: dict, opts) -> dict:
     if theta is None:
         theta = _probe_theta(g)
     res = pipeline(g, theta)
-    d = res.data
     return {
         "n": g.n,
-        "R0": docs.int_matrix_doc(d.r0),
-        "g_prime": docs.group_doc(d.g_prime),
-        "shear": docs.int_matrix_doc(d.shear),
-        "basis_change": docs.int_matrix_doc(d.basis_change),
-        "certificates": docs.certificates_doc(d.certificates),
-        "all_passed": d.all_passed(),
+        "R0": docs.int_matrix_doc(res.r0),
+        "g_prime": docs.group_doc(res.g_prime),
+        "shear": docs.int_matrix_doc(res.shear),
+        "basis_change": docs.int_matrix_doc(res.basis_change),
+        "certificates": docs.certificates_doc(res.certificates),
+        "all_passed": res.all_passed(),
     }
 
 
@@ -134,7 +133,7 @@ def cmd_embed(job: dict, opts) -> dict:
     g = _element(job)
     _require(job, "theta")
     res = pipeline(g, job["theta"])
-    return docs.embedding_doc(res.data)
+    return docs.embedding_doc(res)
 
 
 def cmd_pipeline(job: dict, opts) -> dict:
@@ -211,11 +210,11 @@ def campaign_trial(n: int, trial_seed: str, word_length: int = 8, max_den: int =
             return {"defined": True, "passed": False, "failed_certificate": e.name}, None
         info = {
             "defined": True,
-            "passed": res.data.all_passed(),
-            "p": res.data.special.p,
-            "q": res.data.special.q,
-            "k": res.data.torsion.k,
-            "orders": list(res.data.torsion.nj),
+            "passed": res.all_passed(),
+            "p": res.special.p,
+            "q": res.special.q,
+            "k": res.torsion.k,
+            "orders": list(res.torsion.nj),
         }
         return info, res
     return {"defined": False}, None

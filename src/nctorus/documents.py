@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _string
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
-from .embedding import EmbeddingData, MoritaChain, PipelineResult
+from .embedding import PipelineResult
 from .module_sim import ModuleDescriptor, ModuleSimError, verify_descriptor
 from .torus_group import GroupElement, Theta, make_theta
 
@@ -178,8 +178,9 @@ def load_job(doc: dict) -> dict:
 # result documents
 
 
-def certificates_doc(certs) -> list[dict]:
-    return [{"name": c.name, "passed": c.passed} for c in certs]
+def certificates_doc(names) -> list[dict]:
+    """Each certificate that ran passed: a failing one raises instead."""
+    return [{"name": name, "passed": True} for name in names]
 
 
 def descriptor_doc(d: ModuleDescriptor) -> dict:
@@ -225,57 +226,49 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
     return d
 
 
-def chain_doc(chain: MoritaChain) -> dict:
-    steps = []
-    for step in chain.steps:
-        if step.kind == "iso_rho":
-            steps.append({"kind": "iso_rho", "R": int_matrix_doc(step.R)})
-        elif step.kind == "iso_mu":
-            steps.append({"kind": "iso_mu", "N": int_matrix_doc(step.N)})
-        else:
-            steps.append(
-                {
-                    "kind": "heisenberg",
-                    "theta": theta_doc(step.descriptor.theta),
-                    "theta_prime": theta_doc(step.descriptor.theta_prime),
-                }
-            )
+def chain_doc(res: PipelineResult) -> dict:
+    """The fixed chain rho(R0^-1), Heisenberg bimodule, rho(A), mu(N)."""
     return {
-        "source": theta_doc(chain.source),
-        "target": theta_doc(chain.target),
-        "steps": steps,
+        "source": theta_doc(res.source),
+        "target": theta_doc(res.target),
+        "steps": [
+            {"kind": "iso_rho", "R": int_matrix_doc(res.r0_inv)},
+            {"kind": "heisenberg", "theta": theta_doc(res.theta_in), "theta_prime": theta_doc(res.theta_out)},
+            {"kind": "iso_rho", "R": int_matrix_doc(res.basis_change)},
+            {"kind": "iso_mu", "N": int_matrix_doc(res.shear)},
+        ],
     }
 
 
-def embedding_doc(data: EmbeddingData) -> dict:
-    td = data.torsion
+def embedding_doc(res: PipelineResult) -> dict:
+    td = res.torsion
     return {
-        "n": data.g1.n,
-        "p": data.special.p,
-        "q": data.special.q,
+        "n": res.source.n,
+        "p": res.special.p,
+        "q": res.special.q,
         "k": td.k,
         "orders": list(td.nj),
         "m": td.m,
         "h": list(td.h),
-        "R0": int_matrix_doc(data.r0),
-        "Z": rat_matrix_doc(data.special.Z),
-        "theta_in": theta_doc(data.theta_in),
-        "theta_prime": theta_doc(data.theta_out),
-        "T": rat_matrix_doc(data.emb.matrix),
-        "S": rat_matrix_doc(data.dual.matrix),
-        "phi_star": rat_matrix_doc(data.phi_star),
-        "curvature": rat_matrix_doc(data.curvature),
-        "g_prime": group_doc(data.g_prime),
-        "shear": int_matrix_doc(data.shear),
-        "basis_change": int_matrix_doc(data.basis_change),
-        "certificates": certificates_doc(data.certificates),
-        "all_passed": data.all_passed(),
+        "R0": int_matrix_doc(res.r0),
+        "Z": rat_matrix_doc(res.special.Z),
+        "theta_in": theta_doc(res.theta_in),
+        "theta_prime": theta_doc(res.theta_out),
+        "T": rat_matrix_doc(res.emb.matrix),
+        "S": rat_matrix_doc(res.dual.matrix),
+        "phi_star": rat_matrix_doc(res.phi_star),
+        "curvature": rat_matrix_doc(res.curvature),
+        "g_prime": group_doc(res.g_prime),
+        "shear": int_matrix_doc(res.shear),
+        "basis_change": int_matrix_doc(res.basis_change),
+        "certificates": certificates_doc(res.certificates),
+        "all_passed": res.all_passed(),
     }
 
 
 def pipeline_doc(res: PipelineResult) -> dict:
-    doc = embedding_doc(res.data)
-    doc["chain"] = chain_doc(res.chain)
+    doc = embedding_doc(res)
+    doc["chain"] = chain_doc(res)
     doc["module_descriptor"] = descriptor_doc(res.descriptor)
     return doc
 

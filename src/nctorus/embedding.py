@@ -15,12 +15,15 @@ builds, over the ambient phase space of dimension n + q + 2k:
     formulas,
   * the factorization g = mu(N) rho(A) g' of the normalized element.
 
-Every identity is checked in exact arithmetic and recorded as a named
-certificate.  Where a value is the unique solution of a linear system, its
-closed form is checked against that system instead of solving it, which
-certifies the same fact without forming an inverse.  A failed certificate
-raises with its name and a message.  The pipeline wires these into the full
-equivalence chain.
+Every identity is checked in exact arithmetic, once, and a check that
+passes is logged by name.  Where a value is the unique solution of a linear
+system, its closed form is checked against that system instead of solving
+it, which certifies the same fact without forming an inverse.  A failed
+certificate raises with its name and a message.  ``pipeline`` runs the
+stages in order and returns one ``PipelineResult`` holding each value it
+built and the names of the certificates that passed.  The Morita chain it
+certifies is fixed, rho(R0^-1), the Heisenberg bimodule, rho(A), mu(N), so
+the result stores the chain's matrices and not a list of steps.
 
 The closed forms for the diagonal corner of A' and D' are taken as -I_q:
 with +I_q the product identity theta' = g' theta fails on any example with
@@ -62,28 +65,16 @@ class EmbeddingError(Exception):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Certificate:
-    name: str
-    passed: bool
-
-
 class CertificateLog:
-    """Ordered, eagerly evaluated certificate list."""
+    """The names of the certificates that passed, in run order; a failure raises."""
 
     def __init__(self):
-        self.entries: list[Certificate] = []
+        self.names: list[str] = []
 
     def check(self, name: str, ok: bool, message: str):
-        self.entries.append(Certificate(name=name, passed=bool(ok)))
         if not ok:
             raise EmbeddingError(name, message)
-
-    def names(self) -> list[str]:
-        return [c.name for c in self.entries]
-
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.entries)
+        self.names.append(name)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +369,7 @@ def theta_prime(
         [-xl.matmul(t21, F11, R.T, blk3), t22 - xl.matmul(t21, F11, t12)],
     ])
     certs.check("theta_prime_blocks", tp == expect, "block formulas for theta' disagree with -S^t J S")
-    return make_theta(tp)
+    return Theta(n=tp.shape[0], M=tp)  # S_pullback certified tp skew
 
 
 def _gprime_closed_form(td: TorsionData, q: int) -> tuple[Mat, Mat, Mat, Mat]:
@@ -464,86 +455,43 @@ def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple
 
 
 @dataclass(frozen=True, eq=False)
-class ChainStep:
-    kind: str  # "iso_rho" | "iso_mu" | "heisenberg"
-    R: Mat | None = None
-    N: Mat | None = None
-    descriptor: ModuleDescriptor | None = None
+class PipelineResult:
+    """Everything one pipeline run builds, each value held once.
 
-    def apply(self, theta: Theta) -> Theta:
-        if self.kind == "iso_rho":
-            return make_theta(xl.matmul(self.R, theta.M, self.R.T))
-        if self.kind == "iso_mu":
-            return make_theta(theta.M + self.N)
-        if self.kind == "heisenberg":
-            if theta != self.descriptor.theta:
-                raise AssertionError("module step applied to the wrong matrix")
-            return self.descriptor.theta_prime
-        raise ValueError(f"unknown step kind {self.kind!r}")
+    The Morita chain is fixed: rho(R0^-1) carries source to theta_in, the
+    Heisenberg bimodule carries theta_in to theta_out, and rho(basis_change)
+    then mu(shear) carry theta_out to target = g theta.  ``certificates``
+    names the checks that passed, in run order.
+    """
 
-
-@dataclass(frozen=True, eq=False)
-class MoritaChain:
     source: Theta
     target: Theta
-    steps: tuple[ChainStep, ...]
-
-    def endpoint(self) -> Theta:
-        cur = self.source
-        for step in self.steps:
-            cur = step.apply(cur)
-        return cur
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingData:
+    r0: Mat
+    r0_inv: Mat
     special: SpecialForm
     torsion: TorsionData
+    f11: Mat
     emb: EmbeddingMap
     dual: EmbeddingMap
-    f11: Mat
-    theta_in: Theta
-    theta_out: Theta
     phi_star: Mat
     curvature: Mat
     g_prime: GroupElement
     shear: Mat
     basis_change: Mat
-    r0: Mat
-    g1: GroupElement
-    certificates: tuple[Certificate, ...]
+    descriptor: ModuleDescriptor
+    certificates: tuple[str, ...]
+
+    @property
+    def theta_in(self) -> Theta:
+        return self.descriptor.theta
+
+    @property
+    def theta_out(self) -> Theta:
+        return self.descriptor.theta_prime
 
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.certificates)
-
-
-@dataclass(frozen=True, eq=False)
-class PipelineResult:
-    data: EmbeddingData
-    chain: MoritaChain
-    descriptor: ModuleDescriptor
-
-
-def build_embedding(
-    g1: GroupElement, theta1: Theta, certs: CertificateLog
-) -> tuple[SpecialForm, TorsionData, EmbeddingMap, EmbeddingMap, Mat, Theta, Mat, Mat, GroupElement]:
-    """Run the construction on an element already in special form."""
-    sf = detect_special_form(g1)
-    F11 = domain_check(sf, theta1)
-    certs.check("domain_defined", F11 is not None, "theta_11 - Z is singular")
-    td = build_torsion_data(sf.Z)
-    certs.check(
-        "torsion_normal_form",
-        td.R.T @ xl.canonical_alternating(list(td.h), 2 * td.p) @ td.R == td.m * sf.Z,
-        "alternating reduction does not reproduce m Z",
-    )
-    emb = build_T(sf, td, theta1, certs)
-    phi = _phi_matrices(td, sf.p, sf.q)
-    dual = build_S(sf, td, emb, phi, F11, certs)
-    verify_duality(emb, dual, td, phi, certs)
-    tp = theta_prime(dual, td, theta1, F11, certs)
-    phi_star, curvature, gp = build_gprime(sf, td, theta1, tp, F11, certs)
-    return sf, td, emb, dual, F11, tp, phi_star, curvature, gp
+        """Every certificate ran and passed (a failing one raises instead)."""
+        return list(self.certificates) == CERTIFICATE_NAMES
 
 
 def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
@@ -560,48 +508,57 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
     g1 = compose(g, rho_R0)
     R0_inv = rho_R0.D.T  # rho(R0) = diag(R0, R0^-t)
     theta1 = make_theta(xl.matmul(R0_inv, theta.M, R0_inv.T))
-    sf, td, emb, dual, F11, tp, phi_star, curvature, gp = build_embedding(g1, theta1, certs)
-    N, At = decompose(g1, gp, certs)
-    descriptor = ModuleDescriptor(
-        p=sf.p,
-        q=sf.q,
-        k=td.k,
-        orders=td.nj,
-        T=emb.matrix,
-        S=dual.matrix,
-        theta=theta1,
-        theta_prime=tp,
+    sf = detect_special_form(g1)
+    F11 = domain_check(sf, theta1)
+    certs.check("domain_defined", F11 is not None, "theta_11 - Z is singular")
+    td = build_torsion_data(sf.Z)
+    certs.check(
+        "torsion_normal_form",
+        td.R.T @ xl.canonical_alternating(list(td.h), 2 * td.p) @ td.R == td.m * sf.Z,
+        "alternating reduction does not reproduce m Z",
     )
-    chain = MoritaChain(
+    emb = build_T(sf, td, theta1, certs)
+    phi = _phi_matrices(td, sf.p, sf.q)
+    dual = build_S(sf, td, emb, phi, F11, certs)
+    verify_duality(emb, dual, td, phi, certs)
+    tp = theta_prime(dual, td, theta1, F11, certs)
+    phi_star, curvature, gp = build_gprime(sf, td, theta1, tp, F11, certs)
+    N, At = decompose(g1, gp, certs)
+    # The first step carries theta to theta1 by construction and the certified
+    # embedding carries theta1 to tp, so the chain ends at g theta exactly when
+    # the last two steps carry tp there.
+    certs.check(
+        "chain_endpoint",
+        xl.matmul(At, tp.M, At.T) + N == target.M,
+        "composed chain does not reach g theta",
+    )
+    return PipelineResult(
         source=theta,
         target=target,
-        steps=(
-            ChainStep(kind="iso_rho", R=R0_inv),
-            ChainStep(kind="heisenberg", descriptor=descriptor),
-            ChainStep(kind="iso_rho", R=At),
-            ChainStep(kind="iso_mu", N=N),
-        ),
-    )
-    endpoint = chain.endpoint()
-    certs.check("chain_endpoint", endpoint == chain.target, "composed chain does not reach g theta")
-    data = EmbeddingData(
+        r0=R0,
+        r0_inv=R0_inv,
         special=sf,
         torsion=td,
+        f11=F11,
         emb=emb,
         dual=dual,
-        f11=F11,
-        theta_in=theta1,
-        theta_out=tp,
         phi_star=phi_star,
         curvature=curvature,
         g_prime=gp,
         shear=N,
         basis_change=At,
-        r0=R0,
-        g1=g1,
-        certificates=tuple(certs.entries),
+        descriptor=ModuleDescriptor(
+            p=sf.p,
+            q=sf.q,
+            k=td.k,
+            orders=td.nj,
+            T=emb.matrix,
+            S=dual.matrix,
+            theta=theta1,
+            theta_prime=tp,
+        ),
+        certificates=tuple(certs.names),
     )
-    return PipelineResult(data=data, chain=chain, descriptor=descriptor)
 
 
 CERTIFICATE_NAMES = [

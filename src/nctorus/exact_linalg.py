@@ -670,7 +670,9 @@ def symplectic_factor_rational(A: Mat) -> Mat:
     Symplectic Gram-Schmidt over the rationals: the pivot is the first basis
     vector not yet consumed, its partner the first remaining vector with
     nonzero pairing, and the pivot is rescaled so the pair couples to 1.
-    Verified by re-multiplication.
+    The basis S then has S^t A S = J0, so T = S^-1 = -J0 S^t A is formed
+    without an inverse.  The re-multiplication T^t J0 T = A verifies it:
+    it holds exactly when S^t A S = J0.
 
     Each vector is held as integers xs over its own denominator dx, and with
     A = F / dA the pairing of x and y is (xs^t F ys) / (dx dA dy), so every
@@ -722,7 +724,8 @@ def symplectic_factor_rational(A: Mat) -> Mat:
     basis = us + vs
     den = math.lcm(*(d for _, d in basis))
     S = Mat([[x * (den // d) for x in xs] for xs, d in basis], den, n).T
-    T = rational_inverse(S)
-    if matmul(T.T, standard_symplectic(p), T) != A:
+    J0 = standard_symplectic(p)
+    T = -matmul(J0, S.T, A)
+    if matmul(T.T, J0, T) != A:
         raise AssertionError("symplectic factor re-multiplication failed")
     return T

@@ -27,6 +27,7 @@ import cmath
 import functools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -108,17 +109,8 @@ class PointM:
     w: tuple[int, ...]
 
 
-class TestFunction:
-    """A pure evaluation rule PointM -> complex with a declared decay class."""
-
-    __test__ = False  # not a pytest collection target
-
-    def __init__(self, fn, label="fn"):
-        self._fn = fn
-        self.label = label
-
-    def __call__(self, m: PointM) -> complex:
-        return self._fn(m)
+# A test function is any pure callable PointM -> complex.
+PointFunction = Callable[[PointM], complex]
 
 
 def e2pi(t) -> complex:
@@ -252,24 +244,24 @@ class _Twist:
         )
 
 
-def _twisted(f: TestFunction, tw: _Twist, label: str) -> TestFunction:
+def _twisted(f: PointFunction, tw: _Twist) -> PointFunction:
     """m -> phase <m, ...> f(shift(m)) for the constants of one action."""
     phase, pair, shift = tw.phase, tw.pair, tw.shift
 
     def ev(m: PointM) -> complex:
         return phase * pair(m) * f(shift(m))
 
-    return TestFunction(ev, label=label)
+    return ev
 
 
-def right_action(f: TestFunction, x, d: ModuleDescriptor) -> TestFunction:
+def right_action(f: PointFunction, x, d: ModuleDescriptor) -> PointFunction:
     """(f U_x)(m) = e(-T(x).J'T(x)/2) <m, T''(x)> f(m - T'(x))."""
-    return _twisted(f, _Twist(d._images[0], _lattice(x, d), -1), f"({f.label})U{tuple(x)}")
+    return _twisted(f, _Twist(d._images[0], _lattice(x, d), -1))
 
 
-def left_action(x, f: TestFunction, d: ModuleDescriptor) -> TestFunction:
+def left_action(x, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
     """(V_x f)(m) = e(-S(x).J'S(x)/2) <m, -S''(x)> f(m + S'(x))."""
-    return _twisted(f, _Twist(d._images[1], _lattice(x, d), +1), f"V{tuple(x)}({f.label})")
+    return _twisted(f, _Twist(d._images[1], _lattice(x, d), +1))
 
 
 def sigma_cocycle(theta: Theta, x, y) -> complex:
@@ -277,7 +269,7 @@ def sigma_cocycle(theta: Theta, x, y) -> complex:
     return _half_phase(theta.M, [int(t) for t in x], [int(t) for t in y])
 
 
-def check_module_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> float:
+def check_module_relation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
     """max_m |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|."""
     lhs = right_action(right_action(f, x, d), y, d)
     sig = _half_phase(d.theta.M, _lattice(x, d), _lattice(y, d))
@@ -285,7 +277,7 @@ def check_module_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -
     return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
 
 
-def check_left_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> float:
+def check_left_relation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
     lhs = left_action(x, left_action(y, f, d), d)
     sig = _half_phase(d.theta_prime.M, _lattice(x, d), _lattice(y, d))
@@ -293,7 +285,7 @@ def check_left_relation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> 
     return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
 
 
-def check_bimodule_commutation(x, y, f: TestFunction, samples, d: ModuleDescriptor) -> float:
+def check_bimodule_commutation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
     """max_m |(V_y (f U_x))(m) - ((V_y f) U_x)(m)|."""
     lhs = left_action(y, right_action(f, x, d), d)
     rhs = right_action(left_action(y, f, d), x, d)
@@ -310,7 +302,7 @@ def gaussian(
     center_a: tuple[int, ...] | None = None,
     modulation: tuple[float, ...] | None = None,
     w_char: tuple[int, ...] | None = None,
-) -> TestFunction:
+) -> PointFunction:
     """A Gaussian-class function: Gaussian in u and a, character in w."""
     cu = center_u if center_u is not None else (0.0,) * d.p
     ca = center_a if center_a is not None else (0,) * d.q
@@ -325,10 +317,10 @@ def gaussian(
         phase += sum(tj * wj % nj / nj for tj, wj, nj in zip(ch, m.w, orders))
         return math.exp(-math.pi * s) * e2pi(phase)
 
-    return TestFunction(ev, label="gaussian")
+    return ev
 
 
-def random_gaussian(rng: random.Random, d: ModuleDescriptor) -> TestFunction:
+def random_gaussian(rng: random.Random, d: ModuleDescriptor) -> PointFunction:
     return gaussian(
         d,
         center_u=tuple(rng.uniform(-1, 1) for _ in range(d.p)),
@@ -367,8 +359,8 @@ class QuadratureConfig:
 
 
 def inner_product_numeric(
-    f: TestFunction,
-    g: TestFunction,
+    f: PointFunction,
+    g: PointFunction,
     x,
     d: ModuleDescriptor,
     quad: QuadratureConfig = QuadratureConfig(),

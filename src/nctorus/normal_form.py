@@ -34,17 +34,10 @@ class SpecialForm:
     n: int
     p: int
     Z: Mat  # 2p x 2p rational skew
-    C11: Mat
-    C21: Mat
-    D12: Mat
-    D22: Mat
 
     @property
     def q(self) -> int:
         return self.n - 2 * self.p
-
-    def mixed_matrix(self) -> Mat:
-        return xl.block([[self.C11, self.D12], [self.C21, self.D22]])
 
 
 def detect_special_form(g: GroupElement) -> SpecialForm:
@@ -77,18 +70,9 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
         raise NotSpecialForm("leading columns of D are not -C Z for any Z") from None
     if not xl.is_skew(Z):
         raise NotSpecialForm("solved Z is not skew-symmetric")
-    sf = SpecialForm(
-        n=n,
-        p=p,
-        Z=Z,
-        C11=C[:width, :width],
-        C21=C[width:, :width],
-        D12=D[:width, width:],
-        D22=D[width:, width:],
-    )
-    if xl.det(sf.mixed_matrix()) == 0:
+    if xl.det(xl.block([[lead, D[:, width:]]])) == 0:
         raise NotSpecialForm("mixed block matrix [C11 D12; C21 D22] is singular")
-    return sf
+    return SpecialForm(n=n, p=p, Z=Z)
 
 
 def normalize_right(g: GroupElement) -> Mat:

@@ -210,12 +210,12 @@ def random_unimodular(rng: random.Random, n: int, ops: int | None = None) -> Mat
     if n == 1:
         return Mat(R, 1, n)
     for _ in range(ops if ops is not None else rng.randint(2, 4)):
-        kind = rng.randrange(3)
+        op = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
-        if kind == 0:
+        if op == 0:
             c = rng.choice([-3, -2, -1, 1, 2, 3])
             R[i] = [a + c * b for a, b in zip(R[i], R[j])]
-        elif kind == 1:
+        elif op == 1:
             R[i], R[j] = R[j], R[i]
         else:
             R[i] = [-a for a in R[i]]
@@ -242,10 +242,10 @@ def random_element(seed, word_length: int, n: int) -> GroupElement:
     rng = random.Random(seed)
     g = identity_element(n)
     for _ in range(word_length):
-        kind = rng.randrange(3)
-        if kind == 0:
+        op = rng.randrange(3)
+        if op == 0:
             step = rho(random_unimodular(rng, n))
-        elif kind == 1:
+        elif op == 1:
             step = mu(random_skew_int(rng, n))
         else:
             step = sigma_flip(random_even_support(rng, n), n)

@@ -59,7 +59,7 @@ def test_criterion_1_flip_worked_example():
         g = tg.sigma_flip([1, 2], 2)
         theta = tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]])
         res = eb.pipeline(g, theta)
-        d = res.data
+        d = res
         assert xl.mat_eq(d.theta_out.M, xl.mat([[0, -3], [3, 0]]))
         assert xl.mat_eq(d.emb.matrix, xl.diag([F(1, 3), F(1)]))
         assert xl.mat_eq(d.dual.matrix, xl.mat([[0, -1], [3, 0]]))
@@ -69,7 +69,7 @@ def test_criterion_1_flip_worked_example():
         assert xl.mat_eq(gp.B, -xl.eye(2)) and xl.mat_eq(gp.C, -xl.eye(2))
         assert xl.is_zero(d.shear) and xl.mat_eq(d.basis_change, -xl.eye(2))
         assert d.all_passed()
-        assert [c.name for c in d.certificates] == eb.CERTIFICATE_NAMES
+        assert list(d.certificates) == eb.CERTIFICATE_NAMES
 
 
 def test_criterion_2_randomized_campaign():
@@ -85,7 +85,7 @@ def test_criterion_2_randomized_campaign():
         assert len(defined) >= 0.9 * len(runs)
         for n, s, info, res in defined:
             assert info["passed"], f"trial n={n} seed={s} failed"
-            assert [c.name for c in res.data.certificates] == eb.CERTIFICATE_NAMES
+            assert list(res.certificates) == eb.CERTIFICATE_NAMES
 
 
 def test_criterion_3_identity_suite():
@@ -207,13 +207,13 @@ def test_criterion_6_degenerate_closure():
         # p = 0: C vanishes entirely
         N = tg.random_skew_int(random.Random("deg"), 3)
         res_p0 = eb.pipeline(tg.mu(N), tg.random_theta("deg-theta", 3))
-        assert res_p0.data.special.p == 0
+        assert res_p0.special.p == 0
 
         # k = 0: special form with Z = 0
         res_k0 = eb.pipeline(
             tg.sigma_flip([1, 2], 2), tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]])
         )
-        assert res_k0.data.torsion.k == 0
+        assert res_k0.torsion.k == 0
 
         # q = 0: full flip in n = 4
         theta4 = tg.make_theta(
@@ -225,8 +225,8 @@ def test_criterion_6_degenerate_closure():
             ]
         )
         res_q0 = eb.pipeline(tg.sigma_flip([1, 2, 3, 4], 4), theta4)
-        assert res_q0.data.special.q == 0
+        assert res_q0.special.q == 0
 
         for res in (res_p0, res_k0, res_q0):
-            assert res.data.all_passed()
-            assert [c.name for c in res.data.certificates] == eb.CERTIFICATE_NAMES
+            assert res.all_passed()
+            assert list(res.certificates) == eb.CERTIFICATE_NAMES

@@ -404,6 +404,17 @@ class TestCommands:
         failed = [r for r in out["results"] if r.get("defined")]
         assert failed and all(r["failed_certificate"] == "T_pullback" for r in failed)
 
+    def test_skipped_certificate_exit_1(self, tmp_path, monkeypatch):
+        """A certificate that never ran fails the run, though none raised."""
+        from nctorus import embedding as eb
+
+        monkeypatch.setattr(eb, "verify_duality", lambda *args: None)
+        job = docs.load_job(flip_doc())
+        assert not eb.pipeline(tg.check_membership(*job["g_blocks"]), job["theta"]).all_passed()
+        code, out = run(tmp_path, ["pipeline"], flip_doc())
+        assert code == 1 and out["all_passed"] is False
+        assert "pairing_integral" not in [c["name"] for c in out["certificates"]]
+
     def test_campaign_deterministic(self, tmp_path):
         out1 = tmp_path / "c1.json"
         out2 = tmp_path / "c2.json"

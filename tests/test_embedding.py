@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nctorus import documents as docs
 from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
 from nctorus import torus_group as tg
@@ -16,6 +17,28 @@ def flip2():
 
 def theta_third():
     return tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]])
+
+
+def printed_chain_end(g, theta, res) -> xl.Mat:
+    """Apply the four printed chain steps exactly to the printed source.
+
+    The running value must reach the Heisenberg step's theta, and the end
+    must be the printed target and g theta.
+    """
+    chain = docs.pipeline_doc(res)["chain"]
+    assert [step["kind"] for step in chain["steps"]] == ["iso_rho", "heisenberg", "iso_rho", "iso_mu"]
+    cur = docs.parse_rat_matrix(chain["source"])
+    for step in chain["steps"]:
+        if step["kind"] == "iso_rho":
+            R = docs.parse_int_matrix(step["R"])
+            cur = R @ cur @ R.T
+        elif step["kind"] == "heisenberg":
+            assert cur == docs.parse_rat_matrix(step["theta"])
+            cur = docs.parse_rat_matrix(step["theta_prime"])
+        else:
+            cur = cur + docs.parse_int_matrix(step["N"])
+    assert cur == docs.parse_rat_matrix(chain["target"]) == tg.act(g, theta).M
+    return cur
 
 
 class TestTorsionData:
@@ -68,22 +91,22 @@ class TestFlipWorkedExample:
 
     def test_embedding_matrices(self):
         res = self.run()
-        d = res.data
+        d = res
         assert xl.mat_eq(d.emb.matrix, xl.diag([F(1, 3), F(1)]))
         assert xl.mat_eq(d.dual.matrix, xl.mat([[0, -1], [3, 0]]))
 
     def test_theta_prime(self):
         res = self.run()
-        assert xl.mat_eq(res.data.theta_out.M, xl.mat([[0, -3], [3, 0]]))
+        assert xl.mat_eq(res.theta_out.M, xl.mat([[0, -3], [3, 0]]))
 
     def test_tangent_and_curvature(self):
         res = self.run()
-        assert xl.mat_eq(res.data.phi_star, xl.mat([[0, 3], [-3, 0]]))
-        assert xl.mat_eq(res.data.curvature, xl.mat([[0, -3], [3, 0]]))
+        assert xl.mat_eq(res.phi_star, xl.mat([[0, 3], [-3, 0]]))
+        assert xl.mat_eq(res.curvature, xl.mat([[0, -3], [3, 0]]))
 
     def test_gprime_and_factorization(self):
         res = self.run()
-        d = res.data
+        d = res
         gp = d.g_prime
         assert xl.is_zero(gp.A) and xl.is_zero(gp.D)
         assert xl.mat_eq(gp.B, -xl.eye(2)) and xl.mat_eq(gp.C, -xl.eye(2))
@@ -93,14 +116,11 @@ class TestFlipWorkedExample:
 
     def test_all_certificates(self):
         res = self.run()
-        assert res.data.all_passed()
-        assert [c.name for c in res.data.certificates] == eb.CERTIFICATE_NAMES
+        assert res.all_passed()
+        assert list(res.certificates) == eb.CERTIFICATE_NAMES
 
     def test_chain(self):
-        res = self.run()
-        kinds = [s.kind for s in res.chain.steps]
-        assert kinds == ["iso_rho", "heisenberg", "iso_rho", "iso_mu"]
-        assert res.chain.endpoint() == res.chain.target == tg.act(flip2(), theta_third())
+        printed_chain_end(flip2(), theta_third(), self.run())
 
 
 class TestMixedExample:
@@ -114,7 +134,7 @@ class TestMixedExample:
 
     def test_pipeline_values(self):
         res = eb.pipeline(self.g, self.theta)
-        d = res.data
+        d = res
         assert d.special.p == 1 and d.special.q == 1 and d.torsion.k == 0
         assert xl.mat_eq(d.f11, xl.mat([[0, F(-2)], [F(2), 0]]))
         expected_tp = xl.mat(
@@ -141,7 +161,7 @@ class TestTorsionExample:
 
     def test_pipeline_values(self):
         res = eb.pipeline(self.g, self.theta)
-        d = res.data
+        d = res
         td = d.torsion
         assert td.k == 1 and td.m == 1 and list(td.h) == [1]
         assert (td.mj, td.nj, td.cj, td.dj) == ((1,), (1,), (0,), (1,))
@@ -171,12 +191,12 @@ class TestDegenerateClosure:
         g = tg.mu(N)
         theta = tg.random_theta(5, 3)
         res = eb.pipeline(g, theta)
-        d = res.data
+        d = res
         assert d.special.p == 0
         assert d.theta_out == d.theta_in
         assert xl.mat_eq(d.g_prime.M, -xl.eye(6))
         assert xl.mat_eq(d.shear, N)
-        assert res.chain.endpoint() == tg.act(g, theta)
+        printed_chain_end(g, theta, res)
         assert d.all_passed()
 
     def test_q_zero(self):
@@ -190,19 +210,19 @@ class TestDegenerateClosure:
             ]
         )
         res = eb.pipeline(g, theta)
-        assert res.data.special.q == 0
-        assert res.data.all_passed()
+        assert res.special.q == 0
+        assert res.all_passed()
 
     def test_k_zero(self):
         res = eb.pipeline(flip2(), theta_third())
-        assert res.data.torsion.k == 0
-        assert res.data.all_passed()
+        assert res.torsion.k == 0
+        assert res.all_passed()
 
     def test_mu_shift_endpoint(self):
         N = tg.random_skew_int(random.Random(9), 2)
         theta = tg.random_theta(10, 2)
         res = eb.pipeline(tg.mu(N), theta)
-        assert xl.mat_eq(res.chain.endpoint().M, theta.M + N)
+        assert xl.mat_eq(printed_chain_end(tg.mu(N), theta, res), theta.M + N)
 
 
 class TestRandomCampaignSmall:
@@ -221,10 +241,10 @@ class TestRandomCampaignSmall:
             if theta is None:
                 continue
             res = eb.pipeline(g, theta)
-            assert res.data.all_passed()
-            assert [c.name for c in res.data.certificates] == eb.CERTIFICATE_NAMES
+            assert res.all_passed()
+            assert list(res.certificates) == eb.CERTIFICATE_NAMES
             # reassembly against the original element, not just g1
-            d = res.data
+            d = res
             rebuilt = tg.compose(
                 tg.mu(d.shear), tg.rho(d.basis_change), d.g_prime, tg.rho(xl.int_inverse(d.r0))
             )
@@ -277,7 +297,7 @@ class TestVerifiedClosedForms:
     so a wrong closed form must fail a certificate."""
 
     def test_case_shape(self):
-        d = eb.pipeline(*mixed_torsion_case()).data
+        d = eb.pipeline(*mixed_torsion_case())
         assert (d.special.p, d.special.q, d.torsion.k, d.torsion.nj) == (2, 1, 2, (6, 1))
         assert d.all_passed()
 
@@ -324,7 +344,7 @@ class TestVerifiedClosedForms:
         g = tg.random_element(f"tbar{seed}", 1 + seed % 8, n)
         results = defined_pipelines(g, f"tbar{seed}", 1)
         assume(results)
-        d = results[0].data
+        d = results[0]
         td = d.torsion
         orders = math.prod(nj**2 for nj in td.nj)
         assert xl.det(eb._tbar(d.emb, td)) == (-1) ** d.special.q * d.emb.tilde_det * orders
@@ -336,7 +356,7 @@ class TestVerifiedClosedForms:
         g = tg.random_element(f"solve{seed}", 1 + seed % 8, n)
         results = defined_pipelines(g, f"solve{seed}", 1)
         assume(results)
-        d = results[0].data
+        d = results[0]
         td, p, q = d.torsion, d.special.p, d.special.q
         phi = eb._phi_matrices(td, p, q)
         gram = xl.matmul(eb._tbar(d.emb, td).T, d.emb.J)
@@ -356,9 +376,19 @@ def test_factorization_does_not_depend_on_theta(seed, n):
     """g', N, A~ and R0 are functions of g alone: two theta in the domain agree."""
     g = tg.random_element(f"indep{seed}", 1 + seed % 8, n)
     results = defined_pipelines(g, f"indep{seed}", 2)
-    assume(len(results) == 2 and results[0].chain.source != results[1].chain.source)
-    a, b = (r.data for r in results)
+    assume(len(results) == 2 and results[0].source != results[1].source)
+    a, b = results
     assert a.g_prime == b.g_prime
     assert a.shear == b.shear
     assert a.basis_change == b.basis_change
     assert a.r0 == b.r0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
+def test_printed_chain_reaches_g_theta(seed, n):
+    """The chain a user reads, applied exactly, carries theta to g theta."""
+    g = tg.random_element(f"chain{seed}", 1 + seed % 8, n)
+    results = defined_pipelines(g, f"chain{seed}", 1)
+    assume(results)
+    printed_chain_end(g, results[0].source, results[0])

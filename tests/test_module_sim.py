@@ -340,7 +340,7 @@ class TestInnerProduct:
     def test_parity_orthogonality(self):
         d = flip_descriptor()
         f = ms.gaussian(d)
-        g = ms.TestFunction(lambda m: m.u[0] * math.exp(-math.pi * m.u[0] ** 2), "odd")
+        g = lambda m: m.u[0] * math.exp(-math.pi * m.u[0] ** 2)
         val = ms.inner_product_numeric(f, g, [0, 0], d)
         assert abs(val) < 1e-6
 

@@ -1,0 +1,35 @@
+"""The README's examples run as documented."""
+
+import json
+import re
+from pathlib import Path
+
+from nctorus import cli
+from nctorus import documents as docs
+from nctorus import exact_linalg as xl
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def fenced_block(heading: str, language: str) -> str:
+    """The first ```language block after the line `heading`."""
+    start = README.index(f"\n{heading}\n")
+    return re.search(rf"```{language}\n(.*?)```", README[start:], re.S)[1]
+
+
+def test_library_snippet():
+    namespace: dict = {}
+    exec(fenced_block("## Library", "python"), namespace)
+    res = namespace["res"]
+    assert res.theta_out.M == xl.mat([[0, -3], [3, 0]])
+    assert res.g_prime.M.shape == (4, 4) and res.all_passed()
+    assert res.descriptor.theta_prime == res.theta_out
+
+
+def test_act_example(tmp_path):
+    inp, out = tmp_path / "job.json", tmp_path / "out.json"
+    inp.write_text(fenced_block("Input document:", "json"), encoding="utf-8")
+    expected = re.search(r"nctorus act --input job\.json +# -> theta' = (\S+)", README)[1]
+    assert cli.main(["act", "--input", str(inp), "--output", str(out)]) == 0
+    theta = json.loads(out.read_text())["theta"]
+    assert docs.parse_rat_matrix(theta) == xl.mat(json.loads(expected))
