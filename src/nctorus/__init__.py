@@ -17,7 +17,6 @@ from .exact_linalg import (
     alternating_normal_form_int,
     complete_basis,
     ext_gcd,
-    kernel_lattice_basis,
     rational_inverse,
     smith_normal_form,
     symplectic_factor_rational,

@@ -3,7 +3,8 @@
 Subcommands: check | act | normalize | decompose | embed | pipeline |
 simulate | campaign.  Documents are read from --input (or stdin) and written
 to --output (or stdout).  Exit codes: 0 all certificates pass, 1 a
-certificate failed, 2 parse error, 3 action undefined.
+certificate failed, 2 parse error or unwritable --output (its error
+document goes to stdout), 3 action undefined.
 """
 
 from __future__ import annotations
@@ -47,15 +48,6 @@ def _read_input(path: str | None) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise docs.ParseError(f"cannot read {path or 'stdin'}: {e}") from None
     return docs.loads(text)
-
-
-def _write_output(doc: dict, path: str | None) -> None:
-    text = docs.dumps(doc)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _require(job: dict, *fields: str) -> None:
@@ -189,8 +181,8 @@ def cmd_simulate(job: dict, opts) -> dict:
     return report
 
 
-def campaign_trial(n: int, trial_seed: str, word_length: int = 8, max_den: int = 12, retries: int = 20):
-    """One seeded trial: random word, run pipeline, redrawing theta while undefined.
+def campaign_trial(n: int, trial_seed: str, word_length: int = 8):
+    """One seeded trial: random word, run pipeline, redrawing theta (20 draws at most) while undefined.
 
     pipeline raises Undefined from its first step, the action g theta, and
     nowhere later, so an undefined theta costs one elimination and no more.
@@ -200,8 +192,8 @@ def campaign_trial(n: int, trial_seed: str, word_length: int = 8, max_den: int =
     """
     rng = random.Random(trial_seed)
     g = random_element(f"{trial_seed}:g", rng.randint(1, word_length), n)
-    for r in range(retries):
-        theta = random_theta(f"{trial_seed}:theta:{r}", n, max_den)
+    for r in range(20):
+        theta = random_theta(f"{trial_seed}:theta:{r}", n)
         try:
             res = pipeline(g, theta)
         except Undefined:
@@ -220,10 +212,10 @@ def campaign_trial(n: int, trial_seed: str, word_length: int = 8, max_den: int =
     return {"defined": False}, None
 
 
-def run_campaign(n: int, seed, trials: int, word_length: int = 8, max_den: int = 12) -> dict:
+def run_campaign(n: int, seed, trials: int, word_length: int = 8) -> dict:
     results = []
     for t in range(trials):
-        info, _ = campaign_trial(n, f"campaign:{seed}:{t}", word_length, max_den)
+        info, _ = campaign_trial(n, f"campaign:{seed}:{t}", word_length)
         info["trial"] = t
         results.append(info)
     defined = [r for r in results if r["defined"]]
@@ -286,29 +278,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    opts = build_parser().parse_args(argv)
+def _run(opts) -> tuple[int, str]:
+    """The exit code and the text of the result or error document of one command."""
     try:
         if opts.command in NEEDS_INPUT:
             job = docs.load_job(_read_input(opts.input))
         else:
             job = docs.load_job(_read_input(opts.input)) if opts.input else {"options": {}, "n": None}
         result = COMMANDS[opts.command](job, opts)
-        _write_output(result, opts.output)
         ok = result.get("all_passed", result.get("passed", True))
-        return EXIT_OK if ok else EXIT_CERTIFICATE
+        return (EXIT_OK if ok else EXIT_CERTIFICATE), docs.dumps(result)
     except docs.ParseError as e:
-        _write_output(docs.error_doc("parse", str(e)), opts.output)
-        return EXIT_PARSE
+        return EXIT_PARSE, docs.dumps(docs.error_doc("parse", str(e)))
     except Undefined as e:
-        _write_output(docs.error_doc("undefined", str(e)), opts.output)
-        return EXIT_UNDEFINED
+        return EXIT_UNDEFINED, docs.dumps(docs.error_doc("undefined", str(e)))
     except EmbeddingError as e:
-        _write_output(docs.error_doc("certificate", str(e), name=e.name), opts.output)
-        return EXIT_CERTIFICATE
+        return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e), name=e.name))
     except (GroupError, NormalFormError, xl.ExactLinalgError) as e:
-        _write_output(docs.error_doc("certificate", str(e)), opts.output)
-        return EXIT_CERTIFICATE
+        return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e)))
+
+
+def main(argv: list[str] | None = None) -> int:
+    opts = build_parser().parse_args(argv)
+    code, text = _run(opts)
+    if not opts.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(opts.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:  # the error document cannot go where the output could not
+        sys.stdout.write(docs.dumps(docs.error_doc("parse", f"cannot write {opts.output}: {e}")))
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from . import exact_linalg as xl
@@ -36,11 +35,6 @@ class ParseError(Exception):
 
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
-
-
-def rat_str(x) -> str:
-    """The wire form of an int or Fraction."""
-    return _rat_text(x.numerator, x.denominator)
 
 
 def _rat_text(num: int, den: int) -> str:
@@ -73,10 +67,6 @@ def _rat_parts(s) -> tuple[int, int]:
     if den == 0:
         raise ParseError(f"bad rational {s!r}: zero denominator")
     return num, den
-
-
-def parse_rat(s) -> Fraction:
-    return Fraction(*_rat_parts(s))
 
 
 def rat_matrix_doc(M: Mat) -> list[list[str]]:
@@ -183,20 +173,6 @@ def certificates_doc(names) -> list[dict]:
     return [{"name": name, "passed": True} for name in names]
 
 
-def descriptor_doc(d: ModuleDescriptor) -> dict:
-    return {
-        "p": d.p,
-        "q": d.q,
-        "k": d.k,
-        "orders": list(d.orders),
-        "T": rat_matrix_doc(d.T),
-        "S": rat_matrix_doc(d.S),
-        "theta": theta_doc(d.theta),
-        "theta_prime": theta_doc(d.theta_prime),
-        "K": 1.0,
-    }
-
-
 def descriptor_from_doc(doc) -> ModuleDescriptor:
     if not isinstance(doc, dict):
         raise ParseError("module_descriptor must be an object")
@@ -226,14 +202,17 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
     return d
 
 
-def chain_doc(res: PipelineResult) -> dict:
-    """The fixed chain rho(R0^-1), Heisenberg bimodule, rho(A), mu(N)."""
+def chain_doc(res: PipelineResult, theta_in: list, theta_out: list) -> dict:
+    """The fixed chain rho(R0^-1), Heisenberg bimodule, rho(A), mu(N).
+
+    theta_in and theta_out are the printed res.theta_in and res.theta_out.
+    """
     return {
         "source": theta_doc(res.source),
         "target": theta_doc(res.target),
         "steps": [
             {"kind": "iso_rho", "R": int_matrix_doc(res.r0_inv)},
-            {"kind": "heisenberg", "theta": theta_doc(res.theta_in), "theta_prime": theta_doc(res.theta_out)},
+            {"kind": "heisenberg", "theta": theta_in, "theta_prime": theta_out},
             {"kind": "iso_rho", "R": int_matrix_doc(res.basis_change)},
             {"kind": "iso_mu", "N": int_matrix_doc(res.shear)},
         ],
@@ -267,9 +246,24 @@ def embedding_doc(res: PipelineResult) -> dict:
 
 
 def pipeline_doc(res: PipelineResult) -> dict:
+    """The embed document plus the chain and the module descriptor.
+
+    Each matrix is formatted once: the chain and the descriptor share the
+    lists of the top level, which the writer does not mutate.
+    """
     doc = embedding_doc(res)
-    doc["chain"] = chain_doc(res)
-    doc["module_descriptor"] = descriptor_doc(res.descriptor)
+    doc["chain"] = chain_doc(res, doc["theta_in"], doc["theta_prime"])
+    doc["module_descriptor"] = {
+        "p": doc["p"],
+        "q": doc["q"],
+        "k": doc["k"],
+        "orders": doc["orders"],
+        "T": doc["T"],
+        "S": doc["S"],
+        "theta": doc["theta_in"],
+        "theta_prime": doc["theta_prime"],
+        "K": 1.0,
+    }
     return doc
 
 

@@ -236,10 +236,6 @@ def block_diag(*mats: Mat) -> Mat:
     return _raw(tuple(rows), den, (len(rows), width))
 
 
-def mat_eq(A: Mat, B: Mat) -> bool:
-    return A == B
-
-
 def is_zero(A: Mat) -> bool:
     return not any(map(any, A.rows))
 
@@ -545,16 +541,6 @@ def _check_snf(M: Mat, res: SnfResult) -> None:
             raise AssertionError("zero invariant factor precedes a nonzero one")
         if a != 0 and b % a != 0:
             raise AssertionError("invariant factors do not divide in order")
-
-
-def kernel_lattice_basis(C: Mat) -> Mat:
-    """Primitive basis of the integer kernel {x : Cx = 0}, as columns.
-
-    The basis is saturated: it spans the full lattice of integer kernel
-    vectors, not a finite-index sublattice.
-    """
-    res = smith_normal_form(C)
-    return res.V[:, sum(1 for i in range(min(res.D.shape)) if res.D.rows[i][i]) :]
 
 
 def complete_basis(C: Mat) -> Mat:

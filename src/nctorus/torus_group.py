@@ -204,12 +204,12 @@ def is_defined(g: GroupElement, theta: Theta) -> bool:
 # seeded random constructors
 
 
-def random_unimodular(rng: random.Random, n: int, ops: int | None = None) -> Mat:
+def random_unimodular(rng: random.Random, n: int) -> Mat:
     """Product of elementary row operations; determinant is +-1."""
     R = [[int(i == j) for j in range(n)] for i in range(n)]
     if n == 1:
         return Mat(R, 1, n)
-    for _ in range(ops if ops is not None else rng.randint(2, 4)):
+    for _ in range(rng.randint(2, 4)):
         op = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
         if op == 0:
@@ -222,11 +222,11 @@ def random_unimodular(rng: random.Random, n: int, ops: int | None = None) -> Mat
     return Mat(R, 1, n)
 
 
-def random_skew_int(rng: random.Random, n: int, bound: int = 3) -> Mat:
+def random_skew_int(rng: random.Random, n: int) -> Mat:
     N = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = rng.randint(-bound, bound)
+            v = rng.randint(-3, 3)
             N[i][j] = v
             N[j][i] = -v
     return Mat(N, 1, n)

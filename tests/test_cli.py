@@ -43,17 +43,17 @@ def run(tmp_path, argv, doc=None):
 class TestRationalRoundTrip:
     def test_scalars(self):
         for s in ["0", "5", "-7", "1/3", "-22/7"]:
-            assert docs.rat_str(docs.parse_rat(s)) == s
-        assert docs.parse_rat(" +2/4 ") == F(1, 2) and docs.parse_rat(-3) == -3
+            assert docs.rat_matrix_doc(docs.parse_rat_matrix([[s]])) == [[s]]
+        assert docs.parse_rat_matrix([[" +2/4 ", -3]]) == xl.mat([[F(1, 2), -3]])
 
     def test_matrix(self):
         M = xl.mat([[F(1, 3), -2], [F(5, 7), 0]])
-        assert xl.mat_eq(docs.parse_rat_matrix(docs.rat_matrix_doc(M)), M)
+        assert docs.parse_rat_matrix(docs.rat_matrix_doc(M)) == M
 
     def test_bad_rational(self):
         for s in ["1/0", "x", "0.5", "1e3", "1_0/3", "1 / 3", "1/-3", "", True, 0.5, None]:
             with pytest.raises(docs.ParseError):
-                docs.parse_rat(s)
+                docs.parse_rat_matrix([[s]])
 
     def test_theta_round_trip(self):
         theta = tg.random_theta(3, 4)
@@ -508,8 +508,45 @@ def test_every_document_ends_in_a_documented_exit_code(tmp_path_factory, doc):
         assert isinstance(json.loads(out.read_text()), dict), command
 
 
-def test_cli_import_loads_no_numpy():
-    """Only the quadrature inner product imports numpy."""
+def run_cli_process(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    code = "import sys, nctorus.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_numpy(tmp_path):
+    """The library is stdlib-only: with numpy unimportable, pipeline and the inner product run."""
+    job, out = tmp_path / "job.json", tmp_path / "out.json"
+    job.write_text(json.dumps(flip_doc()))  # the README example job
+    code = f"""if True:
+        import json, sys
+        sys.modules["numpy"] = None
+        from nctorus import cli, documents as docs, module_sim as ms
+        assert cli.main(["pipeline", "--input", {str(job)!r}, "--output", {str(out)!r}]) == 0
+        with open({str(out)!r}) as fh:
+            d = docs.descriptor_from_doc(json.load(fh)["module_descriptor"])
+        f = ms.gaussian(d)
+        assert abs(ms.inner_product_numeric(f, f, [0, 0], d) - 2 ** -0.5) < 1e-9
+    """
+    proc = run_cli_process("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "case", ["passing job, missing output dir", "parse error, missing output dir", "unknown command", "seed abc"]
+)
+def test_bad_output_or_argv_exits_2_without_traceback(tmp_path, case):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(flip_doc()))
+    bad.write_text("{not json")
+    missing = str(tmp_path / "missing" / "dir" / "x.json")
+    argv = {
+        "passing job, missing output dir": ["act", "--input", str(good), "--output", missing],
+        "parse error, missing output dir": ["act", "--input", str(bad), "--output", missing],
+        "unknown command": ["frobnicate"],
+        "seed abc": ["act", "--input", str(good), "--seed", "abc"],
+    }[case]
+    proc = run_cli_process("-m", "nctorus.cli", *argv)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    if "output" in case:
+        err = json.loads(proc.stdout)["error"]
+        assert err["kind"] == "parse" and err["message"].startswith(f"cannot write {missing}: ")

@@ -74,10 +74,7 @@ class TestTorsionData:
             Z = xl.mat(Z)
             td = eb.build_torsion_data(Z)
             assert xl.is_integral(td.m * Z)
-            assert xl.mat_eq(
-                td.R.T @ xl.canonical_alternating(list(td.h), 2 * p) @ td.R,
-                td.m * Z,
-            )
+            assert td.R.T @ xl.canonical_alternating(list(td.h), 2 * p) @ td.R == td.m * Z
             for j in range(td.k):
                 assert F(td.mj[j], td.nj[j]) == F(td.h[j], td.m)
                 assert td.cj[j] * td.mj[j] + td.dj[j] * td.nj[j] == 1
@@ -92,27 +89,27 @@ class TestFlipWorkedExample:
     def test_embedding_matrices(self):
         res = self.run()
         d = res
-        assert xl.mat_eq(d.emb.matrix, xl.diag([F(1, 3), F(1)]))
-        assert xl.mat_eq(d.dual.matrix, xl.mat([[0, -1], [3, 0]]))
+        assert d.emb.matrix == xl.diag([F(1, 3), F(1)])
+        assert d.dual.matrix == xl.mat([[0, -1], [3, 0]])
 
     def test_theta_prime(self):
         res = self.run()
-        assert xl.mat_eq(res.theta_out.M, xl.mat([[0, -3], [3, 0]]))
+        assert res.theta_out.M == xl.mat([[0, -3], [3, 0]])
 
     def test_tangent_and_curvature(self):
         res = self.run()
-        assert xl.mat_eq(res.phi_star, xl.mat([[0, 3], [-3, 0]]))
-        assert xl.mat_eq(res.curvature, xl.mat([[0, -3], [3, 0]]))
+        assert res.phi_star == xl.mat([[0, 3], [-3, 0]])
+        assert res.curvature == xl.mat([[0, -3], [3, 0]])
 
     def test_gprime_and_factorization(self):
         res = self.run()
         d = res
         gp = d.g_prime
         assert xl.is_zero(gp.A) and xl.is_zero(gp.D)
-        assert xl.mat_eq(gp.B, -xl.eye(2)) and xl.mat_eq(gp.C, -xl.eye(2))
+        assert gp.B == -xl.eye(2) and gp.C == -xl.eye(2)
         assert xl.is_zero(d.shear)
-        assert xl.mat_eq(d.basis_change, -xl.eye(2))
-        assert xl.mat_eq(d.r0, xl.eye(2))
+        assert d.basis_change == -xl.eye(2)
+        assert d.r0 == xl.eye(2)
 
     def test_all_certificates(self):
         res = self.run()
@@ -136,17 +133,17 @@ class TestMixedExample:
         res = eb.pipeline(self.g, self.theta)
         d = res
         assert d.special.p == 1 and d.special.q == 1 and d.torsion.k == 0
-        assert xl.mat_eq(d.f11, xl.mat([[0, F(-2)], [F(2), 0]]))
+        assert d.f11 == xl.mat([[0, F(-2)], [F(2), 0]])
         expected_tp = xl.mat(
             [[0, -2, F(2, 5)], [2, 0, F(-2, 3)], [F(-2, 5), F(2, 3), 0]]
         )
-        assert xl.mat_eq(d.theta_out.M, expected_tp)
+        assert d.theta_out.M == expected_tp
         gp = d.g_prime
-        assert xl.mat_eq(gp.A, xl.diag([0, 0, -1]))
-        assert xl.mat_eq(gp.D, xl.diag([0, 0, -1]))
-        assert xl.mat_eq(gp.B, xl.diag([-1, -1, 0]))
-        assert xl.mat_eq(gp.C, xl.diag([-1, -1, 0]))
-        assert xl.mat_eq(d.basis_change, -xl.eye(3))
+        assert gp.A == xl.diag([0, 0, -1])
+        assert gp.D == xl.diag([0, 0, -1])
+        assert gp.B == xl.diag([-1, -1, 0])
+        assert gp.C == xl.diag([-1, -1, 0])
+        assert d.basis_change == -xl.eye(3)
         assert xl.is_zero(d.shear)
         assert d.all_passed()
 
@@ -166,16 +163,16 @@ class TestTorsionExample:
         assert td.k == 1 and td.m == 1 and list(td.h) == [1]
         assert (td.mj, td.nj, td.cj, td.dj) == ((1,), (1,), (0,), (1,))
         expected_T = xl.mat([[F(4, 3), 0], [0, 1], [0, 1], [1, 0]])
-        assert xl.mat_eq(d.emb.matrix, expected_T)
+        assert d.emb.matrix == expected_T
         expected_S = xl.mat([[1, 0], [0, F(-3, 4)], [0, -1], [0, 0]])
-        assert xl.mat_eq(d.dual.matrix, expected_S)
-        assert xl.mat_eq(d.theta_out.M, xl.mat([[0, F(3, 4)], [F(-3, 4), 0]]))
+        assert d.dual.matrix == expected_S
+        assert d.theta_out.M == xl.mat([[0, F(3, 4)], [F(-3, 4), 0]])
         gp = d.g_prime
         swap = xl.mat([[0, 1], [1, 0]])
         assert xl.is_zero(gp.A)
-        assert xl.mat_eq(gp.B, swap) and xl.mat_eq(gp.C, swap)
-        assert xl.mat_eq(gp.D, xl.diag([-1, 1]))
-        assert xl.mat_eq(d.basis_change, swap)
+        assert gp.B == swap and gp.C == swap
+        assert gp.D == xl.diag([-1, 1])
+        assert d.basis_change == swap
         assert xl.is_zero(d.shear)
         assert d.all_passed()
 
@@ -194,8 +191,8 @@ class TestDegenerateClosure:
         d = res
         assert d.special.p == 0
         assert d.theta_out == d.theta_in
-        assert xl.mat_eq(d.g_prime.M, -xl.eye(6))
-        assert xl.mat_eq(d.shear, N)
+        assert d.g_prime.M == -xl.eye(6)
+        assert d.shear == N
         printed_chain_end(g, theta, res)
         assert d.all_passed()
 
@@ -222,7 +219,7 @@ class TestDegenerateClosure:
         N = tg.random_skew_int(random.Random(9), 2)
         theta = tg.random_theta(10, 2)
         res = eb.pipeline(tg.mu(N), theta)
-        assert xl.mat_eq(printed_chain_end(tg.mu(N), theta, res), theta.M + N)
+        assert printed_chain_end(tg.mu(N), theta, res) == theta.M + N
 
 
 class TestRandomCampaignSmall:

@@ -269,7 +269,7 @@ class TestFlipActions:
     def test_pointwise_value(self):
         # ((f U_e1) U_e2)(0) = sigma(e1,e2) (f U_{e1+e2})(0) = exp(-pi/9)
         lhs = ms.right_action(ms.right_action(self.f, [1, 0], self.d), [0, 1], self.d)
-        sig = ms.sigma_cocycle(self.d.theta, [1, 0], [0, 1])
+        sig = ms._half_phase(self.d.theta.M, [1, 0], [0, 1])
         rhs = ms.right_action(self.f, [1, 1], self.d)
         origin = ms.PointM(u=(0.0,), a=(), w=())
         want = math.exp(-math.pi / 9)
@@ -344,22 +344,26 @@ class TestInnerProduct:
         val = ms.inner_product_numeric(f, g, [0, 0], d)
         assert abs(val) < 1e-6
 
-    def test_hermitian_symmetry(self):
-        d = flip_descriptor()
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    def test_hermitian_symmetry(self, make):
+        # each call also asserts convergence: an unconverged quadrature raises
+        d = make()
         rng = random.Random(35)
-        f = ms.random_gaussian(rng, d)
-        g = ms.random_gaussian(rng, d)
-        for x in ([1, 0], [0, 1], [2, -1]):
+        for _ in range(10):
+            f = ms.random_gaussian(rng, d)
+            g = ms.random_gaussian(rng, d)
+            x = ms.random_lattice_vector(rng, d)
             left = ms.inner_product_numeric(f, g, x, d)
             right = ms.inner_product_numeric(g, f, [-t for t in x], d)
-            assert abs(left - right.conjugate()) < 1e-6
+            assert abs(left - right.conjugate()) < 1e-9
 
-    def test_positivity_spot(self):
-        d = flip_descriptor()
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    def test_positivity_spot(self, make):
+        d = make()
         rng = random.Random(36)
         for _ in range(10):
             f = ms.random_gaussian(rng, d)
-            val = ms.inner_product_numeric(f, f, [0, 0], d)
+            val = ms.inner_product_numeric(f, f, [0] * d.n, d)
             assert abs(val.imag) < 1e-9 and val.real >= 0
 
     def test_p_bound(self):
@@ -409,7 +413,7 @@ class TestIntegerKernelOracle:
                 assert new(m) == ref(m), name
         ref = {name: pair[1] for name, pair in cases.items()}
         for theta in (d.theta, d.theta_prime):
-            assert ms.sigma_cocycle(theta, x, y) == ref_sigma_cocycle(theta, x, y)
+            assert ms._half_phase(theta.M, x, y) == ref_sigma_cocycle(theta, x, y)
         sig = ref_sigma_cocycle(d.theta, x, y)
         lhs, rhs = ref["(f U_x) U_y"], ref["f U_x+y"]
         assert ms.check_module_relation(x, y, f, points, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)

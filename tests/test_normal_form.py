@@ -29,7 +29,7 @@ class TestDetect:
         g = tg.compose(flip2(), tg.mu(M))
         sf = nf.detect_special_form(g)
         assert sf.p == 1
-        assert xl.mat_eq(sf.Z, -M)
+        assert sf.Z == -M
 
     def test_not_special(self):
         # flip on {1,2} inside n=3, then mix coordinates so that C has an
@@ -52,7 +52,7 @@ class TestDetect:
             lead = g1.C[:, :width]
             # full column rank makes the Z solving -lead Z = D[:, :width] unique
             assert xl.rank(lead) == width
-            assert xl.mat_eq(-lead @ sf.Z, g1.D[:, :width])
+            assert -lead @ sf.Z == g1.D[:, :width]
             assert xl.is_skew(sf.Z)
             assert isinstance(sf.Z, xl.Mat)
 
@@ -60,7 +60,7 @@ class TestDetect:
 class TestNormalizeRight:
     def test_c_zero_gives_identity(self):
         g = tg.mu(tg.random_skew_int(random.Random(4), 3))
-        assert xl.mat_eq(nf.normalize_right(g), xl.eye(3))
+        assert nf.normalize_right(g) == xl.eye(3)
 
     def test_already_special_revalidates(self):
         R0 = nf.normalize_right(flip2())
@@ -91,7 +91,7 @@ class TestDomainCheck:
         sf = nf.detect_special_form(flip2())
         F11 = nf.domain_check(sf, tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]]))
         assert F11 is not None
-        assert xl.mat_eq(F11, xl.mat([[0, -3], [3, 0]]))
+        assert F11 == xl.mat([[0, -3], [3, 0]])
 
     def test_theta11_equals_z(self):
         M = xl.mat([[0, 2], [-2, 0]])
@@ -118,7 +118,7 @@ class TestDomainCheck:
             if defined:
                 # the lemma behind the criterion: (C theta + D)^-1 C = blk(F11, 0)
                 inv = xl.rational_inverse(tg.c_theta_plus_d(g1, theta1))
-                assert xl.mat_eq(inv @ g1.C, xl.block_diag(F11, xl.zeros(sf.q, sf.q)))
+                assert inv @ g1.C == xl.block_diag(F11, xl.zeros(sf.q, sf.q))
                 assert xl.is_skew(F11)
             hits_defined += defined
             hits_undefined += not defined

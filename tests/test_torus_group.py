@@ -28,11 +28,11 @@ def assert_member(g):
 class TestMembership:
     def test_identity(self):
         g = tg.identity_element(3)
-        assert xl.mat_eq(g.A, xl.eye(3)) and xl.is_zero(g.C)
+        assert g.A == xl.eye(3) and xl.is_zero(g.C)
 
     def test_full_flip(self):
         g = flip2()
-        assert xl.mat_eq(g.B, xl.eye(2)) and xl.mat_eq(g.C, xl.eye(2))
+        assert g.B == xl.eye(2) and g.C == xl.eye(2)
         assert xl.is_zero(g.A) and xl.is_zero(g.D)
 
     @pytest.mark.parametrize(
@@ -54,7 +54,7 @@ class TestMembership:
         for seed in range(8):
             g = tg.random_element(seed, 5, 3)
             K = so_form(3)
-            assert xl.mat_eq(g.M.T @ K @ g.M, K)
+            assert g.M.T @ K @ g.M == K
 
 
 class TestInverseCompose:
@@ -79,7 +79,7 @@ class TestInverseCompose:
     def test_inverse_matches_matrix_inverse(self):
         g = tg.random_element(42, 5, 3)
         inv = tg.invert_element(g).M
-        assert xl.mat_eq(inv, xl.rational_inverse(g.M))
+        assert inv == xl.rational_inverse(g.M)
 
     def test_rho_homomorphism(self):
         rng = random.Random(7)
@@ -97,7 +97,7 @@ class TestGenerators:
 
     def test_rho_shear_blocks(self):
         g = tg.rho(xl.mat([[1, 1], [0, 1]]))
-        assert xl.mat_eq(g.D, xl.mat([[1, 0], [-1, 1]]))
+        assert g.D == xl.mat([[1, 0], [-1, 1]])
 
     def test_rho_rejects(self):
         with pytest.raises(tg.NotUnimodular):
@@ -117,19 +117,19 @@ class TestAction:
         N = tg.random_skew_int(random.Random(1), n)
         theta = tg.random_theta(2, n)
         out = tg.act(tg.mu(N), theta)
-        assert xl.mat_eq(out.M, theta.M + N)
+        assert out.M == theta.M + N
 
     def test_rho_conjugates(self):
         n = 3
         R = tg.random_unimodular(random.Random(3), n)
         theta = tg.random_theta(4, n)
         out = tg.act(tg.rho(R), theta)
-        assert xl.mat_eq(out.M, R @ theta.M @ R.T)
+        assert out.M == R @ theta.M @ R.T
 
     def test_flip_inverts(self):
         theta = tg.make_theta([[0, F(1, 3)], [F(-1, 3), 0]])
         out = tg.act(flip2(), theta)
-        assert xl.mat_eq(out.M, xl.mat([[0, -3], [3, 0]]))
+        assert out.M == xl.mat([[0, -3], [3, 0]])
 
     def test_undefined(self):
         theta = tg.make_theta(xl.zeros(2, 2))
