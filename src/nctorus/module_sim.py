@@ -1,22 +1,24 @@
 """Desk-scale numeric realization of the Heisenberg bimodule actions.
 
 Functions live on M = R^p x Z^q x W with W a finite product of cyclic
-groups.  The two unitary actions are shift-and-modulate closures built from
-the exact embedding matrices, so the algebra relations are checked pointwise
-with no grid discretization; the only floating point enters through the
-final phase/Gaussian evaluations.
+groups, and map a batch of points (``Points``, coordinate columns) to their
+values.  The two unitary actions are shift-and-modulate closures built from
+the exact embedding matrices, so the algebra relations are checked at sample
+points with no grid discretization; the only floating point enters through
+the final phase/Gaussian evaluations.
 
 All exact arithmetic runs on Python ints.  A descriptor is compiled on its
 first action (``ModuleDescriptor._images``): the integer rows of T and S are
 cut into coordinate blocks, with their a, w and w^ rows checked integral, and
 the half forms Q = M^t J' M are formed once.  The cocycles read the integer
 rows of theta and theta' directly.  Each action U_x or V_x then fixes its
-shift and its pairing once (``_Twist``): integer coefficients over one
+shift and its pairing once (``_twist``): integer coefficients over one
 modulus L and float u-shifts.  A phase e(N / L) is evaluated as
 exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first and the one
 int division is correctly rounded, so it equals float(Fraction(N, L) % 1)
 bit for bit and residuals stay at machine precision even for large integer
-arguments.  Per-point evaluation builds no ``Fraction``.
+arguments.  Evaluation builds no ``Fraction``, and each per-point float sum
+is a builtin sum() over that point's terms, so values do not depend on the batch.
 
 The inner product <f, g>(x), for p <= 2, is the one integral: a midpoint rule
 in u on [-6, 6], checked by doubling, and sums over a in [-8, 8]^q and W.
@@ -32,7 +34,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
@@ -111,8 +113,24 @@ class PointM:
     w: tuple[int, ...]
 
 
-# A test function is any pure callable PointM -> complex.
-PointFunction = Callable[[PointM], complex]
+@dataclass(frozen=True)
+class Points:
+    """``size`` points of M as coordinate columns: p float, q int and k residue lists."""
+
+    u: list[list[float]]
+    a: list[list[int]]
+    w: list[list[int]]
+    size: int
+
+
+def points(pts: list[PointM]) -> Points:
+    """The batch of single points, transposed once."""
+    u, a, w = ([list(c) for c in zip(*(getattr(m, part) for m in pts))] for part in "uaw")
+    return Points(u, a, w, len(pts))
+
+
+# A test function is any pure callable Points -> values in point order.
+PointFunction = Callable[[Points], list[complex]]
 
 
 def e2pi(t) -> complex:
@@ -198,95 +216,101 @@ def verify_descriptor(d: ModuleDescriptor) -> None:
         raise IdentityViolated("S^t J T is not integral")
 
 
-def _lattice(x, d: ModuleDescriptor) -> list[int]:
-    x = [int(t) for t in x]
-    if len(x) != d.n:
-        raise ShapeMismatch(f"expected a lattice vector of length {d.n}, got {len(x)}")
-    return x
+def _lattice(x, d: ModuleDescriptor) -> tuple[int, ...]:
+    x = tuple(x)
+    if len(x) != d.n or x != (v := tuple(map(int, x))):
+        raise ShapeMismatch(f"expected a lattice vector of {d.n} integers, got {list(x)}")
+    return v
 
 
 class _Twist:
     """The constants of one action of the lattice vector x through an image M.
 
-    With sign -1 (U_x through T) or +1 (V_x through S):
-    ``phase`` = e(-M(x).J'M(x)/2), ``shift(m)`` = m + sign M'(x) and
-    ``pair(m)`` = <m, -sign M''(x)>, where M' and M'' are the M and M-hat
-    parts of M(x).  The pairing's a and w terms are integer coefficients over
-    one modulus, its u terms floats.
+    With sign -1 (U_x through T) or +1 (V_x through S): ``phase`` is
+    e(-M(x).J'M(x)/2), the shift m -> m + sign M'(x) adds ``su``, ``sa`` and
+    ``sw`` (mod ``orders``), and the pairing <m, -sign M''(x)> has integer
+    coefficients ``ca``, ``cw`` over one ``modulus`` and float ones ``cu``,
+    where M' and M'' are the M and M-hat parts of M(x).
     """
 
-    __slots__ = ("phase", "_cu", "_ca", "_cw", "_modulus", "_su", "_sa", "_sw", "_orders")
+    __slots__ = ("phase", "cu", "ca", "cw", "modulus", "su", "sa", "sw", "orders")
 
-    def __init__(self, img: _Image, x: list[int], sign: int):
+    def __init__(self, img: _Image, x: tuple[int, ...], sign: int):
         def image(rows):
             return [sum(map(mul, row, x)) for row in rows]
 
         den, L = img.den, img.modulus
         self.phase = _e(-_value(img.half, x, x), 2 * img.half.den)
-        self._su = tuple(sign * (v / den) for v in image(img.u))
-        self._sa = tuple(sign * v for v in image(img.a))
-        self._sw = tuple(sign * v % n for v, n in zip(image(img.w), img.orders))
-        self._cu = tuple(-sign * (v / den) for v in image(img.uhat))
-        self._ca = tuple(-sign * v * (L // den) % L for v in image(img.ahat))
-        self._cw = tuple(-sign * v * (L // n) % L for v, n in zip(image(img.what), img.orders))
-        self._modulus = L
-        self._orders = img.orders
+        self.su = tuple(sign * (v / den) for v in image(img.u))
+        self.sa = tuple(sign * v for v in image(img.a))
+        self.sw = tuple(sign * v % n for v, n in zip(image(img.w), img.orders))
+        self.cu = tuple(-sign * (v / den) for v in image(img.uhat))
+        self.ca = tuple(-sign * v * (L // den) % L for v in image(img.ahat))
+        self.cw = tuple(-sign * v * (L // n) % L for v, n in zip(image(img.what), img.orders))
+        self.modulus = L
+        self.orders = img.orders
 
-    def pair(self, m: PointM) -> complex:
-        """e(u.u^ + a.a^ + sum_j w_j w^_j / n_j), the exact part reduced mod 1."""
-        L = self._modulus
-        exact = (sum(map(mul, m.a, self._ca)) + sum(map(mul, m.w, self._cw))) % L
-        return cmath.exp(2j * math.pi * (exact / L + sum(map(mul, m.u, self._cu))))
 
-    def shift(self, m: PointM) -> PointM:
-        return PointM(
-            u=tuple(map(add, m.u, self._su)),
-            a=tuple(map(add, m.a, self._sa)),
-            w=tuple((wj + s) % n for wj, s, n in zip(m.w, self._sw, self._orders)),
-        )
+@functools.lru_cache(maxsize=8)  # a simulation trial uses 10 actions, 6 of them distinct
+def _twist(img: _Image, x: tuple[int, ...], sign: int) -> _Twist:
+    return _Twist(img, x, sign)
+
+
+def _sums(columns: list, size: int) -> list:
+    """Per point, the builtin sum() of its terms in column order; 0 with no columns."""
+    return list(map(sum, zip(*columns))) if columns else [0] * size
 
 
 def _twisted(f: PointFunction, tw: _Twist) -> PointFunction:
     """m -> phase <m, ...> f(shift(m)) for the constants of one action."""
-    phase, pair, shift = tw.phase, tw.pair, tw.shift
+    phase, L = tw.phase, tw.modulus
 
-    def ev(m: PointM) -> complex:
-        return phase * pair(m) * f(shift(m))
+    def ev(m: Points) -> list[complex]:
+        exact = _sums([[v * c for v in col] for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size)
+        real = _sums([[v * c for v in col] for col, c in zip(m.u, tw.cu)], m.size)
+        u = [[v + s for v in col] for col, s in zip(m.u, tw.su)]
+        a = [[v + s for v in col] for col, s in zip(m.a, tw.sa)]
+        w = [[(v + s) % n for v in col] for col, s, n in zip(m.w, tw.sw, tw.orders)]
+        values = f(Points(u, a, w, m.size))
+        return [phase * cmath.exp(2j * math.pi * (e % L / L + r)) * v for e, r, v in zip(exact, real, values)]
 
     return ev
 
 
 def right_action(f: PointFunction, x, d: ModuleDescriptor) -> PointFunction:
     """(f U_x)(m) = e(-T(x).J'T(x)/2) <m, T''(x)> f(m - T'(x))."""
-    return _twisted(f, _Twist(d._images[0], _lattice(x, d), -1))
+    return _twisted(f, _twist(d._images[0], _lattice(x, d), -1))
 
 
 def left_action(x, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
     """(V_x f)(m) = e(-S(x).J'S(x)/2) <m, -S''(x)> f(m + S'(x))."""
-    return _twisted(f, _Twist(d._images[1], _lattice(x, d), +1))
+    return _twisted(f, _twist(d._images[1], _lattice(x, d), +1))
 
 
 def check_module_relation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
     """max_m |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|."""
-    lhs = right_action(right_action(f, x, d), y, d)
+    m = points(samples)
+    lhs = right_action(right_action(f, x, d), y, d)(m)
     sig = _half_phase(d.theta.M, _lattice(x, d), _lattice(y, d))
-    rhs = right_action(f, [a + b for a, b in zip(x, y)], d)
-    return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
+    rhs = right_action(f, [a + b for a, b in zip(x, y)], d)(m)
+    return max(abs(l - sig * r) for l, r in zip(lhs, rhs))
 
 
 def check_left_relation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
-    lhs = left_action(x, left_action(y, f, d), d)
+    m = points(samples)
+    lhs = left_action(x, left_action(y, f, d), d)(m)
     sig = _half_phase(d.theta_prime.M, _lattice(x, d), _lattice(y, d))
-    rhs = left_action([a + b for a, b in zip(x, y)], f, d)
-    return max(abs(lhs(m) - sig * rhs(m)) for m in samples)
+    rhs = left_action([a + b for a, b in zip(x, y)], f, d)(m)
+    return max(abs(l - sig * r) for l, r in zip(lhs, rhs))
 
 
 def check_bimodule_commutation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
     """max_m |(V_y (f U_x))(m) - ((V_y f) U_x)(m)|."""
-    lhs = left_action(y, right_action(f, x, d), d)
-    rhs = right_action(left_action(y, f, d), x, d)
-    return max(abs(lhs(m) - rhs(m)) for m in samples)
+    m = points(samples)
+    lhs = left_action(y, right_action(f, x, d), d)(m)
+    rhs = right_action(left_action(y, f, d), x, d)(m)
+    return max(abs(l - r) for l, r in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +331,12 @@ def gaussian(
     ch = w_char if w_char is not None else (0,) * d.k
     orders = d.orders
 
-    def ev(m: PointM) -> complex:
-        s = sum((uj - cj) ** 2 for uj, cj in zip(m.u, cu))
-        s += sum((aj - cj) ** 2 for aj, cj in zip(m.a, ca))
-        phase = sum(t * v for t, v in zip(mod, list(m.u) + list(m.a)))
-        phase += sum(tj * wj % nj / nj for tj, wj, nj in zip(ch, m.w, orders))
-        return math.exp(-math.pi * s) * e2pi(phase)
+    def ev(m: Points) -> list[complex]:
+        su = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.u, cu)], m.size)
+        sa = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.a, ca)], m.size)
+        pua = _sums([[t * v for v in col] for t, col in zip(mod, m.u + m.a)], m.size)
+        pw = _sums([[t * v % n / n for v in col] for t, col, n in zip(ch, m.w, orders)], m.size)
+        return [math.exp(-math.pi * (s + t)) * e2pi(x + y) for s, t, x, y in zip(su, sa, pua, pw)]
 
     return ev
 
@@ -365,7 +389,7 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     """
     if d.p > 2:
         raise ValueError("numeric inner product supports p <= 2 only")
-    tw = _Twist(d._images[0], _lattice(x, d), +1)
+    tw = _twist(d._images[0], _lattice(x, d), +1)
     coarse = _integrate(f, g, tw, d, U_POINTS)
     fine = _integrate(f, g, tw, d, 2 * U_POINTS)
     if abs(fine - coarse) > TOLERANCE:
@@ -373,19 +397,20 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     return fine
 
 
-def _integrate(f, g, tw: _Twist, d: ModuleDescriptor, points: int) -> complex:
+def _integrate(f, g, tw: _Twist, d: ModuleDescriptor, nodes_per_axis: int) -> complex:
     # The integrand is smooth and decays like a Gaussian, so it is negligible
     # past +-U_HALFWIDTH and the equally spaced rule converges exponentially in
     # the number of points (Trefethen & Weideman 2014, SIAM Rev. 56:385-458).
-    h = 2 * U_HALFWIDTH / points
-    nodes = [(i + 0.5) * h - U_HALFWIDTH for i in range(points)]
-    cells = itertools.product(
-        itertools.product(nodes, repeat=d.p),
+    h = 2 * U_HALFWIDTH / nodes_per_axis
+    nodes = [(i + 0.5) * h - U_HALFWIDTH for i in range(nodes_per_axis)]
+    u = [list(c) for c in zip(*itertools.product(nodes, repeat=d.p))]
+    size = nodes_per_axis**d.p
+    g_twisted = _twisted(g, tw)
+    total = 0j
+    for a, w in itertools.product(
         itertools.product(range(-A_HALFWIDTH, A_HALFWIDTH + 1), repeat=d.q),
         itertools.product(*map(range, d.orders)),
-    )
-    total = 0j
-    for u, a, w in cells:
-        m = PointM(u=u, a=a, w=w)
-        total += tw.pair(m) * g(tw.shift(m)) * f(m).conjugate()
-    return tw.phase * total * h**d.p / math.prod(d.orders)
+    ):
+        m = Points(u=u, a=[[v] * size for v in a], w=[[v] * size for v in w], size=size)
+        total += sum(map(mul, g_twisted(m), (v.conjugate() for v in f(m))))
+    return total * h**d.p / math.prod(d.orders)

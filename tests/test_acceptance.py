@@ -176,10 +176,10 @@ def test_criterion_5_module_simulation():
         lhs = ms.right_action(ms.right_action(f0, [1, 0], d0), [0, 1], d0)
         sig = ms._half_phase(d0.theta.M, [1, 0], [0, 1])
         rhs = ms.right_action(f0, [1, 1], d0)
-        origin = ms.PointM(u=(0.0,), a=(), w=())
+        origin = ms.points([ms.PointM(u=(0.0,), a=(), w=())])
         want = math.exp(-math.pi / 9)
-        assert abs(lhs(origin) - want) < 1e-9
-        assert abs(sig * rhs(origin) - want) < 1e-9
+        assert abs(lhs(origin)[0] - want) < 1e-9
+        assert abs(sig * rhs(origin)[0] - want) < 1e-9
 
         selected = []
         for n, s, info, res in runs:

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nctorus import cli
 from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
 from nctorus import module_sim as ms
@@ -237,44 +238,44 @@ class TestFlipActions:
         fu = ms.right_action(self.f, [1, 0], self.d)
         for m in [0.0, 0.25, -1.1]:
             pt = ms.PointM(u=(m,), a=(), w=())
-            want = self.f(ms.PointM(u=(m - 1 / 3,), a=(), w=()))
-            assert abs(fu(pt) - want) < 1e-12
+            want = self.f(ms.points([ms.PointM(u=(m - 1 / 3,), a=(), w=())]))[0]
+            assert abs(fu(ms.points([pt]))[0] - want) < 1e-12
 
     def test_right_e2_is_modulation(self):
         fu = ms.right_action(self.f, [0, 1], self.d)
         for m in [0.0, 0.4, -0.7]:
             pt = ms.PointM(u=(m,), a=(), w=())
-            want = cmath.exp(2j * math.pi * m) * self.f(pt)
-            assert abs(fu(pt) - want) < 1e-12
+            want = cmath.exp(2j * math.pi * m) * self.f(ms.points([pt]))[0]
+            assert abs(fu(ms.points([pt]))[0] - want) < 1e-12
 
     def test_left_e2_is_shift(self):
         vf = ms.left_action([0, 1], self.f, self.d)
         pt = ms.PointM(u=(0.3,), a=(), w=())
-        want = self.f(ms.PointM(u=(0.3 - 1,), a=(), w=()))
-        assert abs(vf(pt) - want) < 1e-12
+        want = self.f(ms.points([ms.PointM(u=(0.3 - 1,), a=(), w=())]))[0]
+        assert abs(vf(ms.points([pt]))[0] - want) < 1e-12
 
     def test_left_e1_is_modulation(self):
         vf = ms.left_action([1, 0], self.f, self.d)
         pt = ms.PointM(u=(0.2,), a=(), w=())
-        want = cmath.exp(-2j * math.pi * 3 * 0.2) * self.f(pt)
-        assert abs(vf(pt) - want) < 1e-12
+        want = cmath.exp(-2j * math.pi * 3 * 0.2) * self.f(ms.points([pt]))[0]
+        assert abs(vf(ms.points([pt]))[0] - want) < 1e-12
 
     def test_zero_index_is_identity(self):
         fu = ms.right_action(self.f, [0, 0], self.d)
         vf = ms.left_action([0, 0], self.f, self.d)
-        pt = ms.PointM(u=(0.6,), a=(), w=())
-        assert abs(fu(pt) - self.f(pt)) < 1e-15
-        assert abs(vf(pt) - self.f(pt)) < 1e-15
+        pt = ms.points([ms.PointM(u=(0.6,), a=(), w=())])
+        assert abs(fu(pt)[0] - self.f(pt)[0]) < 1e-15
+        assert abs(vf(pt)[0] - self.f(pt)[0]) < 1e-15
 
     def test_pointwise_value(self):
         # ((f U_e1) U_e2)(0) = sigma(e1,e2) (f U_{e1+e2})(0) = exp(-pi/9)
         lhs = ms.right_action(ms.right_action(self.f, [1, 0], self.d), [0, 1], self.d)
         sig = ms._half_phase(self.d.theta.M, [1, 0], [0, 1])
         rhs = ms.right_action(self.f, [1, 1], self.d)
-        origin = ms.PointM(u=(0.0,), a=(), w=())
+        origin = ms.points([ms.PointM(u=(0.0,), a=(), w=())])
         want = math.exp(-math.pi / 9)
-        assert abs(lhs(origin) - want) < 1e-9
-        assert abs(sig * rhs(origin) - want) < 1e-9
+        assert abs(lhs(origin)[0] - want) < 1e-9
+        assert abs(sig * rhs(origin)[0] - want) < 1e-9
         assert abs(sig - cmath.exp(2j * math.pi / 6)) < 1e-12
 
 
@@ -340,7 +341,7 @@ class TestInnerProduct:
     def test_parity_orthogonality(self):
         d = flip_descriptor()
         f = ms.gaussian(d)
-        g = lambda m: m.u[0] * math.exp(-math.pi * m.u[0] ** 2)
+        g = lambda m: [u * math.exp(-math.pi * u**2) for u in m.u[0]]
         val = ms.inner_product_numeric(f, g, [0, 0], d)
         assert abs(val) < 1e-6
 
@@ -408,9 +409,9 @@ class TestIntegerKernelOracle:
             "f U_x+y": (ms.right_action(f, xy, d), ref_right_action(f_ref, xy, d)),
             "V_x+y f": (ms.left_action(xy, f, d), ref_left_action(xy, f_ref, d)),
         }
-        for m in points:
-            for name, (new, ref) in cases.items():
-                assert new(m) == ref(m), name
+        batch = ms.points(points)
+        for name, (new, ref) in cases.items():
+            assert new(batch) == [ref(m) for m in points], name
         ref = {name: pair[1] for name, pair in cases.items()}
         for theta in (d.theta, d.theta_prime):
             assert ms._half_phase(theta.M, x, y) == ref_sigma_cocycle(theta, x, y)
@@ -436,7 +437,7 @@ class TestIntegerKernelOracle:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
-        values = [g(m) for m in points]
+        values = g(ms.points(points))
         monkeypatch.undo()
         assert built == [] and all(abs(v) > 0 for v in values)
 
@@ -448,3 +449,30 @@ class TestIntegerKernelOracle:
         d = flip_descriptor()
         with pytest.raises(ms.ShapeMismatch):
             ms.right_action(ms.gaussian(d), [1, 0, 0], d)
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.5], [F(1, 2), 0], [1, 2.5]])
+    def test_non_integral_lattice_vector(self, bad):
+        # int() would truncate [0.5, 0.5] to 0 and act as U_0
+        d = flip_descriptor()
+        f = ms.gaussian(d)
+        samples = [ms.PointM(u=(0.1,), a=(), w=())]
+        with pytest.raises(ms.ShapeMismatch):
+            ms.right_action(f, bad, d)
+        with pytest.raises(ms.ShapeMismatch):
+            ms.left_action(bad, f, d)
+        with pytest.raises(ms.ShapeMismatch):
+            ms.check_module_relation(bad, [0, 0], f, samples, d)
+        # integral entries of any numeric type are lattice vectors
+        batch = ms.points(samples)
+        assert ms.right_action(f, [1.0, F(2)], d)(batch) == ms.right_action(f, [1, 2], d)(batch)
+
+
+def test_action_memo_is_bounded_and_used():
+    # a trial uses U_x and V_y thrice each, U_y, U_x+y, V_x and V_x+y once:
+    # ten uses of six distinct actions, so at least four hits per trial
+    d = mixed_descriptor()
+    hits = ms._twist.cache_info().hits
+    cli.run_simulation(d, 0, 8, 50, 1e-9)
+    info = ms._twist.cache_info()
+    assert info.currsize <= 8
+    assert info.hits - hits >= 4 * 50

@@ -6,6 +6,9 @@ then 60, 36 and 24 of n = 8, 12 and 16, whose larger Smith, alternating and
 symplectic reductions fix the bytes of T and R) are replayed through the
 command-line entry point; any change to the bytes of a `pipeline` document
 fails here.  perfbench/ is only read.
+
+The `simulate` reports of a fixed set of campaign descriptors are pinned by
+one digest per Python family (see SIMULATE_DIGEST).
 """
 
 import hashlib
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from nctorus import cli
+from nctorus import documents as docs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SIZES = [2, 3, 4, 5, 6, 8, 12, 16]
@@ -46,3 +50,32 @@ def test_pipeline_documents_match_reference(tmp_path, n):
         inp.write_bytes(data)
         assert cli.main(["pipeline", "--input", str(inp), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["out"], gen.trial_id(n, s)
+
+
+# Python 3.12 made the builtin sum() of floats compensated (Neumaier
+# summation), which moves the last bits of some residuals; the `simulate`
+# bytes therefore differ between 3.10/3.11 and 3.12/3.13, and each family has
+# its digest.  The library is stdlib-only, so the body of
+# simulate_reports_digest needs no test dependency to recompute a digest.
+SIMULATE_DIGEST = {
+    False: "57faf4585a0c5f31e3d40b43507424147320c091aa86f7e0b60c3983877ec4f4",  # Python < 3.12
+    True: "e35eed536273a42181c8cefb15f29b9b8e2fad8ccc9171eccd8ecdcf681136b5",  # Python >= 3.12
+}
+
+
+def simulate_reports_digest(tmp_path: Path) -> str:
+    """sha256 over the exit codes and `simulate` reports (seed t, 5 trials) of campaign:0:t, n = 2..6, t < 8."""
+    h = hashlib.sha256()
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    for n in range(2, 7):
+        for t in range(8):
+            _, res = cli.campaign_trial(n, f"campaign:0:{t}")
+            desc = docs.pipeline_doc(res)["module_descriptor"]
+            inp.write_text(docs.dumps({"version": docs.FORMAT_VERSION, "module_descriptor": desc}))
+            code = cli.main(["simulate", "--input", str(inp), "--output", str(out), "--seed", str(t), "--trials", "5"])
+            h.update(f"{code}\n".encode() + out.read_bytes())
+    return h.hexdigest()
+
+
+def test_simulate_reports_match_digest(tmp_path):
+    assert simulate_reports_digest(tmp_path) == SIMULATE_DIGEST[sys.version_info >= (3, 12)]
