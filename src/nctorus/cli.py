@@ -3,8 +3,9 @@
 Subcommands: check | act | normalize | decompose | embed | pipeline |
 simulate | campaign.  Documents are read from --input (or stdin) and written
 to --output (or stdout).  Exit codes: 0 all certificates pass, 1 a
-certificate failed, 2 parse error or unwritable --output (its error
-document goes to stdout), 3 action undefined.
+certificate failed, 2 parse error, a module descriptor out of float range
+for simulate, or unwritable --output (its error document goes to stdout),
+3 action undefined.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tole
     """Seeded residual sweep over random lattice pairs and sample points."""
     rng = random.Random(f"simulate:{seed}")
     f = ms.random_gaussian(rng, d)
-    points = ms.random_samples(rng, d, samples)
+    points = ms.points(ms.random_samples(rng, d, samples))
     worst = {"module_relation": 0.0, "left_relation": 0.0, "commutation": 0.0}
     for _ in range(trials):
         x = ms.random_lattice_vector(rng, d)
@@ -176,7 +177,10 @@ def cmd_simulate(job: dict, opts) -> dict:
     tol = _option(opts, job, "tolerance", 1e-9)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise docs.ParseError("tolerance must be a positive finite number")
-    report = run_simulation(d, seed, samples, trials, tol)
+    try:
+        report = run_simulation(d, seed, samples, trials, tol)
+    except OverflowError:  # a valid descriptor can still shift or pair points past float range
+        raise docs.ParseError("module descriptor is out of float range for the simulation") from None
     report["p"], report["q"], report["k"] = d.p, d.q, d.k
     return report
 

@@ -233,8 +233,8 @@ def embedding_doc(res: PipelineResult) -> dict:
         "Z": rat_matrix_doc(res.special.Z),
         "theta_in": theta_doc(res.theta_in),
         "theta_prime": theta_doc(res.theta_out),
-        "T": rat_matrix_doc(res.emb.matrix),
-        "S": rat_matrix_doc(res.dual.matrix),
+        "T": rat_matrix_doc(res.descriptor.T),
+        "S": rat_matrix_doc(res.descriptor.S),
         "phi_star": rat_matrix_doc(res.phi_star),
         "curvature": rat_matrix_doc(res.curvature),
         "g_prime": group_doc(res.g_prime),

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
-from .module_sim import ModuleDescriptor, build_forms
+from .module_sim import ModuleDescriptor, build_forms, non_integral_rows
 from .normal_form import SpecialForm, detect_special_form, domain_check, normalize_right
 from .torus_group import (
     DeterminantNotOne,
@@ -157,62 +157,20 @@ def _corner_form(td: TorsionData, top_right: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# phase-space form and embedding maps
+# the embedding maps
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingMap:
-    """A linear map into the ambient phase space carrying the lattice.
-
-    Rows are ordered (u, u^, a, a^, w, w^); the a, w, w^ rows must be
-    integral so standard basis vectors land in the covering lattice, and the
-    projection to the (u, u^, a) rows must be invertible.  M^t J and the
-    determinant of that projection are formed once, on first use.
-    """
-
-    p: int
-    q: int
-    k: int
-    orders: tuple[int, ...]
-    matrix: Mat
-    J: Mat
-
-    @property
-    def n(self) -> int:
-        return 2 * self.p + self.q
-
-    def tilde(self) -> Mat:
-        """Projection onto the (u, u^, a) rows."""
-        return self.matrix[: 2 * self.p + self.q, :]
-
-    @cached_property
-    def tilde_det(self) -> Fraction:
-        return xl.det(self.tilde())
-
-    @cached_property
-    def MtJ(self) -> Mat:
-        """M^t J, shared by the pullback M^t J M and the pairing M^t J T."""
-        return xl.matmul(self.matrix.T, self.J)
-
-    def integral_rows_ok(self) -> bool:
-        a_rows = self.matrix[2 * self.p : 2 * self.p + self.q, :]
-        w_rows = self.matrix[self.n + self.q :, :]
-        return xl.is_integral(a_rows) and xl.is_integral(w_rows)
-
-    def pullback(self) -> Mat:
-        return xl.matmul(self.MtJ, self.matrix)
-
-
-def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLog) -> EmbeddingMap:
-    """The embedding map for theta.
+def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: CertificateLog) -> Mat:
+    """The embedding map for theta, with rows (u, u^, a, a^, w, w^).
 
     The symplectic block realizes theta_11 - Z against the standard form,
     the a^ rows carry theta_21 and a fixed strict-upper splitting of
     theta_22, and the torsion rows land the reduced basis multiples in the
-    covering lattice of W x W^.
+    covering lattice of W x W^.  The projection T~ onto the (u, u^, a) rows
+    must be invertible, and Tbar^t J is invertible exactly when T~ is (see
+    build_S), so one determinant certifies both.
     """
     p, q, k = sf.p, sf.q, td.k
-    n = sf.n
     Z = xl.zeros
     T11 = xl.symplectic_factor_rational(theta.M[: 2 * p, : 2 * p] - sf.Z)
     T31 = theta.M[2 * p :, : 2 * p]
@@ -224,12 +182,12 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, certs: CertificateLo
         [td.P2 @ td.R[:k, :], Z(k, q)],
         [td.R[k : 2 * k, :], Z(k, q)],
     ])
-    J, _ = build_forms(p, q, td.nj)
-    emb = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=T, J=J)
-    certs.check("T_pullback", emb.pullback() == theta.M, "T^t J T != theta")
-    certs.check("T_lattice_rows", emb.integral_rows_ok(), "integer rows of T not integral")
-    certs.check("T_tilde_invertible", emb.tilde_det != 0, "projection of T is singular")
-    return emb
+    certs.check("T_pullback", xl.matmul(T.T, J, T) == theta.M, "T^t J T != theta")
+    certs.check("T_lattice_rows", non_integral_rows(T, p, q, k) is None, "integer rows of T not integral")
+    invertible = xl.det(T[: sf.n, :]) != 0
+    certs.check("T_tilde_invertible", invertible, "projection of T is singular")
+    certs.check("S_tbar_invertible", invertible, "Tbar^t J is singular")
+    return T
 
 
 def _phi_matrices(td: TorsionData, p: int, q: int) -> Mat:
@@ -272,57 +230,51 @@ def _dual_closed_form(td: TorsionData, T: Mat, F11: Mat, q: int) -> Mat:
     ])
 
 
-def _tbar(emb: EmbeddingMap, td: TorsionData) -> Mat:
+def _tbar(T: Mat, td: TorsionData, q: int) -> Mat:
     """T extended to the ambient square, block lower triangular with diagonal (T~, -I_q, T4)."""
-    n, q, k = emb.n, emb.q, emb.k
+    n, k = T.shape[1], td.k
     Z = xl.zeros
-    T1, T2 = emb.matrix[: n + q, :], emb.matrix[n + q :, :]
     return xl.block([
-        [T1[:n, :], Z(n, q), Z(n, 2 * k)],
-        [T1[n:, :], -xl.eye(q), Z(q, 2 * k)],
-        [T2, Z(2 * k, q), td.T4],
+        [T[:n, :], Z(n, q), Z(n, 2 * k)],
+        [T[n : n + q, :], -xl.eye(q), Z(q, 2 * k)],
+        [T[n + q :, :], Z(2 * k, q), td.T4],
     ])
 
 
 def build_S(
     sf: SpecialForm,
     td: TorsionData,
-    emb: EmbeddingMap,
+    T: Mat,
+    J: Mat,
     phi: Mat,
     F11: Mat,
     certs: CertificateLog,
-) -> EmbeddingMap:
-    """The dual embedding onto the annihilator of the image lattice.
+) -> tuple[Mat, Mat]:
+    """The dual embedding S onto the annihilator of the image lattice, and S^t J.
 
     S is the unique solution of (Tbar^t J) S = phi, the lattice splitting
     phi pulled back through the dual Gram matrix.  Tbar is block lower
     triangular with diagonal blocks T~, -I_q and T4 = diag(n_j, n_j), and J
-    is nonsingular, so Tbar^t J is invertible exactly when det T~ != 0, the
-    determinant T_tilde_invertible already certified.  The closed form is
-    then verified against the system instead of solving it: given
-    invertibility, (Tbar^t J) S_closed = phi proves S_closed is the solution.
+    is nonsingular, so Tbar^t J is invertible exactly when det T~ != 0, which
+    build_T certified as S_tbar_invertible.  The closed form is then verified
+    against the system instead of solving it: given invertibility,
+    (Tbar^t J) S_closed = phi proves S_closed is the solution.  J is skew, so
+    S^t J = -(J S)^t reuses the product that check forms.
     """
     p, q, k = sf.p, sf.q, td.k
-    certs.check("S_tbar_invertible", emb.tilde_det != 0, "Tbar^t J is singular")
-    S = _dual_closed_form(td, emb.matrix, F11, q)
+    S = _dual_closed_form(td, T, F11, q)
+    JS = xl.matmul(J, S)
     certs.check(
         "S_closed_form",
-        xl.matmul(_tbar(emb, td).T, xl.matmul(emb.J, S)) == phi,
+        xl.matmul(_tbar(T, td, q).T, JS) == phi,
         "closed-form dual map does not solve Tbar^t J S = phi",
     )
-    dual = EmbeddingMap(p=p, q=q, k=k, orders=td.nj, matrix=S, J=emb.J)
-    certs.check("S_lattice_rows", dual.integral_rows_ok(), "integer rows of S not integral")
-    certs.check("S_tilde_invertible", dual.tilde_det != 0, "projection of S is singular")
-    return dual
+    certs.check("S_lattice_rows", non_integral_rows(S, p, q, k) is None, "integer rows of S not integral")
+    certs.check("S_tilde_invertible", xl.det(S[: sf.n, :]) != 0, "projection of S is singular")
+    return S, -JS.T
 
 
-def verify_duality(
-    emb: EmbeddingMap,
-    dual: EmbeddingMap,
-    td: TorsionData,
-    phi: Mat,
-    certs: CertificateLog,
-) -> None:
+def verify_duality(T: Mat, StJ: Mat, td: TorsionData, phi: Mat, certs: CertificateLog) -> None:
     """Two exact duality checks.
 
     (a) S^t J T integral: the skew bicharacter pairs the two image lattices
@@ -331,11 +283,10 @@ def verify_duality(
         phi (the splitting build_S used) is a basis of the full certificate
         lattice: determinant +-1.
     """
-    gram = xl.matmul(dual.MtJ, emb.matrix)
-    certs.check("pairing_integral", xl.is_integral(gram), "S^t J T has a non-integer entry")
-    p, q, k = emb.p, emb.q, emb.k
-    n = emb.n
-    delta = xl.block([[emb.matrix[n + q :, :].T], [xl.zeros(q, 2 * k)], [td.T4]])
+    certs.check("pairing_integral", xl.is_integral(xl.matmul(StJ, T)), "S^t J T has a non-integer entry")
+    n, p, k = T.shape[1], td.p, td.k
+    q = n - 2 * p
+    delta = xl.block([[T[n + q :, :].T], [xl.zeros(q, 2 * k)], [td.T4]])
     stack = xl.block([[delta, phi]])
     if not xl.is_zero(stack[2 * p : 2 * p + q, :]):
         certs.check("dual_lattice_unimodular", False, "stack has entries in the zero block")
@@ -348,16 +299,10 @@ def verify_duality(
     )
 
 
-def theta_prime(
-    dual: EmbeddingMap,
-    td: TorsionData,
-    theta: Theta,
-    F11: Mat,
-    certs: CertificateLog,
-) -> Theta:
+def theta_prime(S: Mat, StJ: Mat, td: TorsionData, theta: Theta, F11: Mat, certs: CertificateLog) -> Theta:
     """theta' = -S^t J S, cross-checked against the four displayed blocks."""
-    p, q = dual.p, dual.q
-    tp = -dual.pullback()
+    p = td.p
+    tp = -xl.matmul(StJ, S)
     certs.check("S_pullback", xl.is_skew(tp), "-S^t J S is not skew")
     blk3 = td.blk3
     R = td.R
@@ -471,8 +416,6 @@ class PipelineResult:
     special: SpecialForm
     torsion: TorsionData
     f11: Mat
-    emb: EmbeddingMap
-    dual: EmbeddingMap
     phi_star: Mat
     curvature: Mat
     g_prime: GroupElement
@@ -517,11 +460,12 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
         td.R.T @ xl.canonical_alternating(list(td.h), 2 * td.p) @ td.R == td.m * sf.Z,
         "alternating reduction does not reproduce m Z",
     )
-    emb = build_T(sf, td, theta1, certs)
+    J, _ = build_forms(sf.p, sf.q, td.nj)
+    T = build_T(sf, td, theta1, J, certs)
     phi = _phi_matrices(td, sf.p, sf.q)
-    dual = build_S(sf, td, emb, phi, F11, certs)
-    verify_duality(emb, dual, td, phi, certs)
-    tp = theta_prime(dual, td, theta1, F11, certs)
+    S, StJ = build_S(sf, td, T, J, phi, F11, certs)
+    verify_duality(T, StJ, td, phi, certs)
+    tp = theta_prime(S, StJ, td, theta1, F11, certs)
     phi_star, curvature, gp = build_gprime(sf, td, theta1, tp, F11, certs)
     N, At = decompose(g1, gp, certs)
     # The first step carries theta to theta1 by construction and the certified
@@ -540,8 +484,6 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
         special=sf,
         torsion=td,
         f11=F11,
-        emb=emb,
-        dual=dual,
         phi_star=phi_star,
         curvature=curvature,
         g_prime=gp,
@@ -552,8 +494,8 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
             q=sf.q,
             k=td.k,
             orders=td.nj,
-            T=emb.matrix,
-            S=dual.matrix,
+            T=T,
+            S=S,
             theta=theta1,
             theta_prime=tp,
         ),

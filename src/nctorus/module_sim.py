@@ -169,6 +169,24 @@ def _half_phase(M: Mat, x: list[int], y: list[int]) -> complex:
     return _e(_value(M, x, y), 2 * M.den)
 
 
+def coordinate_rows(M: Mat, p: int, q: int, k: int) -> list[tuple]:
+    """The integer rows of M cut as (u, u^, a, a^, w, w^), of sizes (p, p, q, q, k, k)."""
+    bounds = list(itertools.accumulate((p, p, q, q, k, k), initial=0))
+    return [M.rows[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def non_integral_rows(M: Mat, p: int, q: int, k: int) -> str | None:
+    """The first of the a, w and w^ row blocks of M with a non-integer entry, or None.
+
+    Those rows must be integral so that lattice vectors land in Z^q x W x W^.
+    """
+    _, _, a, _, w, what = coordinate_rows(M, p, q, k)
+    for label, block in (("a", a), ("w", w), ("w^", what)):
+        if any(x % M.den for row in block for x in row):
+            return label
+    return None
+
+
 class _Image:
     """An embedding matrix (T or S) as integer rows cut into coordinate blocks.
 
@@ -180,18 +198,12 @@ class _Image:
     def __init__(self, M: Mat, name: str, d: ModuleDescriptor):
         if M.shape != (d.ambient_dim, d.n):
             raise ShapeMismatch(f"{name} has shape {M.shape}, expected {(d.ambient_dim, d.n)}")
-        rows, den = M.rows, M.den
-        blocks = []
-        start = 0
-        for size in (d.p, d.p, d.q, d.q, d.k, d.k):
-            blocks.append(rows[start : start + size])
-            start += size
-        self.u, self.uhat, a, self.ahat, w, what = blocks
-        for label, block in (("a", a), ("w", w), ("w^", what)):
-            if any(x % den for row in block for x in row):
-                raise ShapeMismatch(f"{name} has a non-integer entry in its {label} rows")
+        label = non_integral_rows(M, d.p, d.q, d.k)
+        if label:
+            raise ShapeMismatch(f"{name} has a non-integer entry in its {label} rows")
+        self.den = den = M.den
+        self.u, self.uhat, a, self.ahat, w, what = coordinate_rows(M, d.p, d.q, d.k)
         self.a, self.w, self.what = ([[x // den for x in row] for row in b] for b in (a, w, what))
-        self.den = den
         self.orders = d.orders
         self.modulus = math.lcm(den, *d.orders)
         self.half = xl.matmul(M.T, d.Jprime, M)
@@ -218,7 +230,11 @@ def verify_descriptor(d: ModuleDescriptor) -> None:
 
 def _lattice(x, d: ModuleDescriptor) -> tuple[int, ...]:
     x = tuple(x)
-    if len(x) != d.n or x != (v := tuple(map(int, x))):
+    try:
+        v = tuple(map(int, x))
+    except (TypeError, ValueError, ArithmeticError):  # None, 1j, nan, +-inf, ...
+        v = None
+    if len(x) != d.n or x != v:
         raise ShapeMismatch(f"expected a lattice vector of {d.n} integers, got {list(x)}")
     return v
 
@@ -287,27 +303,24 @@ def left_action(x, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
     return _twisted(f, _twist(d._images[1], _lattice(x, d), +1))
 
 
-def check_module_relation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
+def check_module_relation(x, y, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
     """max_m |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|."""
-    m = points(samples)
     lhs = right_action(right_action(f, x, d), y, d)(m)
     sig = _half_phase(d.theta.M, _lattice(x, d), _lattice(y, d))
     rhs = right_action(f, [a + b for a, b in zip(x, y)], d)(m)
     return max(abs(l - sig * r) for l, r in zip(lhs, rhs))
 
 
-def check_left_relation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
+def check_left_relation(x, y, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
-    m = points(samples)
     lhs = left_action(x, left_action(y, f, d), d)(m)
     sig = _half_phase(d.theta_prime.M, _lattice(x, d), _lattice(y, d))
     rhs = left_action([a + b for a, b in zip(x, y)], f, d)(m)
     return max(abs(l - sig * r) for l, r in zip(lhs, rhs))
 
 
-def check_bimodule_commutation(x, y, f: PointFunction, samples, d: ModuleDescriptor) -> float:
+def check_bimodule_commutation(x, y, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
     """max_m |(V_y (f U_x))(m) - ((V_y f) U_x)(m)|."""
-    m = points(samples)
     lhs = left_action(y, right_action(f, x, d), d)(m)
     rhs = right_action(left_action(y, f, d), x, d)(m)
     return max(abs(l - r) for l, r in zip(lhs, rhs))

@@ -61,8 +61,8 @@ def test_criterion_1_flip_worked_example():
         res = eb.pipeline(g, theta)
         d = res
         assert d.theta_out.M == xl.mat([[0, -3], [3, 0]])
-        assert d.emb.matrix == xl.diag([F(1, 3), F(1)])
-        assert d.dual.matrix == xl.mat([[0, -1], [3, 0]])
+        assert d.descriptor.T == xl.diag([F(1, 3), F(1)])
+        assert d.descriptor.S == xl.mat([[0, -1], [3, 0]])
         assert d.phi_star == xl.mat([[0, 3], [-3, 0]])
         gp = d.g_prime
         assert xl.is_zero(gp.A) and xl.is_zero(gp.D)
@@ -197,7 +197,7 @@ def test_criterion_5_module_simulation():
             for _ in range(100):
                 x = ms.random_lattice_vector(rng, dd)
                 y = ms.random_lattice_vector(rng, dd)
-                m = [ms.random_point(rng, dd)]
+                m = ms.points([ms.random_point(rng, dd)])
                 assert ms.check_module_relation(x, y, f, m, dd) < 1e-9
                 assert ms.check_bimodule_commutation(x, y, f, m, dd) < 1e-9
 

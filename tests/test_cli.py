@@ -323,6 +323,19 @@ class TestCommands:
         code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
         assert code == 2 and out["error"] == {"kind": "parse", "message": f"bad module_descriptor: {message}"}
 
+    @pytest.mark.parametrize("exponent", [170, 400])
+    def test_simulate_descriptor_out_of_float_range_exit_2(self, tmp_path, exponent):
+        # u rows times c and u^ rows over c is a symplectic change of coordinates:
+        # the identities still hold exactly, but the shifts leave float range
+        code, out = run(tmp_path, ["pipeline"], flip_doc())
+        desc = out["module_descriptor"]
+        c = 10**exponent
+        desc["T"] = [[f"{c}/3", "0"], ["0", f"1/{c}"]]
+        desc["S"] = [["0", f"-{c}"], [f"3/{c}", "0"]]
+        code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
+        message = "module descriptor is out of float range for the simulation"
+        assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+
     @pytest.mark.parametrize("command", ["simulate", "campaign"])
     @pytest.mark.parametrize(
         "flags, options",

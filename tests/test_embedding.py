@@ -89,8 +89,8 @@ class TestFlipWorkedExample:
     def test_embedding_matrices(self):
         res = self.run()
         d = res
-        assert d.emb.matrix == xl.diag([F(1, 3), F(1)])
-        assert d.dual.matrix == xl.mat([[0, -1], [3, 0]])
+        assert d.descriptor.T == xl.diag([F(1, 3), F(1)])
+        assert d.descriptor.S == xl.mat([[0, -1], [3, 0]])
 
     def test_theta_prime(self):
         res = self.run()
@@ -163,9 +163,9 @@ class TestTorsionExample:
         assert td.k == 1 and td.m == 1 and list(td.h) == [1]
         assert (td.mj, td.nj, td.cj, td.dj) == ((1,), (1,), (0,), (1,))
         expected_T = xl.mat([[F(4, 3), 0], [0, 1], [0, 1], [1, 0]])
-        assert d.emb.matrix == expected_T
+        assert d.descriptor.T == expected_T
         expected_S = xl.mat([[1, 0], [0, F(-3, 4)], [0, -1], [0, 0]])
-        assert d.dual.matrix == expected_S
+        assert d.descriptor.S == expected_S
         assert d.theta_out.M == xl.mat([[0, F(3, 4)], [F(-3, 4), 0]])
         gp = d.g_prime
         swap = xl.mat([[0, 1], [1, 0]])
@@ -344,7 +344,8 @@ class TestVerifiedClosedForms:
         d = results[0]
         td = d.torsion
         orders = math.prod(nj**2 for nj in td.nj)
-        assert xl.det(eb._tbar(d.emb, td)) == (-1) ** d.special.q * d.emb.tilde_det * orders
+        T, n = d.descriptor.T, d.descriptor.n
+        assert xl.det(eb._tbar(T, td, d.special.q)) == (-1) ** d.special.q * xl.det(T[:n, :]) * orders
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
@@ -356,8 +357,8 @@ class TestVerifiedClosedForms:
         d = results[0]
         td, p, q = d.torsion, d.special.p, d.special.q
         phi = eb._phi_matrices(td, p, q)
-        gram = xl.matmul(eb._tbar(d.emb, td).T, d.emb.J)
-        assert xl.matmul(xl.rational_inverse(gram), phi) == d.dual.matrix
+        gram = xl.matmul(eb._tbar(d.descriptor.T, td, q).T, d.descriptor.J)
+        assert xl.matmul(xl.rational_inverse(gram), phi) == d.descriptor.S
         inv = xl.rational_inverse(d.phi_star)
         theta, theta_out = d.theta_in.M, d.theta_out.M
         Cp = xl.matmul(inv, d.curvature)

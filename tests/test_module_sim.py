@@ -285,7 +285,7 @@ class TestRelations:
         d = make()
         rng = random.Random(31)
         f = ms.random_gaussian(rng, d)
-        samples = ms.random_samples(rng, d, 6)
+        samples = ms.points(ms.random_samples(rng, d, 6))
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
@@ -296,7 +296,7 @@ class TestRelations:
         d = make()
         rng = random.Random(32)
         f = ms.random_gaussian(rng, d)
-        samples = ms.random_samples(rng, d, 6)
+        samples = ms.points(ms.random_samples(rng, d, 6))
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
@@ -307,7 +307,7 @@ class TestRelations:
         d = make()
         rng = random.Random(33)
         f = ms.random_gaussian(rng, d)
-        samples = ms.random_samples(rng, d, 6)
+        samples = ms.points(ms.random_samples(rng, d, 6))
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
@@ -316,7 +316,7 @@ class TestRelations:
     def test_trivial_cases(self):
         d = flip_descriptor()
         f = ms.gaussian(d)
-        samples = [ms.PointM(u=(0.1,), a=(), w=())]
+        samples = ms.points([ms.PointM(u=(0.1,), a=(), w=())])
         assert ms.check_module_relation([0, 0], [0, 0], f, samples, d) == 0
         assert ms.check_bimodule_commutation([0, 0], [0, 0], f, samples, d) < 1e-15
 
@@ -417,12 +417,12 @@ class TestIntegerKernelOracle:
             assert ms._half_phase(theta.M, x, y) == ref_sigma_cocycle(theta, x, y)
         sig = ref_sigma_cocycle(d.theta, x, y)
         lhs, rhs = ref["(f U_x) U_y"], ref["f U_x+y"]
-        assert ms.check_module_relation(x, y, f, points, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        assert ms.check_module_relation(x, y, f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
         sig = ref_sigma_cocycle(d.theta_prime, x, y)
         lhs, rhs = ref["V_x (V_y f)"], ref["V_x+y f"]
-        assert ms.check_left_relation(x, y, f, points, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        assert ms.check_left_relation(x, y, f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
         lhs, rhs = ref["V_y (f U_x)"], ref["(V_y f) U_x"]
-        assert ms.check_bimodule_commutation(x, y, f, points, d) == max(abs(lhs(m) - rhs(m)) for m in points)
+        assert ms.check_bimodule_commutation(x, y, f, batch, d) == max(abs(lhs(m) - rhs(m)) for m in points)
 
     def test_point_evaluation_builds_no_fraction(self, monkeypatch):
         d = torsion_descriptor()
@@ -450,20 +450,22 @@ class TestIntegerKernelOracle:
         with pytest.raises(ms.ShapeMismatch):
             ms.right_action(ms.gaussian(d), [1, 0, 0], d)
 
-    @pytest.mark.parametrize("bad", [[0.5, 0.5], [F(1, 2), 0], [1, 2.5]])
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.5, 0.5], [F(1, 2), 0], [1, 2.5], [math.nan, 0], [math.inf, 0], [0, -math.inf], [1j, 0], [None, 0]],
+    )
     def test_non_integral_lattice_vector(self, bad):
         # int() would truncate [0.5, 0.5] to 0 and act as U_0
         d = flip_descriptor()
         f = ms.gaussian(d)
-        samples = [ms.PointM(u=(0.1,), a=(), w=())]
+        batch = ms.points([ms.PointM(u=(0.1,), a=(), w=())])
         with pytest.raises(ms.ShapeMismatch):
             ms.right_action(f, bad, d)
         with pytest.raises(ms.ShapeMismatch):
             ms.left_action(bad, f, d)
         with pytest.raises(ms.ShapeMismatch):
-            ms.check_module_relation(bad, [0, 0], f, samples, d)
+            ms.check_module_relation(bad, [0, 0], f, batch, d)
         # integral entries of any numeric type are lattice vectors
-        batch = ms.points(samples)
         assert ms.right_action(f, [1.0, F(2)], d)(batch) == ms.right_action(f, [1, 2], d)(batch)
 
 
