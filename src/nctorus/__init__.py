@@ -32,6 +32,7 @@ from .module_sim import (
     left_action,
     points,
     right_action,
+    tile,
 )
 from .normal_form import SpecialForm, detect_special_form, domain_check, normalize_right
 from .torus_group import (

@@ -137,23 +137,26 @@ def cmd_pipeline(job: dict, opts) -> dict:
 
 
 def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tolerance: float) -> dict:
-    """Seeded residual sweep over random lattice pairs and sample points."""
+    """Seeded residual sweep over random lattice pairs and sample points.
+
+    The trials are checked in blocks of at most ms.BATCH_POINTS points (one
+    trial when the samples alone exceed it): a block's pairs act on the sample
+    batch repeated once per pair, and each check runs once per block.
+    """
     rng = random.Random(f"simulate:{seed}")
     f = ms.random_gaussian(rng, d)
-    points = ms.points(ms.random_samples(rng, d, samples))
+    sample = ms.points(ms.random_samples(rng, d, samples))
+    per_block = max(1, ms.BATCH_POINTS // samples)
     worst = {"module_relation": 0.0, "left_relation": 0.0, "commutation": 0.0}
-    for _ in range(trials):
-        x = ms.random_lattice_vector(rng, d)
-        y = ms.random_lattice_vector(rng, d)
-        worst["module_relation"] = max(
-            worst["module_relation"], ms.check_module_relation(x, y, f, points, d)
-        )
-        worst["left_relation"] = max(
-            worst["left_relation"], ms.check_left_relation(x, y, f, points, d)
-        )
-        worst["commutation"] = max(
-            worst["commutation"], ms.check_bimodule_commutation(x, y, f, points, d)
-        )
+    for start in range(0, trials, per_block):
+        pairs = [
+            (ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d))
+            for _ in range(min(per_block, trials - start))
+        ]
+        m = ms.tile(sample, len(pairs))
+        worst["module_relation"] = max(worst["module_relation"], ms.check_module_relation(pairs, f, m, d))
+        worst["left_relation"] = max(worst["left_relation"], ms.check_left_relation(pairs, f, m, d))
+        worst["commutation"] = max(worst["commutation"], ms.check_bimodule_commutation(pairs, f, m, d))
     return {
         "seed": seed,
         "samples": samples,

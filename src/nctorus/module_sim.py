@@ -11,14 +11,22 @@ All exact arithmetic runs on Python ints.  A descriptor is compiled on its
 first action (``ModuleDescriptor._images``): the integer rows of T and S are
 cut into coordinate blocks, with their a, w and w^ rows checked integral, and
 the half forms Q = M^t J' M are formed once.  The cocycles read the integer
-rows of theta and theta' directly.  Each action U_x or V_x then fixes its
-shift and its pairing once (``_twist``): integer coefficients over one
-modulus L and float u-shifts.  A phase e(N / L) is evaluated as
+rows of theta and theta' directly.  An action is built for a list of lattice
+vectors at once (``_twist``, one pass over the image rows per list): vector i
+acts on the i-th of len(xs) equal blocks of a batch, and each vector fixes its
+shift and its pairing there, integer coefficients over one modulus L and
+float u-shifts.  ``right_action`` and ``left_action`` are the one-vector
+case.  The relation checks take the lattice pairs of several trials and the
+sample batch repeated once per pair (``tile``), so a simulation run builds
+each of its six distinct actions once per block of at most ``BATCH_POINTS``
+points, and folds the worst residual per trial in trial order.  A phase
+e(N / L) is evaluated as
 exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first and the one
 int division is correctly rounded, so it equals float(Fraction(N, L) % 1)
 bit for bit and residuals stay at machine precision even for large integer
 arguments.  Evaluation builds no ``Fraction``, and each per-point float sum
 is a builtin sum() over that point's terms, so values do not depend on the batch.
+A pairing past float range raises OverflowError, as a shift past it does.
 
 The inner product <f, g>(x), for p <= 2, is the one integral: a midpoint rule
 in u on [-6, 6], checked by doubling, and sums over a in [-8, 8]^q and W.
@@ -34,7 +42,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
@@ -127,6 +135,16 @@ def points(pts: list[PointM]) -> Points:
     """The batch of single points, transposed once."""
     u, a, w = ([list(c) for c in zip(*(getattr(m, part) for m in pts))] for part in "uaw")
     return Points(u, a, w, len(pts))
+
+
+def tile(m: Points, times: int) -> Points:
+    """The batch m repeated ``times`` times, block after block."""
+    return Points([c * times for c in m.u], [c * times for c in m.a], [c * times for c in m.w], m.size * times)
+
+
+# The most points a simulation run evaluates at once: its trials are checked in
+# blocks of at most this many points, so memory does not grow with --trials.
+BATCH_POINTS = 4096
 
 
 # A test function is any pure callable Points -> values in point order.
@@ -240,36 +258,39 @@ def _lattice(x, d: ModuleDescriptor) -> tuple[int, ...]:
 
 
 class _Twist:
-    """The constants of one action of the lattice vector x through an image M.
+    """The constants of the actions of the lattice vectors xs through an image M.
 
-    With sign -1 (U_x through T) or +1 (V_x through S): ``phase`` is
-    e(-M(x).J'M(x)/2), the shift m -> m + sign M'(x) adds ``su``, ``sa`` and
-    ``sw`` (mod ``orders``), and the pairing <m, -sign M''(x)> has integer
-    coefficients ``ca``, ``cw`` over one ``modulus`` and float ones ``cu``,
-    where M' and M'' are the M and M-hat parts of M(x).
+    Vector i acts on the i-th of len(xs) equal blocks of a batch, and each
+    constant is a list with one entry per vector.  With sign -1 (U_x through T)
+    or +1 (V_x through S): ``phase`` is e(-M(x).J'M(x)/2), the shift
+    m -> m + sign M'(x) adds the columns ``su``, ``sa`` and ``sw`` (mod
+    ``orders``), and the pairing <m, -sign M''(x)> has integer coefficient
+    columns ``ca``, ``cw`` over one ``modulus`` and float ones ``cu``, where M'
+    and M'' are the M and M-hat parts of M(x).
     """
 
     __slots__ = ("phase", "cu", "ca", "cw", "modulus", "su", "sa", "sw", "orders")
 
-    def __init__(self, img: _Image, x: tuple[int, ...], sign: int):
-        def image(rows):
-            return [sum(map(mul, row, x)) for row in rows]
+    def __init__(self, img: _Image, xs: tuple[tuple[int, ...], ...], sign: int):
+        def image(rows):  # per row, its value at each vector
+            return [[sum(map(mul, row, x)) for x in xs] for row in rows]
 
         den, L = img.den, img.modulus
-        self.phase = _e(-_value(img.half, x, x), 2 * img.half.den)
-        self.su = tuple(sign * (v / den) for v in image(img.u))
-        self.sa = tuple(sign * v for v in image(img.a))
-        self.sw = tuple(sign * v % n for v, n in zip(image(img.w), img.orders))
-        self.cu = tuple(-sign * (v / den) for v in image(img.uhat))
-        self.ca = tuple(-sign * v * (L // den) % L for v in image(img.ahat))
-        self.cw = tuple(-sign * v * (L // n) % L for v, n in zip(image(img.what), img.orders))
+        self.phase = [_e(-_value(img.half, x, x), 2 * img.half.den) for x in xs]
+        self.su = [[sign * (v / den) for v in r] for r in image(img.u)]
+        self.sa = [[sign * v for v in r] for r in image(img.a)]
+        self.sw = [[sign * v % n for v in r] for r, n in zip(image(img.w), img.orders)]
+        self.cu = [[-sign * (v / den) for v in r] for r in image(img.uhat)]
+        self.ca = [[-sign * v * (L // den) % L for v in r] for r in image(img.ahat)]
+        self.cw = [[-sign * v * (L // n) % L for v in r] for r, n in zip(image(img.what), img.orders)]
         self.modulus = L
         self.orders = img.orders
 
 
-@functools.lru_cache(maxsize=8)  # a simulation trial uses 10 actions, 6 of them distinct
-def _twist(img: _Image, x: tuple[int, ...], sign: int) -> _Twist:
-    return _Twist(img, x, sign)
+# A block of a simulation run uses ten actions, six of them distinct
+@functools.lru_cache(maxsize=8)
+def _twist(img: _Image, xs: tuple[tuple[int, ...], ...], sign: int) -> _Twist:
+    return _Twist(img, xs, sign)
 
 
 def _sums(columns: list, size: int) -> list:
@@ -277,53 +298,104 @@ def _sums(columns: list, size: int) -> list:
     return list(map(sum, zip(*columns))) if columns else [0] * size
 
 
+def _spread(consts: list, block: int) -> list:
+    """One entry per point: each per-vector constant repeated over its block."""
+    out = []
+    for c in consts:
+        out += [c] * block
+    return out
+
+
 def _twisted(f: PointFunction, tw: _Twist) -> PointFunction:
-    """m -> phase <m, ...> f(shift(m)) for the constants of one action."""
-    phase, L = tw.phase, tw.modulus
+    """m -> phase <m, ...> f(shift(m)) for the constants of the actions of one vector list."""
+    L = tw.modulus
 
     def ev(m: Points) -> list[complex]:
-        exact = _sums([[v * c for v in col] for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size)
-        real = _sums([[v * c for v in col] for col, c in zip(m.u, tw.cu)], m.size)
-        u = [[v + s for v in col] for col, s in zip(m.u, tw.su)]
-        a = [[v + s for v in col] for col, s in zip(m.a, tw.sa)]
-        w = [[(v + s) % n for v in col] for col, s, n in zip(m.w, tw.sw, tw.orders)]
+        block, rest = divmod(m.size, len(tw.phase))
+        if rest:
+            raise ShapeMismatch(f"{m.size} points do not split into {len(tw.phase)} equal blocks")
+
+        def spread(consts):
+            return _spread(consts, block)
+
+        exact = _sums([list(map(mul, col, spread(c))) for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size)
+        real = _sums([list(map(mul, col, spread(c))) for col, c in zip(m.u, tw.cu)], m.size)
+        u = [list(map(add, col, spread(s))) for col, s in zip(m.u, tw.su)]
+        a = [list(map(add, col, spread(s))) for col, s in zip(m.a, tw.sa)]
+        w = [[(v + s) % n for v, s in zip(col, spread(c))] for col, c, n in zip(m.w, tw.sw, tw.orders)]
         values = f(Points(u, a, w, m.size))
-        return [phase * cmath.exp(2j * math.pi * (e % L / L + r)) * v for e, r, v in zip(exact, real, values)]
+        try:
+            return [
+                p * cmath.exp(2j * math.pi * (e % L / L + r)) * v
+                for p, e, r, v in zip(spread(tw.phase), exact, real, values)
+            ]
+        except ValueError:  # cmath.exp of an infinite pairing
+            raise OverflowError("a pairing phase is out of float range") from None
 
     return ev
 
 
+def _right(f: PointFunction, xs: tuple, d: ModuleDescriptor) -> PointFunction:
+    return _twisted(f, _twist(d._images[0], xs, -1))
+
+
+def _left(xs: tuple, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
+    return _twisted(f, _twist(d._images[1], xs, +1))
+
+
 def right_action(f: PointFunction, x, d: ModuleDescriptor) -> PointFunction:
     """(f U_x)(m) = e(-T(x).J'T(x)/2) <m, T''(x)> f(m - T'(x))."""
-    return _twisted(f, _twist(d._images[0], _lattice(x, d), -1))
+    return _right(f, (_lattice(x, d),), d)
 
 
 def left_action(x, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
     """(V_x f)(m) = e(-S(x).J'S(x)/2) <m, -S''(x)> f(m + S'(x))."""
-    return _twisted(f, _twist(d._images[1], _lattice(x, d), +1))
+    return _left((_lattice(x, d),), f, d)
 
 
-def check_module_relation(x, y, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
-    """max_m |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|."""
-    lhs = right_action(right_action(f, x, d), y, d)(m)
-    sig = _half_phase(d.theta.M, _lattice(x, d), _lattice(y, d))
-    rhs = right_action(f, [a + b for a, b in zip(x, y)], d)(m)
-    return max(abs(l - sig * r) for l, r in zip(lhs, rhs))
+def _pairs(pairs, d: ModuleDescriptor) -> tuple[tuple, tuple, tuple]:
+    """The lattice vectors x, y and x + y of each pair, as three vector lists."""
+    xs = tuple(_lattice(x, d) for x, _ in pairs)
+    ys = tuple(_lattice(y, d) for _, y in pairs)
+    return xs, ys, tuple(tuple(map(add, x, y)) for x, y in zip(xs, ys))
 
 
-def check_left_relation(x, y, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
+def _worst(residuals: list[float], trials: int) -> float:
+    """max(w, max(block)) folded from w = 0.0 over the trials' blocks in order."""
+    block = len(residuals) // trials
+    w = 0.0
+    for i in range(0, len(residuals), block):
+        w = max(w, max(residuals[i : i + block]))
+    return w
+
+
+def check_module_relation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
+    """The worst |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|.
+
+    Pair i of ``pairs`` acts on the i-th of len(pairs) equal blocks of m.
+    """
+    xs, ys, xys = _pairs(pairs, d)
+    lhs = _right(_right(f, xs, d), ys, d)(m)
+    sig = _spread([_half_phase(d.theta.M, x, y) for x, y in zip(xs, ys)], m.size // len(xs))
+    rhs = _right(f, xys, d)(m)
+    return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)], len(xs))
+
+
+def check_left_relation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
-    lhs = left_action(x, left_action(y, f, d), d)(m)
-    sig = _half_phase(d.theta_prime.M, _lattice(x, d), _lattice(y, d))
-    rhs = left_action([a + b for a, b in zip(x, y)], f, d)(m)
-    return max(abs(l - sig * r) for l, r in zip(lhs, rhs))
+    xs, ys, xys = _pairs(pairs, d)
+    lhs = _left(xs, _left(ys, f, d), d)(m)
+    sig = _spread([_half_phase(d.theta_prime.M, x, y) for x, y in zip(xs, ys)], m.size // len(xs))
+    rhs = _left(xys, f, d)(m)
+    return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)], len(xs))
 
 
-def check_bimodule_commutation(x, y, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
-    """max_m |(V_y (f U_x))(m) - ((V_y f) U_x)(m)|."""
-    lhs = left_action(y, right_action(f, x, d), d)(m)
-    rhs = right_action(left_action(y, f, d), x, d)(m)
-    return max(abs(l - r) for l, r in zip(lhs, rhs))
+def check_bimodule_commutation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
+    """The worst |(V_y (f U_x))(m) - ((V_y f) U_x)(m)|, blocks as in check_module_relation."""
+    xs, ys, _ = _pairs(pairs, d)
+    lhs = _left(ys, _right(f, xs, d), d)(m)
+    rhs = _right(_left(ys, f, d), xs, d)(m)
+    return _worst([abs(l - r) for l, r in zip(lhs, rhs)], len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +474,7 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     """
     if d.p > 2:
         raise ValueError("numeric inner product supports p <= 2 only")
-    tw = _twist(d._images[0], _lattice(x, d), +1)
+    tw = _twist(d._images[0], (_lattice(x, d),), +1)
     coarse = _integrate(f, g, tw, d, U_POINTS)
     fine = _integrate(f, g, tw, d, 2 * U_POINTS)
     if abs(fine - coarse) > TOLERANCE:

@@ -198,8 +198,8 @@ def test_criterion_5_module_simulation():
                 x = ms.random_lattice_vector(rng, dd)
                 y = ms.random_lattice_vector(rng, dd)
                 m = ms.points([ms.random_point(rng, dd)])
-                assert ms.check_module_relation(x, y, f, m, dd) < 1e-9
-                assert ms.check_bimodule_commutation(x, y, f, m, dd) < 1e-9
+                assert ms.check_module_relation([(x, y)], f, m, dd) < 1e-9
+                assert ms.check_bimodule_commutation([(x, y)], f, m, dd) < 1e-9
 
 
 def test_criterion_6_degenerate_closure():

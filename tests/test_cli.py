@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nctorus import cli
 from nctorus import documents as docs
@@ -28,6 +28,19 @@ def flip_doc(theta12="1/3"):
         },
         "theta": [["0", theta12], [f"-{theta12}", "0"]],
     }
+
+
+def scaled_flip_descriptor_doc(exponent, mirrored):
+    """The flip descriptor, T = [[1/3, 0], [0, 1]] and S = [[0, -1], [3, 0]], with its u rows
+    times c = 10**exponent and its u^ rows over c, or with the mirrored scaling."""
+    c = 10**exponent
+    if mirrored:
+        T, S = [[f"1/{3 * c}", "0"], ["0", f"{c}"]], [["0", f"-1/{c}"], [f"{3 * c}", "0"]]
+    else:
+        T, S = [[f"{c}/3", "0"], ["0", f"1/{c}"]], [["0", f"-{c}"], [f"3/{c}", "0"]]
+    desc = {"p": 1, "q": 0, "k": 0, "orders": [], "T": T, "S": S, "K": 1.0}
+    desc["theta"], desc["theta_prime"] = [["0", "1/3"], ["-1/3", "0"]], [["0", "-3"], ["3", "0"]]
+    return {"version": "nctorus/1", "module_descriptor": desc}
 
 
 def run(tmp_path, argv, doc=None):
@@ -323,18 +336,32 @@ class TestCommands:
         code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
         assert code == 2 and out["error"] == {"kind": "parse", "message": f"bad module_descriptor: {message}"}
 
-    @pytest.mark.parametrize("exponent", [170, 400])
-    def test_simulate_descriptor_out_of_float_range_exit_2(self, tmp_path, exponent):
-        # u rows times c and u^ rows over c is a symplectic change of coordinates:
-        # the identities still hold exactly, but the shifts leave float range
-        code, out = run(tmp_path, ["pipeline"], flip_doc())
-        desc = out["module_descriptor"]
-        c = 10**exponent
-        desc["T"] = [[f"{c}/3", "0"], ["0", f"1/{c}"]]
-        desc["S"] = [["0", f"-{c}"], [f"3/{c}", "0"]]
-        code, out = run(tmp_path, ["simulate"], {"version": "nctorus/1", "module_descriptor": desc})
+    @pytest.mark.parametrize(
+        "exponent, mirrored",
+        [
+            pytest.param(170, False, id="170"),
+            pytest.param(400, False, id="400"),
+            pytest.param(306, True, id="mirrored-306"),
+            pytest.param(307, True, id="mirrored-307"),
+        ],
+    )
+    def test_simulate_descriptor_out_of_float_range_exit_2(self, tmp_path, exponent, mirrored):
+        # u rows times c and u^ rows over c (or the mirror: u rows over c, u^
+        # rows times c) is a symplectic change of coordinates: the identities
+        # still hold exactly, but the shifts or the pairings leave float range
+        code, out = run(tmp_path, ["simulate"], scaled_flip_descriptor_doc(exponent, mirrored))
         message = "module descriptor is out of float range for the simulation"
         assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.integers(0, 400), mirrored=st.booleans(), seed=st.integers(0, 3))
+    @example(exponent=307, mirrored=True, seed=0)
+    @example(exponent=308, mirrored=False, seed=0)
+    def test_scaled_descriptor_ends_in_a_documented_exit_code(self, tmp_path_factory, exponent, mirrored, seed):
+        doc = scaled_flip_descriptor_doc(exponent, mirrored)
+        doc["options"] = {"trials": 3, "samples": 3, "seed": seed}
+        code, out = run(tmp_path_factory.mktemp("scaled"), ["simulate"], doc)
+        assert code in (0, 1, 2) and isinstance(out, dict)
 
     @pytest.mark.parametrize("command", ["simulate", "campaign"])
     @pytest.mark.parametrize(

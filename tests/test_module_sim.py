@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nctorus import cli
+from nctorus import documents as docs
 from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
 from nctorus import module_sim as ms
@@ -289,7 +290,7 @@ class TestRelations:
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
-            assert ms.check_module_relation(x, y, f, samples, d) < 1e-9
+            assert ms.check_module_relation([(x, y)], f, samples, d) < 1e-9
 
     @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
     def test_left_relation(self, make):
@@ -300,7 +301,7 @@ class TestRelations:
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
-            assert ms.check_left_relation(x, y, f, samples, d) < 1e-9
+            assert ms.check_left_relation([(x, y)], f, samples, d) < 1e-9
 
     @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
     def test_commutation(self, make):
@@ -311,14 +312,14 @@ class TestRelations:
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
-            assert ms.check_bimodule_commutation(x, y, f, samples, d) < 1e-9
+            assert ms.check_bimodule_commutation([(x, y)], f, samples, d) < 1e-9
 
     def test_trivial_cases(self):
         d = flip_descriptor()
         f = ms.gaussian(d)
         samples = ms.points([ms.PointM(u=(0.1,), a=(), w=())])
-        assert ms.check_module_relation([0, 0], [0, 0], f, samples, d) == 0
-        assert ms.check_bimodule_commutation([0, 0], [0, 0], f, samples, d) < 1e-15
+        assert ms.check_module_relation([([0, 0], [0, 0])], f, samples, d) == 0
+        assert ms.check_bimodule_commutation([([0, 0], [0, 0])], f, samples, d) < 1e-15
 
     def test_phases_unit_modulus(self):
         for make in ALL_DESCRIPTORS:
@@ -417,12 +418,12 @@ class TestIntegerKernelOracle:
             assert ms._half_phase(theta.M, x, y) == ref_sigma_cocycle(theta, x, y)
         sig = ref_sigma_cocycle(d.theta, x, y)
         lhs, rhs = ref["(f U_x) U_y"], ref["f U_x+y"]
-        assert ms.check_module_relation(x, y, f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        assert ms.check_module_relation([(x, y)], f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
         sig = ref_sigma_cocycle(d.theta_prime, x, y)
         lhs, rhs = ref["V_x (V_y f)"], ref["V_x+y f"]
-        assert ms.check_left_relation(x, y, f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        assert ms.check_left_relation([(x, y)], f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
         lhs, rhs = ref["V_y (f U_x)"], ref["(V_y f) U_x"]
-        assert ms.check_bimodule_commutation(x, y, f, batch, d) == max(abs(lhs(m) - rhs(m)) for m in points)
+        assert ms.check_bimodule_commutation([(x, y)], f, batch, d) == max(abs(lhs(m) - rhs(m)) for m in points)
 
     def test_point_evaluation_builds_no_fraction(self, monkeypatch):
         d = torsion_descriptor()
@@ -464,17 +465,103 @@ class TestIntegerKernelOracle:
         with pytest.raises(ms.ShapeMismatch):
             ms.left_action(bad, f, d)
         with pytest.raises(ms.ShapeMismatch):
-            ms.check_module_relation(bad, [0, 0], f, batch, d)
+            ms.check_module_relation([(bad, [0, 0])], f, batch, d)
         # integral entries of any numeric type are lattice vectors
         assert ms.right_action(f, [1.0, F(2)], d)(batch) == ms.right_action(f, [1, 2], d)(batch)
 
 
-def test_action_memo_is_bounded_and_used():
-    # a trial uses U_x and V_y thrice each, U_y, U_x+y, V_x and V_x+y once:
-    # ten uses of six distinct actions, so at least four hits per trial
+def per_trial_simulation(d, seed, samples, trials, tolerance):
+    """The per-trial loop that batching replaced: each trial checks its one pair on the sample batch."""
+    rng = random.Random(f"simulate:{seed}")
+    f = ms.random_gaussian(rng, d)
+    m = ms.points(ms.random_samples(rng, d, samples))
+    worst = {"module_relation": 0.0, "left_relation": 0.0, "commutation": 0.0}
+    for _ in range(trials):
+        pair = [(ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d))]
+        worst["module_relation"] = max(worst["module_relation"], ms.check_module_relation(pair, f, m, d))
+        worst["left_relation"] = max(worst["left_relation"], ms.check_left_relation(pair, f, m, d))
+        worst["commutation"] = max(worst["commutation"], ms.check_bimodule_commutation(pair, f, m, d))
+    return {
+        "seed": seed,
+        "samples": samples,
+        "trials": trials,
+        "tolerance": tolerance,
+        "residuals": {k: float(v) for k, v in worst.items()},
+        "passed": all(v < tolerance for v in worst.values()),
+    }
+
+
+CHECKS = [ms.check_module_relation, ms.check_left_relation, ms.check_bimodule_commutation]
+
+
+class TestTrialBatching:
+    """A batch of trials gives the bits of the per-trial loop."""
+
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    @pytest.mark.parametrize("trials", [1, 3, 7])
+    def test_batched_check_is_the_fold_of_one_trial_checks(self, make, trials):
+        d = make()
+        for seed in range(3):
+            rng = random.Random(f"fold:{seed}")
+            f = ms.random_gaussian(rng, d)
+            m = ms.points(ms.random_samples(rng, d, 5))
+            pairs = [(ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d)) for _ in range(trials)]
+            for check in CHECKS:
+                w = 0.0
+                for pair in pairs:
+                    w = max(w, check([pair], f, m, d))
+                assert check(pairs, f, ms.tile(m, trials), d) == w, check.__name__
+
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    @pytest.mark.parametrize("trials", [1, 3, 7])
+    @pytest.mark.parametrize("batch_points", [ms.BATCH_POINTS, 16])
+    def test_run_simulation_bytes_equal_the_per_trial_loop(self, monkeypatch, make, trials, batch_points):
+        # with 16 points and 5 samples, blocks hold 3 trials: 7 trials make blocks of 3, 3 and 1
+        monkeypatch.setattr(ms, "BATCH_POINTS", batch_points)
+        sizes = []
+        make_f = ms.random_gaussian
+
+        def recording_gaussian(rng, d):
+            f = make_f(rng, d)
+
+            def ev(m):
+                sizes.append(m.size)
+                return f(m)
+
+            return ev
+
+        monkeypatch.setattr(ms, "random_gaussian", recording_gaussian)
+        d = make()
+        for seed in range(3):
+            sizes.clear()
+            batched = cli.run_simulation(d, seed, 5, trials, 1e-9)
+            assert sizes and max(sizes) <= batch_points
+            assert docs.dumps(batched) == docs.dumps(per_trial_simulation(d, seed, 5, trials, 1e-9))
+
+    def test_batch_must_split_into_equal_blocks(self):
+        d = flip_descriptor()
+        m = ms.points(ms.random_samples(random.Random(0), d, 5))
+        with pytest.raises(ms.ShapeMismatch):
+            ms.check_module_relation([([1, 0], [0, 1])] * 2, ms.gaussian(d), m, d)
+
+
+def test_each_action_is_built_once_per_block(monkeypatch):
+    # a block uses U_x and V_y thrice each, U_y, U_x+y, V_x and V_x+y once:
+    # ten uses of six distinct actions, each built once
+    monkeypatch.setattr(ms, "BATCH_POINTS", 16)
+    builds = []
+
+    class CountingTwist(ms._Twist):
+        __slots__ = ()
+
+        def __init__(self, img, xs, sign):
+            builds.append((img, xs, sign))
+            super().__init__(img, xs, sign)
+
+    monkeypatch.setattr(ms, "_Twist", CountingTwist)
+    ms._twist.cache_clear()
     d = mixed_descriptor()
-    hits = ms._twist.cache_info().hits
-    cli.run_simulation(d, 0, 8, 50, 1e-9)
-    info = ms._twist.cache_info()
-    assert info.currsize <= 8
-    assert info.hits - hits >= 4 * 50
+    cli.run_simulation(d, 0, 8, 50, 1e-9)  # 2 trials per block, 25 blocks
+    assert len(builds) == 6 * 25
+    assert len(set(builds)) == len(builds)
+    assert {len(xs) for _, xs, _ in builds} == {2}

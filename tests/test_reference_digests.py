@@ -8,7 +8,8 @@ command-line entry point; any change to the bytes of a `pipeline` document
 fails here.  perfbench/ is only read.
 
 The `simulate` reports of a fixed set of campaign descriptors are pinned by
-one digest per Python family (see SIMULATE_DIGEST).
+one digest per Python family, at 5 trials of 8 samples (SIMULATE_DIGEST) and
+at 40 trials of 20 samples (LARGE_SIMULATE_DIGEST).
 """
 
 import hashlib
@@ -63,8 +64,15 @@ SIMULATE_DIGEST = {
 }
 
 
-def simulate_reports_digest(tmp_path: Path) -> str:
-    """sha256 over the exit codes and `simulate` reports (seed t, 5 trials) of campaign:0:t, n = 2..6, t < 8."""
+# The same 40 runs at 40 trials of 20 samples: 800 points per run.
+LARGE_SIMULATE_DIGEST = {
+    False: "4100ac98954ff356e50620d8c17594c8dd73018b2cd29ceb0e65af4ddf1130d8",  # Python < 3.12
+    True: "a75920ccaca5b13acb746efedbe643d8d59fdad2a956b7ba8ac0823850e3dbc7",  # Python >= 3.12
+}
+
+
+def simulate_reports_digest(tmp_path: Path, *flags: str) -> str:
+    """sha256 over the exit codes and `simulate` reports (seed t, the given flags) of campaign:0:t, n = 2..6, t < 8."""
     h = hashlib.sha256()
     inp, out = tmp_path / "in.json", tmp_path / "out.json"
     for n in range(2, 7):
@@ -72,10 +80,15 @@ def simulate_reports_digest(tmp_path: Path) -> str:
             _, res = cli.campaign_trial(n, f"campaign:0:{t}")
             desc = docs.pipeline_doc(res)["module_descriptor"]
             inp.write_text(docs.dumps({"version": docs.FORMAT_VERSION, "module_descriptor": desc}))
-            code = cli.main(["simulate", "--input", str(inp), "--output", str(out), "--seed", str(t), "--trials", "5"])
+            code = cli.main(["simulate", "--input", str(inp), "--output", str(out), "--seed", str(t), *flags])
             h.update(f"{code}\n".encode() + out.read_bytes())
     return h.hexdigest()
 
 
 def test_simulate_reports_match_digest(tmp_path):
-    assert simulate_reports_digest(tmp_path) == SIMULATE_DIGEST[sys.version_info >= (3, 12)]
+    assert simulate_reports_digest(tmp_path, "--trials", "5") == SIMULATE_DIGEST[sys.version_info >= (3, 12)]
+
+
+def test_larger_batch_simulate_reports_match_digest(tmp_path):
+    digest = simulate_reports_digest(tmp_path, "--trials", "40", "--samples", "20")
+    assert digest == LARGE_SIMULATE_DIGEST[sys.version_info >= (3, 12)]
