@@ -23,14 +23,12 @@ from .exact_linalg import (
 )
 from .module_sim import (
     ModuleDescriptor,
-    PointM,
     Points,
     check_bimodule_commutation,
     check_left_relation,
     check_module_relation,
     inner_product_numeric,
     left_action,
-    points,
     right_action,
     tile,
 )

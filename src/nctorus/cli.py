@@ -64,8 +64,8 @@ def _option(opts, job: dict, name: str, default):
 
 
 def _element(job: dict):
-    _require(job, "g_blocks")
-    return check_membership(*job["g_blocks"])
+    _require(job, "g")
+    return check_membership(*job["g"])
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +110,8 @@ def cmd_decompose(job: dict, opts) -> dict:
     theta = job.get("theta")
     if theta is None:
         theta = _probe_theta(g)
-    res = pipeline(g, theta)
-    return {
-        "n": g.n,
-        "R0": docs.int_matrix_doc(res.r0),
-        "g_prime": docs.group_doc(res.g_prime),
-        "shear": docs.int_matrix_doc(res.shear),
-        "basis_change": docs.int_matrix_doc(res.basis_change),
-        "certificates": docs.certificates_doc(res.certificates),
-        "all_passed": res.all_passed(),
-    }
+    doc = docs.embedding_doc(pipeline(g, theta))
+    return {key: doc[key] for key in ("n", "R0", "g_prime", "shear", "basis_change", "certificates", "all_passed")}
 
 
 def cmd_embed(job: dict, opts) -> dict:
@@ -145,7 +137,7 @@ def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tole
     """
     rng = random.Random(f"simulate:{seed}")
     f = ms.random_gaussian(rng, d)
-    sample = ms.points(ms.random_samples(rng, d, samples))
+    sample = ms.random_samples(rng, d, samples)
     per_block = max(1, ms.BATCH_POINTS // samples)
     worst = {"module_relation": 0.0, "left_relation": 0.0, "commutation": 0.0}
     for start in range(0, trials, per_block):
@@ -168,8 +160,10 @@ def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tole
 
 
 def cmd_simulate(job: dict, opts) -> dict:
-    if "descriptor" in job:
-        d = job["descriptor"]
+    if "module_descriptor" in job:
+        d = job["module_descriptor"]
+    elif "g" not in job:
+        raise docs.ParseError("document is missing: module_descriptor, or g and theta")
     else:
         g = _element(job)
         _require(job, "theta")

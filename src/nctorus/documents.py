@@ -141,7 +141,7 @@ def check_int(value, name: str, floor: int):
 
 
 def load_job(doc: dict) -> dict:
-    """Validate the envelope of an input document."""
+    """Validate the envelope of an input document; each parsed field keeps its document name."""
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     version = doc.get("version", FORMAT_VERSION)
@@ -152,15 +152,15 @@ def load_job(doc: dict) -> dict:
         raise ParseError("options must be an object")
     n = out["n"] = check_int(doc.get("n"), "n", 2)
     if "g" in doc:
-        out["g_blocks"] = group_blocks_from_doc(doc["g"], n)
+        out["g"] = group_blocks_from_doc(doc["g"], n)
     if "theta" in doc:
         out["theta"] = theta_from_doc(doc["theta"], n)
     if "g" in doc and "theta" in doc:
-        size = out["g_blocks"][0].shape[0]
+        size = out["g"][0].shape[0]
         if out["theta"].n != size:
             raise ParseError(f"theta has size {out['theta'].n}, g blocks have size {size}")
     if "module_descriptor" in doc:
-        out["descriptor"] = descriptor_from_doc(doc["module_descriptor"])
+        out["module_descriptor"] = descriptor_from_doc(doc["module_descriptor"])
     return out
 
 

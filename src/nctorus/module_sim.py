@@ -1,7 +1,8 @@
 """Desk-scale numeric realization of the Heisenberg bimodule actions.
 
 Functions live on M = R^p x Z^q x W with W a finite product of cyclic
-groups, and map a batch of points (``Points``, coordinate columns) to their
+groups, and map a batch of points (``Points``, coordinate columns, the only
+point type: ``random_samples`` draws samples straight into one) to their
 values.  The two unitary actions are shift-and-modulate closures built from
 the exact embedding matrices, so the algebra relations are checked at sample
 points with no grid discretization; the only floating point enters through
@@ -113,15 +114,6 @@ class ModuleDescriptor:
 
 
 @dataclass(frozen=True)
-class PointM:
-    """A point of M: real, integer, and residue coordinates."""
-
-    u: tuple[float, ...]
-    a: tuple[int, ...]
-    w: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Points:
     """``size`` points of M as coordinate columns: p float, q int and k residue lists."""
 
@@ -129,12 +121,6 @@ class Points:
     a: list[list[int]]
     w: list[list[int]]
     size: int
-
-
-def points(pts: list[PointM]) -> Points:
-    """The batch of single points, transposed once."""
-    u, a, w = ([list(c) for c in zip(*(getattr(m, part) for m in pts))] for part in "uaw")
-    return Points(u, a, w, len(pts))
 
 
 def tile(m: Points, times: int) -> Points:
@@ -149,13 +135,6 @@ BATCH_POINTS = 4096
 
 # A test function is any pure callable Points -> values in point order.
 PointFunction = Callable[[Points], list[complex]]
-
-
-def e2pi(t) -> complex:
-    """exp(2 pi i t); exact rationals are reduced mod 1 first."""
-    if not isinstance(t, float):
-        t = float(t % 1)
-    return cmath.exp(2j * math.pi * t)
 
 
 def _e(num: int, den: int) -> complex:
@@ -421,7 +400,7 @@ def gaussian(
         sa = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.a, ca)], m.size)
         pua = _sums([[t * v for v in col] for t, col in zip(mod, m.u + m.a)], m.size)
         pw = _sums([[t * v % n / n for v in col] for t, col, n in zip(ch, m.w, orders)], m.size)
-        return [math.exp(-math.pi * (s + t)) * e2pi(x + y) for s, t, x, y in zip(su, sa, pua, pw)]
+        return [math.exp(-math.pi * (s + t)) * cmath.exp(2j * math.pi * (x + y)) for s, t, x, y in zip(su, sa, pua, pw)]
 
     return ev
 
@@ -436,16 +415,17 @@ def random_gaussian(rng: random.Random, d: ModuleDescriptor) -> PointFunction:
     )
 
 
-def random_point(rng: random.Random, d: ModuleDescriptor) -> PointM:
-    return PointM(
-        u=tuple(rng.uniform(-2, 2) for _ in range(d.p)),
-        a=tuple(rng.randint(-3, 3) for _ in range(d.q)),
-        w=tuple(rng.randrange(d.orders[j]) for j in range(d.k)),
-    )
-
-
-def random_samples(rng: random.Random, d: ModuleDescriptor, count: int) -> list[PointM]:
-    return [random_point(rng, d) for _ in range(count)]
+def random_samples(rng: random.Random, d: ModuleDescriptor, count: int) -> Points:
+    """count random points as a batch, drawn point by point: its u, then a, then w coordinates."""
+    m = Points([[] for _ in range(d.p)], [[] for _ in range(d.q)], [[] for _ in range(d.k)], count)
+    for _ in range(count):
+        for col in m.u:
+            col.append(rng.uniform(-2, 2))
+        for col in m.a:
+            col.append(rng.randint(-3, 3))
+        for col, n in zip(m.w, d.orders):
+            col.append(rng.randrange(n))
+    return m
 
 
 def random_lattice_vector(rng: random.Random, d: ModuleDescriptor) -> list[int]:

@@ -176,7 +176,7 @@ def test_criterion_5_module_simulation():
         lhs = ms.right_action(ms.right_action(f0, [1, 0], d0), [0, 1], d0)
         sig = ms._half_phase(d0.theta.M, [1, 0], [0, 1])
         rhs = ms.right_action(f0, [1, 1], d0)
-        origin = ms.points([ms.PointM(u=(0.0,), a=(), w=())])
+        origin = ms.Points([[0.0]], [], [], 1)
         want = math.exp(-math.pi / 9)
         assert abs(lhs(origin)[0] - want) < 1e-9
         assert abs(sig * rhs(origin)[0] - want) < 1e-9
@@ -197,7 +197,7 @@ def test_criterion_5_module_simulation():
             for _ in range(100):
                 x = ms.random_lattice_vector(rng, dd)
                 y = ms.random_lattice_vector(rng, dd)
-                m = ms.points([ms.random_point(rng, dd)])
+                m = ms.random_samples(rng, dd, 1)
                 assert ms.check_module_relation([(x, y)], f, m, dd) < 1e-9
                 assert ms.check_bimodule_commutation([(x, y)], f, m, dd) < 1e-9
 

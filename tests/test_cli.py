@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import functools
+import io
 import json
 import os
 import subprocess
@@ -75,7 +77,7 @@ class TestRationalRoundTrip:
     def test_no_floats_in_exact_output(self):
         doc = flip_doc()
         job = docs.load_job(doc)
-        g = tg.check_membership(*job["g_blocks"])
+        g = tg.check_membership(*job["g"])
         from nctorus.embedding import pipeline
 
         out = docs.pipeline_doc(pipeline(g, job["theta"]))
@@ -194,6 +196,20 @@ class TestCommands:
         doc = {"version": "nctorus/1", "n": 2, "theta": [["0", "1"], ["-1", "0"]]}
         code, out = run(tmp_path, ["act"], doc)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, fields, message",
+        [
+            *[(c, {}, "g") for c in ["check", "act", "normalize", "decompose", "embed", "pipeline"]],
+            ("simulate", {}, "module_descriptor, or g and theta"),
+            ("simulate", {"theta": flip_doc()["theta"]}, "module_descriptor, or g and theta"),
+            ("act", {"g": flip_doc()["g"]}, "theta"),
+            ("simulate", {"g": flip_doc()["g"]}, "theta"),
+        ],
+    )
+    def test_missing_field_names_the_document_field(self, tmp_path, command, fields, message):
+        code, out = run(tmp_path, [command], {"version": "nctorus/1", **fields})
+        assert code == 2 and out["error"] == {"kind": "parse", "message": f"document is missing: {message}"}
 
     def test_normalize(self, tmp_path):
         code, out = run(tmp_path, ["normalize"], flip_doc())
@@ -450,7 +466,7 @@ class TestCommands:
 
         monkeypatch.setattr(eb, "verify_duality", lambda *args: None)
         job = docs.load_job(flip_doc())
-        assert not eb.pipeline(tg.check_membership(*job["g_blocks"]), job["theta"]).all_passed()
+        assert not eb.pipeline(tg.check_membership(*job["g"]), job["theta"]).all_passed()
         code, out = run(tmp_path, ["pipeline"], flip_doc())
         assert code == 1 and out["all_passed"] is False
         assert "pairing_integral" not in [c["name"] for c in out["certificates"]]
@@ -497,7 +513,7 @@ def valid_documents():
     loaded = docs.load_job(job)
     from nctorus.embedding import pipeline
 
-    res = pipeline(tg.check_membership(*loaded["g_blocks"]), loaded["theta"])
+    res = pipeline(tg.check_membership(*loaded["g"]), loaded["theta"])
     sim = {"version": "nctorus/1", "module_descriptor": docs.pipeline_doc(res)["module_descriptor"]}
     sim["options"] = dict(job["options"])
     return job, sim
@@ -590,3 +606,40 @@ def test_bad_output_or_argv_exits_2_without_traceback(tmp_path, case):
     if "output" in case:
         err = json.loads(proc.stdout)["error"]
         assert err["kind"] == "parse" and err["message"].startswith(f"cannot write {missing}: ")
+
+
+ARGV_FLAGS = ["--input", "--output", "--seed", "--trials", "--samples", "--tolerance", "--n"]
+ARGV_BOUNDS = {"--trials": 2, "--samples": 2, "--n": 3}  # keeps each run small
+ARGV_ODD_VALUES = ["-1", "abc", "nan", "inf", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_command_line_ends_in_a_documented_exit_code(tmp_path_factory, data):
+    """Any command and flags, with paths to a file, a directory, a missing directory, a 300-character name or ''."""
+    work = tmp_path_factory.mktemp("argv")
+    job = json.dumps(valid_documents()[0])
+    (work / "job.json").write_text(job)
+    (work / "out.json").write_text("stale")
+    paths = [work, work / "missing" / "x.json", work / ("x" * 300)]
+    argv = [data.draw(st.sampled_from(list(cli.COMMANDS)))]
+    for flag in data.draw(st.lists(st.sampled_from(ARGV_FLAGS), max_size=4)):
+        if flag in ("--input", "--output"):
+            own = work / ("job.json" if flag == "--input" else "out.json")
+            value = data.draw(st.sampled_from([str(p) for p in [own, *paths]] + [""]))
+        else:
+            value = data.draw(st.integers(0, ARGV_BOUNDS.get(flag, 3)).map(str) | st.sampled_from(ARGV_ODD_VALUES))
+        argv += [flag, value]
+    stdout = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(job)  # an omitted or empty --input reads this, not the real stdin
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as e:  # argparse refused the command line
+        assert e.code == 2, argv
+        return
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2, 3), argv
+    text = stdout.getvalue() or Path(cli.build_parser().parse_args(argv).output).read_text()
+    assert isinstance(json.loads(text), dict), argv

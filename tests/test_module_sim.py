@@ -106,6 +106,12 @@ def split_coordinates(v, d):
     return MPart(u=u, a=a, w=w), MHatPart(uhat=uhat, ahat=ahat, what=what)
 
 
+def transpose(pts):
+    """The batch of MPart points as coordinate columns."""
+    u, a, w = ([list(c) for c in zip(*(getattr(m, part) for m in pts))] for part in "uaw")
+    return ms.Points(u, a, w, len(pts))
+
+
 def ref_e2pi(t):
     if isinstance(t, (F, int)):
         t = float(F(t) % 1)
@@ -139,7 +145,7 @@ def ref_shift_point(m, part, sign, d):
     u = tuple(uj + sign * float(vj) for uj, vj in zip(m.u, part.u))
     a = tuple(aj + sign * vj for aj, vj in zip(m.a, part.a))
     w = tuple((wj + sign * vj) % d.orders[j] for j, (wj, vj) in enumerate(zip(m.w, part.w)))
-    return ms.PointM(u=u, a=a, w=w)
+    return MPart(u=u, a=a, w=w)
 
 
 def ref_right_action(f, x, d):
@@ -187,7 +193,7 @@ def oracle_cases(draw, make):
     floats = st.floats(-3, 3, allow_nan=False)
     lattice = st.lists(st.integers(-40, 40), min_size=d.n, max_size=d.n)
     point = st.builds(
-        ms.PointM,
+        MPart,
         u=st.tuples(*[floats] * d.p),
         a=st.tuples(*[st.integers(-6, 6)] * d.q),
         w=st.tuples(*[st.integers(0, n - 1) for n in d.orders]),
@@ -238,33 +244,33 @@ class TestFlipActions:
     def test_right_e1_is_shift(self):
         fu = ms.right_action(self.f, [1, 0], self.d)
         for m in [0.0, 0.25, -1.1]:
-            pt = ms.PointM(u=(m,), a=(), w=())
-            want = self.f(ms.points([ms.PointM(u=(m - 1 / 3,), a=(), w=())]))[0]
-            assert abs(fu(ms.points([pt]))[0] - want) < 1e-12
+            pt = ms.Points([[m]], [], [], 1)
+            want = self.f(ms.Points([[m - 1 / 3]], [], [], 1))[0]
+            assert abs(fu(pt)[0] - want) < 1e-12
 
     def test_right_e2_is_modulation(self):
         fu = ms.right_action(self.f, [0, 1], self.d)
         for m in [0.0, 0.4, -0.7]:
-            pt = ms.PointM(u=(m,), a=(), w=())
-            want = cmath.exp(2j * math.pi * m) * self.f(ms.points([pt]))[0]
-            assert abs(fu(ms.points([pt]))[0] - want) < 1e-12
+            pt = ms.Points([[m]], [], [], 1)
+            want = cmath.exp(2j * math.pi * m) * self.f(pt)[0]
+            assert abs(fu(pt)[0] - want) < 1e-12
 
     def test_left_e2_is_shift(self):
         vf = ms.left_action([0, 1], self.f, self.d)
-        pt = ms.PointM(u=(0.3,), a=(), w=())
-        want = self.f(ms.points([ms.PointM(u=(0.3 - 1,), a=(), w=())]))[0]
-        assert abs(vf(ms.points([pt]))[0] - want) < 1e-12
+        pt = ms.Points([[0.3]], [], [], 1)
+        want = self.f(ms.Points([[0.3 - 1]], [], [], 1))[0]
+        assert abs(vf(pt)[0] - want) < 1e-12
 
     def test_left_e1_is_modulation(self):
         vf = ms.left_action([1, 0], self.f, self.d)
-        pt = ms.PointM(u=(0.2,), a=(), w=())
-        want = cmath.exp(-2j * math.pi * 3 * 0.2) * self.f(ms.points([pt]))[0]
-        assert abs(vf(ms.points([pt]))[0] - want) < 1e-12
+        pt = ms.Points([[0.2]], [], [], 1)
+        want = cmath.exp(-2j * math.pi * 3 * 0.2) * self.f(pt)[0]
+        assert abs(vf(pt)[0] - want) < 1e-12
 
     def test_zero_index_is_identity(self):
         fu = ms.right_action(self.f, [0, 0], self.d)
         vf = ms.left_action([0, 0], self.f, self.d)
-        pt = ms.points([ms.PointM(u=(0.6,), a=(), w=())])
+        pt = ms.Points([[0.6]], [], [], 1)
         assert abs(fu(pt)[0] - self.f(pt)[0]) < 1e-15
         assert abs(vf(pt)[0] - self.f(pt)[0]) < 1e-15
 
@@ -273,7 +279,7 @@ class TestFlipActions:
         lhs = ms.right_action(ms.right_action(self.f, [1, 0], self.d), [0, 1], self.d)
         sig = ms._half_phase(self.d.theta.M, [1, 0], [0, 1])
         rhs = ms.right_action(self.f, [1, 1], self.d)
-        origin = ms.points([ms.PointM(u=(0.0,), a=(), w=())])
+        origin = ms.Points([[0.0]], [], [], 1)
         want = math.exp(-math.pi / 9)
         assert abs(lhs(origin)[0] - want) < 1e-9
         assert abs(sig * rhs(origin)[0] - want) < 1e-9
@@ -286,7 +292,7 @@ class TestRelations:
         d = make()
         rng = random.Random(31)
         f = ms.random_gaussian(rng, d)
-        samples = ms.points(ms.random_samples(rng, d, 6))
+        samples = ms.random_samples(rng, d, 6)
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
@@ -297,7 +303,7 @@ class TestRelations:
         d = make()
         rng = random.Random(32)
         f = ms.random_gaussian(rng, d)
-        samples = ms.points(ms.random_samples(rng, d, 6))
+        samples = ms.random_samples(rng, d, 6)
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
@@ -308,7 +314,7 @@ class TestRelations:
         d = make()
         rng = random.Random(33)
         f = ms.random_gaussian(rng, d)
-        samples = ms.points(ms.random_samples(rng, d, 6))
+        samples = ms.random_samples(rng, d, 6)
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
@@ -317,7 +323,7 @@ class TestRelations:
     def test_trivial_cases(self):
         d = flip_descriptor()
         f = ms.gaussian(d)
-        samples = ms.points([ms.PointM(u=(0.1,), a=(), w=())])
+        samples = ms.Points([[0.1]], [], [], 1)
         assert ms.check_module_relation([([0, 0], [0, 0])], f, samples, d) == 0
         assert ms.check_bimodule_commutation([([0, 0], [0, 0])], f, samples, d) < 1e-15
 
@@ -328,7 +334,7 @@ class TestRelations:
             for _ in range(20):
                 x = ms.random_lattice_vector(rng, d)
                 v = [row[0] for row in (d.T @ xl.mat([[t] for t in x])).tolist()]
-                phase = ms.e2pi(-ref_half_form(v, d.Jprime))
+                phase = ref_e2pi(-ref_half_form(v, d.Jprime))
                 assert abs(abs(phase) - 1) < 1e-12
 
 
@@ -410,7 +416,7 @@ class TestIntegerKernelOracle:
             "f U_x+y": (ms.right_action(f, xy, d), ref_right_action(f_ref, xy, d)),
             "V_x+y f": (ms.left_action(xy, f, d), ref_left_action(xy, f_ref, d)),
         }
-        batch = ms.points(points)
+        batch = transpose(points)
         for name, (new, ref) in cases.items():
             assert new(batch) == [ref(m) for m in points], name
         ref = {name: pair[1] for name, pair in cases.items()}
@@ -438,7 +444,7 @@ class TestIntegerKernelOracle:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
-        values = g(ms.points(points))
+        values = g(points)
         monkeypatch.undo()
         assert built == [] and all(abs(v) > 0 for v in values)
 
@@ -459,7 +465,7 @@ class TestIntegerKernelOracle:
         # int() would truncate [0.5, 0.5] to 0 and act as U_0
         d = flip_descriptor()
         f = ms.gaussian(d)
-        batch = ms.points([ms.PointM(u=(0.1,), a=(), w=())])
+        batch = ms.Points([[0.1]], [], [], 1)
         with pytest.raises(ms.ShapeMismatch):
             ms.right_action(f, bad, d)
         with pytest.raises(ms.ShapeMismatch):
@@ -474,7 +480,7 @@ def per_trial_simulation(d, seed, samples, trials, tolerance):
     """The per-trial loop that batching replaced: each trial checks its one pair on the sample batch."""
     rng = random.Random(f"simulate:{seed}")
     f = ms.random_gaussian(rng, d)
-    m = ms.points(ms.random_samples(rng, d, samples))
+    m = ms.random_samples(rng, d, samples)
     worst = {"module_relation": 0.0, "left_relation": 0.0, "commutation": 0.0}
     for _ in range(trials):
         pair = [(ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d))]
@@ -504,7 +510,7 @@ class TestTrialBatching:
         for seed in range(3):
             rng = random.Random(f"fold:{seed}")
             f = ms.random_gaussian(rng, d)
-            m = ms.points(ms.random_samples(rng, d, 5))
+            m = ms.random_samples(rng, d, 5)
             pairs = [(ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d)) for _ in range(trials)]
             for check in CHECKS:
                 w = 0.0
@@ -540,7 +546,7 @@ class TestTrialBatching:
 
     def test_batch_must_split_into_equal_blocks(self):
         d = flip_descriptor()
-        m = ms.points(ms.random_samples(random.Random(0), d, 5))
+        m = ms.random_samples(random.Random(0), d, 5)
         with pytest.raises(ms.ShapeMismatch):
             ms.check_module_relation([([1, 0], [0, 1])] * 2, ms.gaussian(d), m, d)
 

@@ -10,6 +10,10 @@ fails here.  perfbench/ is only read.
 The `simulate` reports of a fixed set of campaign descriptors are pinned by
 one digest per Python family, at 5 trials of 8 samples (SIMULATE_DIGEST) and
 at 40 trials of 20 samples (LARGE_SIMULATE_DIGEST).
+
+The documents of the five exact commands (check, act, normalize, decompose,
+embed) on the first pool documents hold no floats and are pinned by one
+digest for every Python version (EXACT_COMMANDS_DIGEST).
 """
 
 import hashlib
@@ -92,3 +96,28 @@ def test_simulate_reports_match_digest(tmp_path):
 def test_larger_batch_simulate_reports_match_digest(tmp_path):
     digest = simulate_reports_digest(tmp_path, "--trials", "40", "--samples", "20")
     assert digest == LARGE_SIMULATE_DIGEST[sys.version_info >= (3, 12)]
+
+
+# check, act, normalize, decompose and embed on the first 12 pool documents of
+# each n in EXACT_SIZES, then decompose on each document without theta, which
+# probes a theta in the domain of g.  No float is printed, so one digest holds
+# on every Python version.
+EXACT_COMMANDS = ("check", "act", "normalize", "decompose", "embed")
+EXACT_SIZES = (2, 3, 4, 5, 6, 8)
+EXACT_COMMANDS_DIGEST = "3d3f2ce78c6122c27ba2dc1661e4962c275da0fbf214f9fa02a5d8da8de8814c"
+
+
+def test_exact_command_documents_match_digest(tmp_path):
+    gen = load_gen()
+    h = hashlib.sha256()
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    for n in EXACT_SIZES:
+        for s in range(12):
+            data = gen.pipeline_doc(n, s)
+            no_theta = gen.dumps({key: v for key, v in json.loads(data).items() if key != "theta"})
+            for command, job in [(c, data) for c in EXACT_COMMANDS] + [("decompose", no_theta)]:
+                inp.write_bytes(job)
+                code = cli.main([command, "--input", str(inp), "--output", str(out)])
+                assert code == 0, (command, gen.trial_id(n, s))
+                h.update(f"{code}\n".encode() + out.read_bytes())
+    assert h.hexdigest() == EXACT_COMMANDS_DIGEST

@@ -13,7 +13,10 @@ exactly when their manifests are equal.  The run set:
   and ``--trials 40 --samples 20 --seed 9``;
 - ``campaign --n N --seed S`` for N = 2..6 and S = 0..2;
 - the seven input commands on the first 12 benchmark pool documents of each
-  n in {2, ..., 6, 8}.
+  n in {2, ..., 6, 8};
+- a few runs that end in an error document: each input command on a document
+  without ``g`` (exit 2), a theta entry ``"1e3"`` (exit 2), g with
+  A = B = D = I and C = 0 (exit 1) and the flip element at theta = 0 (exit 3).
 
 Each line reads ``<sha256 of the output document> <exit code> <run>``; a run
 that ends in an exception prints ``- exception:<type> <run>``.  Standard
@@ -43,6 +46,21 @@ CAMPAIGN_SEEDS = range(3)
 POOL_SIZES = (2, 3, 4, 5, 6, 8)
 POOL_DOCUMENTS = 12
 INPUT_COMMANDS = ("check", "act", "normalize", "decompose", "embed", "pipeline", "simulate")
+
+
+def job(A, B, C, D, theta) -> bytes:
+    """A 2x2 input document."""
+    g = {"A": A, "B": B, "C": C, "D": D}
+    return json.dumps({"version": "nctorus/1", "n": 2, "g": g, "theta": theta}).encode()
+
+
+I2, O2 = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+THETA = [["0", "1/3"], ["-1/3", "0"]]
+ERROR_RUNS = (
+    ("pipeline", "theta entry 1e3", job(O2, I2, I2, O2, [["0", "1e3"], ["-1e3", "0"]])),
+    ("check", "B^t D + D^t B != 0", job(I2, I2, O2, I2, THETA)),
+    ("act", "flip at theta 0", job(O2, I2, I2, O2, [["0", "0"], ["0", "0"]])),
+)
 
 
 def load_gen():
@@ -114,6 +132,11 @@ def manifest(cli, work: Path):
             doc = gen.pipeline_doc(n, s)
             for command in INPUT_COMMANDS:
                 yield runner.line(f"{command} {gen.trial_id(n, s)}", [command], doc)
+    no_g = {"version": "nctorus/1", "n": 2, "theta": THETA}
+    for command in INPUT_COMMANDS:
+        yield runner.line(f"{command} document without g", [command], json.dumps(no_g).encode())
+    for command, label, doc in ERROR_RUNS:
+        yield runner.line(f"{command} {label}", [command], doc)
 
 
 def main() -> int:
