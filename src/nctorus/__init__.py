@@ -9,8 +9,11 @@ check of the induced Heisenberg module actions.
 
 from .embedding import (
     EmbeddingError,
+    Factorization,
     PipelineResult,
     build_torsion_data,
+    embed,
+    factor,
     pipeline,
 )
 from .exact_linalg import (
@@ -32,7 +35,7 @@ from .module_sim import (
     right_action,
     tile,
 )
-from .normal_form import SpecialForm, detect_special_form, domain_check, normalize_right
+from .normal_form import SpecialForm, detect_special_form, domain_check, normalize, normalize_right
 from .torus_group import (
     GroupElement,
     Theta,

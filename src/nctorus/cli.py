@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: check | act | normalize | decompose | embed | pipeline |
-simulate | campaign.  Documents are read from --input (or stdin) and written
-to --output (or stdout).  Exit codes: 0 all certificates pass, 1 a
-certificate failed, 2 parse error, a module descriptor out of float range
-for simulate, or unwritable --output (its error document goes to stdout),
-3 action undefined.
+simulate | campaign.  decompose factors g alone and reads no theta.
+Documents are read from --input (or stdin) and written to --output (or
+stdout).  Exit codes: 0 all certificates pass, 1 a certificate failed, 2
+parse error, a module descriptor out of float range for simulate, or
+unwritable --output (its error document goes to stdout), 3 action undefined
+(act, embed, pipeline and simulate).
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ import sys
 from . import documents as docs
 from . import exact_linalg as xl
 from . import module_sim as ms
-from .embedding import EmbeddingError, pipeline
-from .normal_form import NormalFormError, detect_special_form, normalize_right
+from .embedding import EmbeddingError, embed, factor, pipeline
+from .normal_form import NormalFormError, normalize
 from .torus_group import (
     GroupError,
     Undefined,
     act,
     check_membership,
-    compose,
-    make_theta,
     random_element,
     random_theta,
-    rho,
 )
 
 EXIT_OK = 0
@@ -86,8 +84,7 @@ def cmd_act(job: dict, opts) -> dict:
 
 def cmd_normalize(job: dict, opts) -> dict:
     g = _element(job)
-    R0 = normalize_right(g)
-    sf = detect_special_form(compose(g, rho(R0)))
+    R0, _, _, sf = normalize(g)
     return {
         "n": g.n,
         "R0": docs.int_matrix_doc(R0),
@@ -97,21 +94,8 @@ def cmd_normalize(job: dict, opts) -> dict:
     }
 
 
-def _probe_theta(g):
-    """A rational theta in the domain of g, built from its special form."""
-    R0 = normalize_right(g)
-    sf = detect_special_form(compose(g, rho(R0)))
-    M1 = xl.block_diag(sf.Z + xl.standard_symplectic(sf.p), xl.zeros(sf.q, sf.q))
-    return make_theta(xl.matmul(R0, M1, R0.T))
-
-
 def cmd_decompose(job: dict, opts) -> dict:
-    g = _element(job)
-    theta = job.get("theta")
-    if theta is None:
-        theta = _probe_theta(g)
-    doc = docs.embedding_doc(pipeline(g, theta))
-    return {key: doc[key] for key in ("n", "R0", "g_prime", "shear", "basis_change", "certificates", "all_passed")}
+    return docs.factorization_doc(factor(_element(job)))
 
 
 def cmd_embed(job: dict, opts) -> dict:
@@ -183,33 +167,35 @@ def cmd_simulate(job: dict, opts) -> dict:
 
 
 def campaign_trial(n: int, trial_seed: str, word_length: int = 8):
-    """One seeded trial: random word, run pipeline, redrawing theta (20 draws at most) while undefined.
+    """One seeded trial: random word, factor it, embed at theta, redrawing theta (20 draws at most) while undefined.
 
-    pipeline raises Undefined from its first step, the action g theta, and
-    nowhere later, so an undefined theta costs one elimination and no more.
-    Trials are independent pure computations keyed by their seed string, so
-    callers may evaluate them concurrently; reports stay deterministic as
-    long as they are assembled in trial order.
+    g is factored once; embed raises Undefined from its first step, the action
+    g theta, and nowhere later, so an undefined theta costs one elimination
+    and no more.  Trials are independent pure computations keyed by their
+    seed string, so callers may evaluate them concurrently; reports stay
+    deterministic as long as they are assembled in trial order.
     """
     rng = random.Random(trial_seed)
     g = random_element(f"{trial_seed}:g", rng.randint(1, word_length), n)
-    for r in range(20):
-        theta = random_theta(f"{trial_seed}:theta:{r}", n)
-        try:
-            res = pipeline(g, theta)
-        except Undefined:
-            continue
-        except EmbeddingError as e:
-            return {"defined": True, "passed": False, "failed_certificate": e.name}, None
-        info = {
-            "defined": True,
-            "passed": res.all_passed(),
-            "p": res.special.p,
-            "q": res.special.q,
-            "k": res.torsion.k,
-            "orders": list(res.torsion.nj),
-        }
-        return info, res
+    try:
+        fac = factor(g)
+        for r in range(20):
+            theta = random_theta(f"{trial_seed}:theta:{r}", n)
+            try:
+                res = embed(fac, theta)
+            except Undefined:
+                continue
+            info = {
+                "defined": True,
+                "passed": res.all_passed(),
+                "p": res.special.p,
+                "q": res.special.q,
+                "k": res.torsion.k,
+                "orders": list(res.torsion.nj),
+            }
+            return info, res
+    except EmbeddingError as e:
+        return {"defined": True, "passed": False, "failed_certificate": e.name}, None
     return {"defined": False}, None
 
 

@@ -19,11 +19,12 @@ from json.encoder import encode_basestring_ascii as _string
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
-from .embedding import PipelineResult
+from .embedding import Factorization, PipelineResult
 from .module_sim import ModuleDescriptor, ModuleSimError, verify_descriptor
 from .torus_group import GroupElement, Theta, make_theta
 
 FORMAT_VERSION = "nctorus/1"
+FACTORIZATION_VERSION = "nctorus/2"  # decompose: theta-free, with the seven certificates of factor
 
 
 class ParseError(Exception):
@@ -219,17 +220,31 @@ def chain_doc(res: PipelineResult, theta_in: list, theta_out: list) -> dict:
     }
 
 
-def embedding_doc(res: PipelineResult) -> dict:
-    td = res.torsion
+def factorization_doc(fac: Factorization) -> dict:
+    """The decompose document: R0, g', the shear, the basis change and the certificates."""
     return {
-        "n": res.source.n,
+        "version": FACTORIZATION_VERSION,
+        "n": fac.g.n,
+        "R0": int_matrix_doc(fac.r0),
+        "g_prime": group_doc(fac.g_prime),
+        "shear": int_matrix_doc(fac.shear),
+        "basis_change": int_matrix_doc(fac.basis_change),
+        "certificates": certificates_doc(fac.certificates),
+        "all_passed": fac.all_passed(),
+    }
+
+
+def embedding_doc(res: PipelineResult) -> dict:
+    """The factorization fields of res, with its 22 certificates, and the embedding at theta."""
+    td = res.torsion
+    return factorization_doc(res) | {
+        "version": FORMAT_VERSION,
         "p": res.special.p,
         "q": res.special.q,
         "k": td.k,
         "orders": list(td.nj),
         "m": td.m,
         "h": list(td.h),
-        "R0": int_matrix_doc(res.r0),
         "Z": rat_matrix_doc(res.special.Z),
         "theta_in": theta_doc(res.theta_in),
         "theta_prime": theta_doc(res.theta_out),
@@ -237,11 +252,6 @@ def embedding_doc(res: PipelineResult) -> dict:
         "S": rat_matrix_doc(res.descriptor.S),
         "phi_star": rat_matrix_doc(res.phi_star),
         "curvature": rat_matrix_doc(res.curvature),
-        "g_prime": group_doc(res.g_prime),
-        "shear": int_matrix_doc(res.shear),
-        "basis_change": int_matrix_doc(res.basis_change),
-        "certificates": certificates_doc(res.certificates),
-        "all_passed": res.all_passed(),
     }
 
 

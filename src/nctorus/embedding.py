@@ -1,29 +1,30 @@
 """Construction of the dual pair of lattice embeddings and the companion
 group element, with exact certificates at every step.
 
-Given a special-form element and a compatible skew matrix theta, this module
-builds, over the ambient phase space of dimension n + q + 2k:
+``factor(g)`` reads g alone.  It brings g to special form g rho(R0) and builds
+the torsion data of the unique rational skew block Z, the companion element
+g' from theta-independent closed forms (asserted integral and a group
+member), and the factorization g rho(R0) = mu(N) rho(A) g'.
+``embed(factorization, theta)`` then builds, for theta1 = R0^-1 theta R0^-t
+and over the ambient phase space of dimension n + q + 2k:
 
-  * the torsion data of the unique rational skew block Z,
-  * the embedding matrix T with T^t J T = theta,
+  * the embedding matrix T with T^t J T = theta1,
   * the dual embedding S onto the annihilator lattice, taken from its closed
     form and verified against the linear system that defines it,
   * theta' = -S^t J S together with its displayed block formulas,
   * the matrix of the dual tangent isomorphism and the normalized curvature,
-  * the companion element g' with theta' = g' theta, taken from
-    theta-independent closed forms and verified against the resolvent
-    formulas,
-  * the factorization g = mu(N) rho(A) g' of the normalized element.
+    against which g' is verified by the resolvent formulas (theta' = g' theta1).
 
 Every identity is checked in exact arithmetic, once, and a check that
 passes is logged by name.  Where a value is the unique solution of a linear
 system, its closed form is checked against that system instead of solving
 it, which certifies the same fact without forming an inverse.  A failed
-certificate raises with its name and a message.  ``pipeline`` runs the
-stages in order and returns one ``PipelineResult`` holding each value it
-built and the names of the certificates that passed.  The Morita chain it
-certifies is fixed, rho(R0^-1), the Heisenberg bimodule, rho(A), mu(N), so
-the result stores the chain's matrices and not a list of steps.
+certificate raises with its name and a message.  ``factor`` returns a
+``Factorization``, and ``embed`` a ``PipelineResult`` that extends it, each
+holding every value built once and the names of the certificates that
+passed.  ``pipeline(g, theta)`` is ``embed(factor(g), theta)``.  The Morita
+chain it certifies is fixed, rho(R0^-1), the Heisenberg bimodule, rho(A),
+mu(N), so the result stores the chain's matrices and not a list of steps.
 
 The closed forms for the diagonal corner of A' and D' are taken as -I_q:
 with +I_q the product identity theta' = g' theta fails on any example with
@@ -33,14 +34,14 @@ p > 0 and q > 0, while -I_q reproduces the resolvent-formula output exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
 from .module_sim import ModuleDescriptor, build_forms, non_integral_rows
-from .normal_form import SpecialForm, detect_special_form, domain_check, normalize_right
+from .normal_form import SpecialForm, domain_check, normalize
 from .torus_group import (
     DeterminantNotOne,
     GroupElement,
@@ -53,7 +54,6 @@ from .torus_group import (
     invert_element,
     make_theta,
     mu,
-    rho,
 )
 
 
@@ -328,35 +328,8 @@ def _gprime_closed_form(td: TorsionData, q: int) -> tuple[Mat, Mat, Mat, Mat]:
     return Ap, Bp, Cp, Dp
 
 
-def build_gprime(
-    sf: SpecialForm,
-    td: TorsionData,
-    theta: Theta,
-    theta_out: Theta,
-    F11: Mat,
-    certs: CertificateLog,
-) -> tuple[Mat, Mat, GroupElement]:
-    """The dual tangent matrix, the normalized curvature, and g'.
-
-    g' is taken from its theta-independent closed forms, asserted integral
-    and a group member, and then verified against the resolvent formulas
-
-        C' = Phi*^-1 curv,  D' = Phi*^-1 - C' theta,
-        A' = Phi*^t + theta' C',  B' = theta' Phi*^-1 - A' theta
-
-    without forming Phi*^-1.  With X = D' + C' theta, gprime_action checks
-    Phi* X = I, so X is invertible with inverse Phi*, and A' theta + B' =
-    theta' X, which is g' theta = theta'.  gprime_closed_form checks
-    Phi* C' = curv and A' = Phi*^t + theta' C'.  Given Phi* X = I, these four
-    identities are exactly the resolvent formulas.
-    """
-    p, q = sf.p, sf.q
-    n = sf.n
-    phi_star = xl.block([
-        [xl.matmul(F11, td.R.T, td.blk3), xl.matmul(F11, theta.M[: 2 * p, 2 * p :])],
-        [xl.zeros(q, 2 * p), -xl.eye(q)],
-    ])
-    curvature = xl.block_diag(F11, xl.zeros(q, q))
+def build_gprime(td: TorsionData, q: int, certs: CertificateLog) -> GroupElement:
+    """g' from its theta-independent closed forms, asserted integral and a group member."""
     Ap, Bp, Cp, Dp = _gprime_closed_form(td, q)
     assembled = xl.block([[Ap, Bp], [Cp, Dp]])
     certs.check("gprime_integral", xl.is_integral(assembled), "closed forms of g' are not integral")
@@ -367,18 +340,44 @@ def build_gprime(
     except (RelationViolated, DeterminantNotOne) as e:
         detail = str(e)
     certs.check("gprime_membership", gp is not None, detail)
+    return gp
+
+
+def verify_resolvent(fac: Factorization, theta: Theta, tp: Theta, F11: Mat, certs: CertificateLog) -> tuple[Mat, Mat]:
+    """The dual tangent matrix Phi* and the normalized curvature, with g' verified against them.
+
+    g', which build_gprime took from its closed forms, is verified against
+    the resolvent formulas
+
+        C' = Phi*^-1 curv,  D' = Phi*^-1 - C' theta,
+        A' = Phi*^t + theta' C',  B' = theta' Phi*^-1 - A' theta
+
+    without forming Phi*^-1.  With X = D' + C' theta, gprime_action checks
+    Phi* X = I, so X is invertible with inverse Phi*, and A' theta + B' =
+    theta' X, which is g' theta = theta'.  gprime_closed_form checks
+    Phi* C' = curv and A' = Phi*^t + theta' C'.  Given Phi* X = I, these four
+    identities are exactly the resolvent formulas.
+    """
+    gp, td = fac.g_prime, fac.torsion
+    p, q = fac.special.p, fac.special.q
+    phi_star = xl.block([
+        [xl.matmul(F11, td.R.T, td.blk3), xl.matmul(F11, theta.M[: 2 * p, 2 * p :])],
+        [xl.zeros(q, 2 * p), -xl.eye(q)],
+    ])
+    curvature = xl.block_diag(F11, xl.zeros(q, q))
+    Ap, Bp, Cp, Dp = gp.A, gp.B, gp.C, gp.D
     X = Dp + xl.matmul(Cp, theta.M)
     certs.check(
         "gprime_action",
-        xl.matmul(phi_star, X) == xl.eye(n) and xl.matmul(Ap, theta.M) + Bp == xl.matmul(theta_out.M, X),
+        xl.matmul(phi_star, X) == xl.eye(gp.n) and xl.matmul(Ap, theta.M) + Bp == xl.matmul(tp.M, X),
         "g' theta != theta'",
     )
     certs.check(
         "gprime_closed_form",
-        xl.matmul(phi_star, Cp) == curvature and Ap == phi_star.T + xl.matmul(theta_out.M, Cp),
+        xl.matmul(phi_star, Cp) == curvature and Ap == phi_star.T + xl.matmul(tp.M, Cp),
         "closed forms of g' disagree with the resolvent formulas",
     )
-    return phi_star, curvature, gp
+    return phi_star, curvature
 
 
 def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple[Mat, Mat]:
@@ -396,33 +395,48 @@ def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# full pipeline
+# factorization and full pipeline
 
 
 @dataclass(frozen=True, eq=False)
-class PipelineResult:
-    """Everything one pipeline run builds, each value held once.
+class Factorization:
+    """Everything factor(g) builds from g alone, each value held once.
 
-    The Morita chain is fixed: rho(R0^-1) carries source to theta_in, the
-    Heisenberg bimodule carries theta_in to theta_out, and rho(basis_change)
-    then mu(shear) carry theta_out to target = g theta.  ``certificates``
-    names the checks that passed, in run order.
+    g rho(r0) = mu(shear) rho(basis_change) g_prime.  ``certificates`` names
+    the checks that passed, in the fixed order of CERTIFICATE_NAMES.
     """
 
-    source: Theta
-    target: Theta
+    g: GroupElement
     r0: Mat
     r0_inv: Mat
     special: SpecialForm
     torsion: TorsionData
-    f11: Mat
-    phi_star: Mat
-    curvature: Mat
     g_prime: GroupElement
     shear: Mat
     basis_change: Mat
-    descriptor: ModuleDescriptor
     certificates: tuple[str, ...]
+
+    def all_passed(self) -> bool:
+        """Every certificate ran and passed (a failing one raises instead)."""
+        return list(self.certificates) == FACTOR_CERTIFICATE_NAMES
+
+
+@dataclass(frozen=True, eq=False)
+class PipelineResult(Factorization):
+    """The factorization of g together with everything embed builds at theta.
+
+    The Morita chain is fixed: rho(R0^-1) carries source to theta_in, the
+    Heisenberg bimodule carries theta_in to theta_out, and rho(basis_change)
+    then mu(shear) carry theta_out to target = g theta.  ``certificates``
+    names the checks of both steps that passed.
+    """
+
+    source: Theta
+    target: Theta
+    f11: Mat
+    phi_star: Mat
+    curvature: Mat
+    descriptor: ModuleDescriptor
 
     @property
     def theta_in(self) -> Theta:
@@ -433,62 +447,67 @@ class PipelineResult:
         return self.descriptor.theta_prime
 
     def all_passed(self) -> bool:
-        """Every certificate ran and passed (a failing one raises instead)."""
         return list(self.certificates) == CERTIFICATE_NAMES
 
 
-def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
-    """Normalize, build the dual embeddings, factor g, and emit the chain.
+def factor(g: GroupElement) -> Factorization:
+    """Normalize g, reduce its torsion, build g' and factor g rho(R0) = mu(N) rho(A) g'.
 
-    Raises:
-        Undefined: if the action of g at theta is not defined.
-        EmbeddingError: if any exact certificate fails.
+    Runs the seven certificates that read g alone; raises EmbeddingError if one fails.
     """
-    target = act(g, theta)
     certs = CertificateLog()
-    R0 = normalize_right(g)
-    rho_R0 = rho(R0)
-    g1 = compose(g, rho_R0)
-    R0_inv = rho_R0.D.T  # rho(R0) = diag(R0, R0^-t)
-    theta1 = make_theta(xl.matmul(R0_inv, theta.M, R0_inv.T))
-    sf = detect_special_form(g1)
-    F11 = domain_check(sf, theta1)
-    certs.check("domain_defined", F11 is not None, "theta_11 - Z is singular")
+    R0, rho_R0, g1, sf = normalize(g)
     td = build_torsion_data(sf.Z)
     certs.check(
         "torsion_normal_form",
         td.R.T @ xl.canonical_alternating(list(td.h), 2 * td.p) @ td.R == td.m * sf.Z,
         "alternating reduction does not reproduce m Z",
     )
+    gp = build_gprime(td, sf.q, certs)
+    N, A = decompose(g1, gp, certs)
+    R0_inv = rho_R0.D.T  # rho(R0) = diag(R0, R0^-t)
+    return Factorization(g, R0, R0_inv, sf, td, gp, N, A, tuple(certs.names))
+
+
+def embed(fac: Factorization, theta: Theta) -> PipelineResult:
+    """Build the dual embeddings at theta and certify the chain to g theta.
+
+    Raises:
+        Undefined: if the action of g at theta is not defined.
+        EmbeddingError: if any exact certificate fails.
+    """
+    target = act(fac.g, theta)
+    certs = CertificateLog()
+    sf, td, R0_inv = fac.special, fac.torsion, fac.r0_inv
+    theta1 = make_theta(xl.matmul(R0_inv, theta.M, R0_inv.T))
+    F11 = domain_check(sf, theta1)
+    certs.check("domain_defined", F11 is not None, "theta_11 - Z is singular")
     J, _ = build_forms(sf.p, sf.q, td.nj)
     T = build_T(sf, td, theta1, J, certs)
     phi = _phi_matrices(td, sf.p, sf.q)
     S, StJ = build_S(sf, td, T, J, phi, F11, certs)
     verify_duality(T, StJ, td, phi, certs)
     tp = theta_prime(S, StJ, td, theta1, F11, certs)
-    phi_star, curvature, gp = build_gprime(sf, td, theta1, tp, F11, certs)
-    N, At = decompose(g1, gp, certs)
+    phi_star, curvature = verify_resolvent(fac, theta1, tp, F11, certs)
     # The first step carries theta to theta1 by construction and the certified
     # embedding carries theta1 to tp, so the chain ends at g theta exactly when
     # the last two steps carry tp there.
+    At = fac.basis_change
     certs.check(
         "chain_endpoint",
-        xl.matmul(At, tp.M, At.T) + N == target.M,
+        xl.matmul(At, tp.M, At.T) + fac.shear == target.M,
         "composed chain does not reach g theta",
     )
+    passed = {*fac.certificates, *certs.names}
+    factored = {f.name: getattr(fac, f.name) for f in fields(Factorization)}
+    factored["certificates"] = tuple(name for name in CERTIFICATE_NAMES if name in passed)
     return PipelineResult(
+        **factored,
         source=theta,
         target=target,
-        r0=R0,
-        r0_inv=R0_inv,
-        special=sf,
-        torsion=td,
         f11=F11,
         phi_star=phi_star,
         curvature=curvature,
-        g_prime=gp,
-        shear=N,
-        basis_change=At,
         descriptor=ModuleDescriptor(
             p=sf.p,
             q=sf.q,
@@ -499,8 +518,12 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
             theta=theta1,
             theta_prime=tp,
         ),
-        certificates=tuple(certs.names),
     )
+
+
+def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
+    """embed(factor(g), theta), raising Undefined or EmbeddingError as they do."""
+    return embed(factor(g), theta)
 
 
 CERTIFICATE_NAMES = [
@@ -526,4 +549,15 @@ CERTIFICATE_NAMES = [
     "decomp_shear_skew",
     "decomp_reassembly",
     "chain_endpoint",
+]
+
+# The certificates factor runs, which read g alone.
+FACTOR_CERTIFICATE_NAMES = [
+    "torsion_normal_form",
+    "gprime_integral",
+    "gprime_membership",
+    "decomp_ctilde_zero",
+    "decomp_unimodular",
+    "decomp_shear_skew",
+    "decomp_reassembly",
 ]

@@ -26,7 +26,8 @@ exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first and the one
 int division is correctly rounded, so it equals float(Fraction(N, L) % 1)
 bit for bit and residuals stay at machine precision even for large integer
 arguments.  Evaluation builds no ``Fraction``, and each per-point float sum
-is a builtin sum() over that point's terms, so values do not depend on the batch.
+is a math.fsum over that point's terms, correctly rounded, so values depend
+neither on the batch nor on the Python version.
 A pairing past float range raises OverflowError, as a shift past it does.
 
 The inner product <f, g>(x), for p <= 2, is the one integral: a midpoint rule
@@ -272,9 +273,13 @@ def _twist(img: _Image, xs: tuple[tuple[int, ...], ...], sign: int) -> _Twist:
     return _Twist(img, xs, sign)
 
 
-def _sums(columns: list, size: int) -> list:
-    """Per point, the builtin sum() of its terms in column order; 0 with no columns."""
-    return list(map(sum, zip(*columns))) if columns else [0] * size
+def _sums(columns: list, size: int, total=math.fsum) -> list:
+    """Per point, the total of its terms; 0 with no columns.
+
+    math.fsum is correctly rounded, so a float total is the same on every
+    Python version; exact int terms pass total=sum to stay ints.
+    """
+    return list(map(total, zip(*columns))) if columns else [0] * size
 
 
 def _spread(consts: list, block: int) -> list:
@@ -297,7 +302,7 @@ def _twisted(f: PointFunction, tw: _Twist) -> PointFunction:
         def spread(consts):
             return _spread(consts, block)
 
-        exact = _sums([list(map(mul, col, spread(c))) for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size)
+        exact = _sums([list(map(mul, col, spread(c))) for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size, sum)
         real = _sums([list(map(mul, col, spread(c))) for col, c in zip(m.u, tw.cu)], m.size)
         u = [list(map(add, col, spread(s))) for col, s in zip(m.u, tw.su)]
         a = [list(map(add, col, spread(s))) for col, s in zip(m.a, tw.sa)]
@@ -397,7 +402,7 @@ def gaussian(
 
     def ev(m: Points) -> list[complex]:
         su = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.u, cu)], m.size)
-        sa = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.a, ca)], m.size)
+        sa = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.a, ca)], m.size, sum)
         pua = _sums([[t * v for v in col] for t, col in zip(mod, m.u + m.a)], m.size)
         pw = _sums([[t * v % n / n for v in col] for t, col, n in zip(ch, m.w, orders)], m.size)
         return [math.exp(-math.pi * (s + t)) * cmath.exp(2j * math.pi * (x + y)) for s, t, x, y in zip(su, sa, pua, pw)]

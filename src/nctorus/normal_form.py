@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
-from .torus_group import GroupElement, Theta
+from .torus_group import GroupElement, Theta, compose, rho
 
 
 class NormalFormError(Exception):
@@ -80,10 +80,18 @@ def normalize_right(g: GroupElement) -> Mat:
 
     The trailing columns of R0 are a primitive basis of the integer kernel
     of C, so C R0 keeps its nonzero columns in the leading even-rank block.
-    Callers confirm the shape with detect_special_form on g * rho(R0), which
+    normalize confirms the shape with detect_special_form on g * rho(R0), which
     raises OddRank or NotSpecialForm if it is wrong.
     """
     return xl.complete_basis(g.C)
+
+
+def normalize(g: GroupElement) -> tuple[Mat, GroupElement, GroupElement, SpecialForm]:
+    """The R0 of normalize_right, rho(R0), g rho(R0) and its special form."""
+    R0 = normalize_right(g)
+    rho_R0 = rho(R0)
+    g1 = compose(g, rho_R0)
+    return R0, rho_R0, g1, detect_special_form(g1)
 
 
 def domain_check(sf: SpecialForm, theta: Theta) -> Mat | None:

@@ -451,10 +451,10 @@ class TestCommands:
     def test_campaign_records_certificate_failures(self, tmp_path, monkeypatch):
         from nctorus.embedding import EmbeddingError
 
-        def boom(g, theta):
+        def boom(fac, theta):
             raise EmbeddingError("T_pullback", "forced failure")
 
-        monkeypatch.setattr(cli, "pipeline", boom)
+        monkeypatch.setattr(cli, "embed", boom)
         code, out = run(tmp_path, ["campaign", "--n", "2", "--seed", "1", "--trials", "2"])
         assert code == 1 and out["all_passed"] is False
         failed = [r for r in out["results"] if r.get("defined")]
@@ -470,6 +470,27 @@ class TestCommands:
         code, out = run(tmp_path, ["pipeline"], flip_doc())
         assert code == 1 and out["all_passed"] is False
         assert "pairing_integral" not in [c["name"] for c in out["certificates"]]
+
+    def test_skipped_factor_certificate_exit_1(self, tmp_path, monkeypatch):
+        """decompose compares its certificates against the seven of factor."""
+        from nctorus import embedding as eb
+
+        decompose = eb.decompose
+        monkeypatch.setattr(eb, "decompose", lambda g, gp, certs: decompose(g, gp, eb.CertificateLog()))
+        doc = flip_doc()
+        del doc["theta"]
+        code, out = run(tmp_path, ["decompose"], doc)
+        assert code == 1 and out["all_passed"] is False and out["version"] == "nctorus/2"
+        assert [c["name"] for c in out["certificates"]] == ["torsion_normal_form", "gprime_integral", "gprime_membership"]
+        code, out = run(tmp_path, ["pipeline"], flip_doc())
+        assert code == 1 and out["all_passed"] is False and len(out["certificates"]) == 18
+
+    def test_decompose_ignores_an_undefined_theta(self, tmp_path):
+        """The flip at theta = 0 is undefined for act (exit 3); decompose does not read theta."""
+        doc = flip_doc("0")
+        assert run(tmp_path, ["act"], doc)[0] == 3
+        code, out = run(tmp_path, ["decompose"], doc)
+        assert code == 0 and out["all_passed"] is True and out["basis_change"] == [[-1, 0], [0, -1]]
 
     def test_campaign_deterministic(self, tmp_path):
         out1 = tmp_path / "c1.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nctorus import cli
 from nctorus import documents as docs
 from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
@@ -289,6 +291,22 @@ def failed_certificate(g, theta) -> str:
     return info.value.name
 
 
+def decompose_failure(tmp_path) -> str:
+    """The certificate named by `decompose`, run without theta on the g of mixed_torsion_case, exiting 1."""
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(docs.dumps({"version": docs.FORMAT_VERSION, "g": docs.group_doc(mixed_torsion_case()[0])}))
+    assert cli.main(["decompose", "--input", str(inp), "--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["kind"] == "certificate"
+    return error["name"]
+
+
+def flipped(A, B, C, D, E):
+    """The blocks of g' sigma for the flip sigma on coordinates 1 and 2."""
+    gs = tg.compose(tg.check_matrix(xl.block([[A, B], [C, D]])), tg.sigma_flip([1, 2], A.shape[0]))
+    return gs.A, gs.B, gs.C, gs.D
+
+
 class TestVerifiedClosedForms:
     """S and g' come from closed forms checked against their defining systems,
     so a wrong closed form must fail a certificate."""
@@ -320,9 +338,12 @@ class TestVerifiedClosedForms:
             (lambda A, B, C, D, E: (A, B, C, D + E), "gprime_membership"),
             # g' mu(N) for a skew N: a group member that moves theta elsewhere
             (lambda A, B, C, D, E: (A, A @ (E - E.T) + B, C, C @ (E - E.T) + D), "gprime_action"),
+            # g' sigma for a flip sigma: integral and a group member, but g (g' sigma)^-1 is not
+            # block upper triangular
+            (flipped, "decomp_ctilde_zero"),
         ],
     )
-    def test_perturbed_gprime_closed_form(self, monkeypatch, perturb, name):
+    def test_perturbed_gprime_closed_form(self, monkeypatch, tmp_path, perturb, name):
         closed = eb._gprime_closed_form
 
         def perturbed(td, q):
@@ -333,6 +354,19 @@ class TestVerifiedClosedForms:
 
         monkeypatch.setattr(eb, "_gprime_closed_form", perturbed)
         assert failed_certificate(*mixed_torsion_case()) == name
+        if name in eb.FACTOR_CERTIFICATE_NAMES:
+            assert decompose_failure(tmp_path) == name
+
+    def test_perturbed_torsion_reduction(self, monkeypatch, tmp_path):
+        reduce = xl.alternating_normal_form_int
+
+        def perturbed(A):
+            R, h = reduce(A)
+            return R, [h[0] + 1, *h[1:]]
+
+        monkeypatch.setattr(xl, "alternating_normal_form_int", perturbed)
+        assert failed_certificate(*mixed_torsion_case()) == "torsion_normal_form"
+        assert decompose_failure(tmp_path) == "torsion_normal_form"
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))

@@ -13,7 +13,7 @@ exactly when their manifests are equal.  The run set:
   and ``--trials 40 --samples 20 --seed 9``;
 - ``campaign --n N --seed S`` for N = 2..6 and S = 0..2;
 - the seven input commands on the first 12 benchmark pool documents of each
-  n in {2, ..., 6, 8};
+  n in {2, ..., 6, 8}, and ``decompose`` on each of them with theta removed;
 - a few runs that end in an error document: each input command on a document
   without ``g`` (exit 2), a theta entry ``"1e3"`` (exit 2), g with
   A = B = D = I and C = 0 (exit 1) and the flip element at theta = 0 (exit 3).
@@ -132,6 +132,8 @@ def manifest(cli, work: Path):
             doc = gen.pipeline_doc(n, s)
             for command in INPUT_COMMANDS:
                 yield runner.line(f"{command} {gen.trial_id(n, s)}", [command], doc)
+            no_theta = json.dumps({key: v for key, v in json.loads(doc).items() if key != "theta"}).encode()
+            yield runner.line(f"decompose without theta {gen.trial_id(n, s)}", ["decompose"], no_theta)
     no_g = {"version": "nctorus/1", "n": 2, "theta": THETA}
     for command in INPUT_COMMANDS:
         yield runner.line(f"{command} document without g", [command], json.dumps(no_g).encode())
