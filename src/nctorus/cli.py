@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands: check | act | normalize | decompose | embed | pipeline |
-simulate | campaign.  decompose factors g alone and reads no theta.
-Documents are read from --input (or stdin) and written to --output (or
-stdout).  Exit codes: 0 all certificates pass, 1 a certificate failed, 2
-parse error, a module descriptor out of float range for simulate, or
-unwritable --output (its error document goes to stdout), 3 action undefined
-(act, embed, pipeline and simulate).
+``COMMANDS`` declares each subcommand once: its function, the flags it reads
+beyond --input (default stdin) and --output (default stdout), and the version
+of its result and error documents.  decompose factors g alone and reads no
+theta.  Exit codes: 0 all certificates pass, 1 a certificate failed, 2 parse
+error, a flag the command does not take, a module descriptor out of float
+range for simulate, or unwritable --output (its error document goes to
+stdout), 3 action undefined (act, embed, pipeline and simulate).
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import functools
 import math
 import random
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import documents as docs
 from . import exact_linalg as xl
@@ -56,8 +58,8 @@ def _require(job: dict, *fields: str) -> None:
 
 
 def _option(opts, job: dict, name: str, default):
-    """A command-line flag overrides the document's options entry."""
-    value = getattr(opts, name)
+    """A command-line flag, if the command has one, overrides the document's options entry."""
+    value = getattr(opts, name, None)
     return value if value is not None else job["options"].get(name, default)
 
 
@@ -220,28 +222,33 @@ def run_campaign(n: int, seed, trials: int, word_length: int = 8) -> dict:
 
 
 def cmd_campaign(job: dict, opts) -> dict:
-    options = job.get("options", {})
-    n = docs.check_int(opts.n if opts.n is not None else job.get("n") or options.get("n"), "n", 2)
+    n = docs.check_int(opts.n if opts.n is not None else job["n"], "n", 2)
     if n is None:
         raise docs.ParseError("campaign needs n (document field or --n)")
     seed = docs.check_int(_option(opts, job, "seed", 0), "seed", 0)
     trials = docs.check_int(_option(opts, job, "trials", 10), "trials", 1)
-    word_length = docs.check_int(options.get("word_length", 8), "word_length", 1)
+    word_length = docs.check_int(_option(opts, job, "word_length", 8), "word_length", 1)
     return run_campaign(n, seed, trials, word_length)
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "act": cmd_act,
-    "normalize": cmd_normalize,
-    "decompose": cmd_decompose,
-    "embed": cmd_embed,
-    "pipeline": cmd_pipeline,
-    "simulate": cmd_simulate,
-    "campaign": cmd_campaign,
-}
+class Command(NamedTuple):
+    """A subcommand: its function, the flags it reads beyond --input/--output, the version of its documents."""
 
-NEEDS_INPUT = {"check", "act", "normalize", "decompose", "embed", "pipeline", "simulate"}
+    run: Callable[[dict, argparse.Namespace], dict]
+    flags: dict[str, type] = {}
+    version: str = docs.FORMAT_VERSION
+
+
+COMMANDS = {
+    "check": Command(cmd_check),
+    "act": Command(cmd_act),
+    "normalize": Command(cmd_normalize),
+    "decompose": Command(cmd_decompose, version=docs.FACTORIZATION_VERSION),
+    "embed": Command(cmd_embed),
+    "pipeline": Command(cmd_pipeline),
+    "simulate": Command(cmd_simulate, {"seed": int, "trials": int, "samples": int, "tolerance": float}),
+    "campaign": Command(cmd_campaign, {"seed": int, "trials": int, "n": int}),
+}
 
 
 @functools.cache
@@ -252,42 +259,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact Morita-equivalence certificates for noncommutative tori",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", help="input document (default: stdin)")
         p.add_argument("--output", help="output document (default: stdout)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
-        if name == "campaign":
-            p.add_argument("--n", type=int, default=None)
+        for flag, kind in command.flags.items():
+            p.add_argument(f"--{flag}", type=kind)
     return parser
 
 
-def _run(opts) -> tuple[int, str]:
+def _run(opts, version: str) -> tuple[int, str]:
     """The exit code and the text of the result or error document of one command."""
     try:
-        if opts.command in NEEDS_INPUT:
-            job = docs.load_job(_read_input(opts.input))
-        else:
-            job = docs.load_job(_read_input(opts.input)) if opts.input else {"options": {}, "n": None}
-        result = COMMANDS[opts.command](job, opts)
+        # campaign is the one command that runs without a document
+        job = docs.load_job(_read_input(opts.input) if opts.input or opts.command != "campaign" else {})
+        result = COMMANDS[opts.command].run(job, opts)
         ok = result.get("all_passed", result.get("passed", True))
-        return (EXIT_OK if ok else EXIT_CERTIFICATE), docs.dumps(result)
+        return (EXIT_OK if ok else EXIT_CERTIFICATE), docs.dumps(result, version)
     except docs.ParseError as e:
-        return EXIT_PARSE, docs.dumps(docs.error_doc("parse", str(e)))
+        return EXIT_PARSE, docs.dumps(docs.error_doc("parse", str(e)), version)
     except Undefined as e:
-        return EXIT_UNDEFINED, docs.dumps(docs.error_doc("undefined", str(e)))
+        return EXIT_UNDEFINED, docs.dumps(docs.error_doc("undefined", str(e)), version)
     except EmbeddingError as e:
-        return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e), name=e.name))
+        return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e), name=e.name), version)
     except (GroupError, NormalFormError, xl.ExactLinalgError) as e:
-        return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e)))
+        return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e)), version)
 
 
 def main(argv: list[str] | None = None) -> int:
     opts = build_parser().parse_args(argv)
-    code, text = _run(opts)
+    version = COMMANDS[opts.command].version
+    code, text = _run(opts, version)
     if not opts.output:
         sys.stdout.write(text)
         return code
@@ -295,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(opts.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:  # the error document cannot go where the output could not
-        sys.stdout.write(docs.dumps(docs.error_doc("parse", f"cannot write {opts.output}: {e}")))
+        sys.stdout.write(docs.dumps(docs.error_doc("parse", f"cannot write {opts.output}: {e}"), version))
         return EXIT_PARSE
     return code
 

@@ -6,7 +6,8 @@ a JSON integer or a string of the form [+-]digits or [+-]digits/digits, with
 optional surrounding whitespace, and is parsed straight into the integer rows
 of an ``xl.Mat``; output strings are printed from those rows.  Serialization
 is deterministic (sorted keys, fixed separators), so identical inputs and
-seeds produce byte-identical reports.
+seeds produce byte-identical reports.  Result and error documents carry no
+version of their own: ``dumps`` stamps the one their command declares.
 """
 
 from __future__ import annotations
@@ -223,7 +224,6 @@ def chain_doc(res: PipelineResult, theta_in: list, theta_out: list) -> dict:
 def factorization_doc(fac: Factorization) -> dict:
     """The decompose document: R0, g', the shear, the basis change and the certificates."""
     return {
-        "version": FACTORIZATION_VERSION,
         "n": fac.g.n,
         "R0": int_matrix_doc(fac.r0),
         "g_prime": group_doc(fac.g_prime),
@@ -238,7 +238,6 @@ def embedding_doc(res: PipelineResult) -> dict:
     """The factorization fields of res, with its 22 certificates, and the embedding at theta."""
     td = res.torsion
     return factorization_doc(res) | {
-        "version": FORMAT_VERSION,
         "p": res.special.p,
         "q": res.special.q,
         "k": td.k,
@@ -281,17 +280,16 @@ def error_doc(kind: str, message: str, name: str | None = None) -> dict:
     err: dict = {"kind": kind, "message": message}
     if name:
         err["name"] = name
-    return {"version": FORMAT_VERSION, "error": err}
+    return {"error": err}
 
 
-def dumps(doc: dict) -> str:
-    """The document as json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) writes it.
+def dumps(doc: dict, version: str = FORMAT_VERSION) -> str:
+    """{"version": version, **doc} as json.dumps(..., sort_keys=True, indent=2, separators=(",", ": ")) writes it.
 
     json.dumps runs its pure-Python encoder whenever it indents, so the same
     bytes are written here directly.
     """
-    doc = dict(doc)
-    doc.setdefault("version", FORMAT_VERSION)
+    doc = {"version": version, **doc}
     out: list[str] = []
     try:
         _write(doc, "\n", out)

@@ -476,7 +476,10 @@ def embed(fac: Factorization, theta: Theta) -> PipelineResult:
         Undefined: if the action of g at theta is not defined.
         EmbeddingError: if any exact certificate fails.
     """
-    target = act(fac.g, theta)
+    return _embed(act(fac.g, theta), fac, theta)
+
+
+def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
     certs = CertificateLog()
     sf, td, R0_inv = fac.special, fac.torsion, fac.r0_inv
     theta1 = make_theta(xl.matmul(R0_inv, theta.M, R0_inv.T))
@@ -522,8 +525,8 @@ def embed(fac: Factorization, theta: Theta) -> PipelineResult:
 
 
 def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
-    """embed(factor(g), theta), raising Undefined or EmbeddingError as they do."""
-    return embed(factor(g), theta)
+    """embed(factor(g), theta), raising Undefined (before g is factored) or EmbeddingError as they do."""
+    return _embed(act(g, theta), factor(g), theta)
 
 
 CERTIFICATE_NAMES = [

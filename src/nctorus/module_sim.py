@@ -13,15 +13,15 @@ first action (``ModuleDescriptor._images``): the integer rows of T and S are
 cut into coordinate blocks, with their a, w and w^ rows checked integral, and
 the half forms Q = M^t J' M are formed once.  The cocycles read the integer
 rows of theta and theta' directly.  An action is built for a list of lattice
-vectors at once (``_twist``, one pass over the image rows per list): vector i
-acts on the i-th of len(xs) equal blocks of a batch, and each vector fixes its
-shift and its pairing there, integer coefficients over one modulus L and
-float u-shifts.  ``right_action`` and ``left_action`` are the one-vector
-case.  The relation checks take the lattice pairs of several trials and the
-sample batch repeated once per pair (``tile``), so a simulation run builds
-each of its six distinct actions once per block of at most ``BATCH_POINTS``
-points, and folds the worst residual per trial in trial order.  A phase
-e(N / L) is evaluated as
+vectors and a block size at once (``_twist``, one pass over the image rows per
+list): vector i acts on the i-th of len(xs) equal blocks of a batch, and fixes
+its shift and its pairing there, integer coefficients over one modulus L and
+float u-shifts, held as per-point columns.  ``right_action`` and
+``left_action`` are the one-vector case.  The relation checks take the
+lattice pairs of several trials and the sample batch repeated once per pair
+(``tile``), so a simulation run builds each of its six distinct actions once
+per block of at most ``BATCH_POINTS`` points, and folds the worst residual
+per trial in trial order.  A phase e(N / L) is evaluated as
 exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first and the one
 int division is correctly rounded, so it equals float(Fraction(N, L) % 1)
 bit for bit and residuals stay at machine precision even for large integer
@@ -240,8 +240,9 @@ def _lattice(x, d: ModuleDescriptor) -> tuple[int, ...]:
 class _Twist:
     """The constants of the actions of the lattice vectors xs through an image M.
 
-    Vector i acts on the i-th of len(xs) equal blocks of a batch, and each
-    constant is a list with one entry per vector.  With sign -1 (U_x through T)
+    Vector i acts on the i-th of len(xs) blocks of ``block`` points, and each
+    constant is a column with one entry per point, vector i's value repeated
+    over its block.  With sign -1 (U_x through T)
     or +1 (V_x through S): ``phase`` is e(-M(x).J'M(x)/2), the shift
     m -> m + sign M'(x) adds the columns ``su``, ``sa`` and ``sw`` (mod
     ``orders``), and the pairing <m, -sign M''(x)> has integer coefficient
@@ -251,26 +252,29 @@ class _Twist:
 
     __slots__ = ("phase", "cu", "ca", "cw", "modulus", "su", "sa", "sw", "orders")
 
-    def __init__(self, img: _Image, xs: tuple[tuple[int, ...], ...], sign: int):
+    def __init__(self, img: _Image, xs: tuple[tuple[int, ...], ...], sign: int, block: int):
         def image(rows):  # per row, its value at each vector
             return [[sum(map(mul, row, x)) for x in xs] for row in rows]
 
+        def spread(rows):  # per row, its value at each point
+            return [_spread(r, block) for r in rows]
+
         den, L = img.den, img.modulus
-        self.phase = [_e(-_value(img.half, x, x), 2 * img.half.den) for x in xs]
-        self.su = [[sign * (v / den) for v in r] for r in image(img.u)]
-        self.sa = [[sign * v for v in r] for r in image(img.a)]
-        self.sw = [[sign * v % n for v in r] for r, n in zip(image(img.w), img.orders)]
-        self.cu = [[-sign * (v / den) for v in r] for r in image(img.uhat)]
-        self.ca = [[-sign * v * (L // den) % L for v in r] for r in image(img.ahat)]
-        self.cw = [[-sign * v * (L // n) % L for v in r] for r, n in zip(image(img.what), img.orders)]
+        self.phase = _spread([_e(-_value(img.half, x, x), 2 * img.half.den) for x in xs], block)
+        self.su = spread([[sign * (v / den) for v in r] for r in image(img.u)])
+        self.sa = spread([[sign * v for v in r] for r in image(img.a)])
+        self.sw = spread([[sign * v % n for v in r] for r, n in zip(image(img.w), img.orders)])
+        self.cu = spread([[-sign * (v / den) for v in r] for r in image(img.uhat)])
+        self.ca = spread([[-sign * v * (L // den) % L for v in r] for r in image(img.ahat)])
+        self.cw = spread([[-sign * v * (L // n) % L for v in r] for r, n in zip(image(img.what), img.orders)])
         self.modulus = L
         self.orders = img.orders
 
 
 # A block of a simulation run uses ten actions, six of them distinct
 @functools.lru_cache(maxsize=8)
-def _twist(img: _Image, xs: tuple[tuple[int, ...], ...], sign: int) -> _Twist:
-    return _Twist(img, xs, sign)
+def _twist(img: _Image, xs: tuple[tuple[int, ...], ...], sign: int, block: int) -> _Twist:
+    return _Twist(img, xs, sign, block)
 
 
 def _sums(columns: list, size: int, total=math.fsum) -> list:
@@ -290,28 +294,25 @@ def _spread(consts: list, block: int) -> list:
     return out
 
 
-def _twisted(f: PointFunction, tw: _Twist) -> PointFunction:
-    """m -> phase <m, ...> f(shift(m)) for the constants of the actions of one vector list."""
-    L = tw.modulus
+def _twisted(f: PointFunction, img: _Image, xs: tuple, sign: int) -> PointFunction:
+    """m -> phase <m, ...> f(shift(m)) for the actions of the vectors xs, built for the block size of m."""
 
     def ev(m: Points) -> list[complex]:
-        block, rest = divmod(m.size, len(tw.phase))
+        block, rest = divmod(m.size, len(xs))
         if rest:
-            raise ShapeMismatch(f"{m.size} points do not split into {len(tw.phase)} equal blocks")
-
-        def spread(consts):
-            return _spread(consts, block)
-
-        exact = _sums([list(map(mul, col, spread(c))) for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size, sum)
-        real = _sums([list(map(mul, col, spread(c))) for col, c in zip(m.u, tw.cu)], m.size)
-        u = [list(map(add, col, spread(s))) for col, s in zip(m.u, tw.su)]
-        a = [list(map(add, col, spread(s))) for col, s in zip(m.a, tw.sa)]
-        w = [[(v + s) % n for v, s in zip(col, spread(c))] for col, c, n in zip(m.w, tw.sw, tw.orders)]
+            raise ShapeMismatch(f"{m.size} points do not split into {len(xs)} equal blocks")
+        tw = _twist(img, xs, sign, block)
+        L = tw.modulus
+        exact = _sums([list(map(mul, col, c)) for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size, sum)
+        real = _sums([list(map(mul, col, c)) for col, c in zip(m.u, tw.cu)], m.size)
+        u = [list(map(add, col, s)) for col, s in zip(m.u, tw.su)]
+        a = [list(map(add, col, s)) for col, s in zip(m.a, tw.sa)]
+        w = [[(v + s) % n for v, s in zip(col, c)] for col, c, n in zip(m.w, tw.sw, tw.orders)]
         values = f(Points(u, a, w, m.size))
         try:
             return [
                 p * cmath.exp(2j * math.pi * (e % L / L + r)) * v
-                for p, e, r, v in zip(spread(tw.phase), exact, real, values)
+                for p, e, r, v in zip(tw.phase, exact, real, values)
             ]
         except ValueError:  # cmath.exp of an infinite pairing
             raise OverflowError("a pairing phase is out of float range") from None
@@ -320,11 +321,11 @@ def _twisted(f: PointFunction, tw: _Twist) -> PointFunction:
 
 
 def _right(f: PointFunction, xs: tuple, d: ModuleDescriptor) -> PointFunction:
-    return _twisted(f, _twist(d._images[0], xs, -1))
+    return _twisted(f, d._images[0], xs, -1)
 
 
 def _left(xs: tuple, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
-    return _twisted(f, _twist(d._images[1], xs, +1))
+    return _twisted(f, d._images[1], xs, +1)
 
 
 def right_action(f: PointFunction, x, d: ModuleDescriptor) -> PointFunction:
@@ -459,15 +460,15 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     """
     if d.p > 2:
         raise ValueError("numeric inner product supports p <= 2 only")
-    tw = _twist(d._images[0], (_lattice(x, d),), +1)
-    coarse = _integrate(f, g, tw, d, U_POINTS)
-    fine = _integrate(f, g, tw, d, 2 * U_POINTS)
+    g_twisted = _twisted(g, d._images[0], (_lattice(x, d),), +1)  # built once per node batch size
+    coarse = _integrate(f, g_twisted, d, U_POINTS)
+    fine = _integrate(f, g_twisted, d, 2 * U_POINTS)
     if abs(fine - coarse) > TOLERANCE:
         raise QuadratureUnconverged(f"delta {abs(fine - coarse):.3e} above {TOLERANCE:.1e}")
     return fine
 
 
-def _integrate(f, g, tw: _Twist, d: ModuleDescriptor, nodes_per_axis: int) -> complex:
+def _integrate(f, g_twisted, d: ModuleDescriptor, nodes_per_axis: int) -> complex:
     # The integrand is smooth and decays like a Gaussian, so it is negligible
     # past +-U_HALFWIDTH and the equally spaced rule converges exponentially in
     # the number of points (Trefethen & Weideman 2014, SIAM Rev. 56:385-458).
@@ -475,7 +476,6 @@ def _integrate(f, g, tw: _Twist, d: ModuleDescriptor, nodes_per_axis: int) -> co
     nodes = [(i + 0.5) * h - U_HALFWIDTH for i in range(nodes_per_axis)]
     u = [list(c) for c in zip(*itertools.product(nodes, repeat=d.p))]
     size = nodes_per_axis**d.p
-    g_twisted = _twisted(g, tw)
     total = 0j
     for a, w in itertools.product(
         itertools.product(range(-A_HALFWIDTH, A_HALFWIDTH + 1), repeat=d.q),

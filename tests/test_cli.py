@@ -492,6 +492,41 @@ class TestCommands:
         code, out = run(tmp_path, ["decompose"], doc)
         assert code == 0 and out["all_passed"] is True and out["basis_change"] == [[-1, 0], [0, -1]]
 
+    @pytest.mark.parametrize("command", ["pipeline", "embed", "simulate"])
+    def test_undefined_theta_fails_before_g_is_factored(self, tmp_path, monkeypatch, command):
+        """The flip at theta = 0 is undefined: the action raises before factor runs."""
+        from nctorus import embedding as eb
+
+        factored = []
+        factor = eb.factor
+        monkeypatch.setattr(eb, "factor", lambda g: factored.append(g) or factor(g))
+        code, out = run(tmp_path, [command], flip_doc("0"))
+        assert code == 3 and out["error"]["kind"] == "undefined"
+        assert factored == []
+
+    def test_campaign_reads_no_n_from_options(self, tmp_path):
+        code, out = run(tmp_path, ["campaign"], {"version": "nctorus/1", "options": {"n": 2, "trials": 1}})
+        assert code == 2 and out["error"] == {"kind": "parse", "message": "campaign needs n (document field or --n)"}
+
+    @pytest.mark.parametrize("case", ["g missing", "C = 0", "unwritable output"])
+    def test_error_documents_carry_the_command_version(self, tmp_path, case):
+        """decompose errors are nctorus/2 like its results; the same runs of pipeline say nctorus/1."""
+        doc = flip_doc()
+        if case == "g missing":
+            del doc["g"]
+        elif case == "C = 0":
+            doc["g"] = {"A": [[1, 0], [0, 1]], "B": [[1, 0], [0, 1]], "C": [[0, 0], [0, 0]], "D": [[1, 0], [0, 1]]}
+        inp = tmp_path / "in.json"
+        inp.write_text(docs.dumps(doc))
+        for command, version in (("decompose", "nctorus/2"), ("pipeline", "nctorus/1")):
+            out = tmp_path / ("missing/out.json" if case == "unwritable output" else "out.json")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([command, "--input", str(inp), "--output", str(out)])
+            err = json.loads(stdout.getvalue() if case == "unwritable output" else out.read_text())
+            assert code == (1 if case == "C = 0" else 2) and "error" in err, command
+            assert err["version"] == version, command
+
     def test_campaign_deterministic(self, tmp_path):
         out1 = tmp_path / "c1.json"
         out2 = tmp_path / "c2.json"
@@ -627,6 +662,22 @@ def test_bad_output_or_argv_exits_2_without_traceback(tmp_path, case):
     if "output" in case:
         err = json.loads(proc.stdout)["error"]
         assert err["kind"] == "parse" and err["message"].startswith(f"cannot write {missing}: ")
+
+
+# The flags each command takes beyond --input and --output; every other one is refused
+TAKES = {"simulate": {"--seed", "--trials", "--samples", "--tolerance"}, "campaign": {"--seed", "--trials", "--n"}}
+
+
+@pytest.mark.parametrize("flag", ["--input", "--output", "--seed", "--trials", "--samples", "--tolerance", "--n"])
+@pytest.mark.parametrize("command", ["check", "act", "normalize", "decompose", "embed", "pipeline", "simulate", "campaign"])
+def test_parser_offers_exactly_the_flags_a_command_takes(command, flag):
+    argv = [command, flag, "1"]
+    if flag in ("--input", "--output") or flag in TAKES.get(command, ()):
+        assert getattr(cli.build_parser().parse_args(argv), flag[2:]) is not None
+        return
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as e:
+        cli.build_parser().parse_args(argv)
+    assert e.value.code == 2
 
 
 ARGV_FLAGS = ["--input", "--output", "--seed", "--trials", "--samples", "--tolerance", "--n"]

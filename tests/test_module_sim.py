@@ -560,9 +560,9 @@ def test_each_action_is_built_once_per_block(monkeypatch):
     class CountingTwist(ms._Twist):
         __slots__ = ()
 
-        def __init__(self, img, xs, sign):
-            builds.append((img, xs, sign))
-            super().__init__(img, xs, sign)
+        def __init__(self, img, xs, sign, block):
+            builds.append((img, xs, sign, block))
+            super().__init__(img, xs, sign, block)
 
     monkeypatch.setattr(ms, "_Twist", CountingTwist)
     ms._twist.cache_clear()
@@ -570,4 +570,4 @@ def test_each_action_is_built_once_per_block(monkeypatch):
     cli.run_simulation(d, 0, 8, 50, 1e-9)  # 2 trials per block, 25 blocks
     assert len(builds) == 6 * 25
     assert len(set(builds)) == len(builds)
-    assert {len(xs) for _, xs, _ in builds} == {2}
+    assert {len(xs) for _, xs, _, _ in builds} == {2}
