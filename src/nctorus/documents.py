@@ -196,7 +196,7 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
         raise ParseError("T and S must have shape (n+q+2k) x n")
     if theta.n != n or theta_prime.n != n:
         raise ParseError("theta and theta_prime must have size n = 2p+q")
-    d = ModuleDescriptor(p=p, q=q, k=k, orders=orders, T=T, S=S, theta=theta, theta_prime=theta_prime)
+    d = ModuleDescriptor(p=p, q=q, orders=orders, T=T, S=S, theta=theta, theta_prime=theta_prime)
     try:
         verify_descriptor(d)
     except ModuleSimError as e:

@@ -92,7 +92,6 @@ class TorsionData:
     The derived diagonal matrices are built once, on first use.
     """
 
-    p: int
     m: int
     R: Mat
     h: tuple[int, ...]
@@ -100,6 +99,10 @@ class TorsionData:
     nj: tuple[int, ...]
     cj: tuple[int, ...]
     dj: tuple[int, ...]
+
+    @property
+    def p(self) -> int:
+        return self.R.shape[0] // 2
 
     @property
     def k(self) -> int:
@@ -133,7 +136,6 @@ class TorsionData:
 
 def build_torsion_data(Z: Mat) -> TorsionData:
     """Clear denominators, reduce the alternating form, and take Bezout data."""
-    two_p = Z.shape[0]
     m = Z.den
     R, h = xl.alternating_normal_form_int(m * Z)
     mj, nj, cj, dj = [], [], [], []
@@ -144,9 +146,7 @@ def build_torsion_data(Z: Mat) -> TorsionData:
         nj.append(m // g)
         cj.append(c)
         dj.append(d)
-    return TorsionData(
-        p=two_p // 2, m=m, R=R, h=tuple(h), mj=tuple(mj), nj=tuple(nj), cj=tuple(cj), dj=tuple(dj)
-    )
+    return TorsionData(m=m, R=R, h=tuple(h), mj=tuple(mj), nj=tuple(nj), cj=tuple(cj), dj=tuple(dj))
 
 
 def _corner_form(td: TorsionData, top_right: Mat) -> Mat:
@@ -288,14 +288,13 @@ def verify_duality(T: Mat, StJ: Mat, td: TorsionData, phi: Mat, certs: Certifica
     q = n - 2 * p
     delta = xl.block([[T[n + q :, :].T], [xl.zeros(q, 2 * k)], [td.T4]])
     stack = xl.block([[delta, phi]])
-    if not xl.is_zero(stack[2 * p : 2 * p + q, :]):
-        certs.check("dual_lattice_unimodular", False, "stack has entries in the zero block")
     keep = list(range(2 * p)) + list(range(2 * p + q, n + q + 2 * k))
     square = stack[keep, :]
+    stray = not xl.is_zero(stack[2 * p : 2 * p + q, :])
     certs.check(
         "dual_lattice_unimodular",
-        xl.is_integral(square) and abs(xl.det(square)) == 1,
-        "stacked lattice basis is not unimodular",
+        not stray and xl.is_integral(square) and abs(xl.det(square)) == 1,
+        "stack has entries in the zero block" if stray else "stacked lattice basis is not unimodular",
     )
 
 
@@ -314,7 +313,7 @@ def theta_prime(S: Mat, StJ: Mat, td: TorsionData, theta: Theta, F11: Mat, certs
         [-xl.matmul(t21, F11, R.T, blk3), t22 - xl.matmul(t21, F11, t12)],
     ])
     certs.check("theta_prime_blocks", tp == expect, "block formulas for theta' disagree with -S^t J S")
-    return Theta(n=tp.shape[0], M=tp)  # S_pullback certified tp skew
+    return Theta(tp)  # S_pullback certified tp skew
 
 
 def _gprime_closed_form(td: TorsionData, q: int) -> tuple[Mat, Mat, Mat, Mat]:
@@ -514,7 +513,6 @@ def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
         descriptor=ModuleDescriptor(
             p=sf.p,
             q=sf.q,
-            k=td.k,
             orders=td.nj,
             T=T,
             S=S,

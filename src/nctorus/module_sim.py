@@ -77,12 +77,15 @@ class ModuleDescriptor:
 
     p: int
     q: int
-    k: int
     orders: tuple[int, ...]  # torsion orders n_1..n_k
     T: Mat  # embedding matrix for theta, (n+q+2k) x n
     S: Mat  # embedding matrix for -theta_prime
     theta: Theta
     theta_prime: Theta
+
+    @property
+    def k(self) -> int:
+        return len(self.orders)
 
     @property
     def n(self) -> int:

@@ -26,7 +26,7 @@ class NotSpecialForm(NormalFormError):
 
 
 class OddRank(NormalFormError):
-    """rank(C) came out odd, which valid input cannot produce."""
+    """Invertible [C11 D12; C21 D22] with a leading block of odd width (= rank C)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,35 +44,34 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
     """Read off (p, Z) or explain why the shape is wrong.
 
     The width of the leading block is fixed as n minus the number of
-    trailing all-zero columns of C; an interior zero column therefore shows
-    up as a rank-deficient leading block and is rejected.
+    trailing all-zero columns of C.  One solve of [C11 D12; C21 D22] X =
+    -D[:, :width] decides the rest: the mixed matrix is invertible (so the
+    leading columns of C have full rank), and -C Z = D[:, :width] is solvable
+    exactly when the bottom rows of X vanish; Z is its top rows.
 
     Raises:
-        NotSpecialForm: leading block rank-deficient, no exact solution for
-            Z, Z not skew, or the mixed C/D matrix singular.
-        OddRank: full-rank leading block of odd width (corrupted input).
+        NotSpecialForm: mixed C/D matrix singular, no exact solution for Z,
+            or Z not skew.
+        OddRank: invertible mixed matrix with a leading block of odd width
+            (corrupted input).
     """
     n = g.n
     C, D = g.C, g.D
     width = n
     while width > 0 and xl.is_zero(C[:, width - 1 : width]):
         width -= 1
-    lead = C[:, :width]
-    r = xl.rank(lead)
-    if r < width:
-        raise NotSpecialForm("leading columns of C are rank-deficient")
+    try:
+        X = xl.solve_unique(xl.block([[C[:, :width], D[:, width:]]]), -D[:, :width])
+    except xl.Inconsistent:
+        raise NotSpecialForm("mixed block matrix [C11 D12; C21 D22] is singular") from None
     if width % 2 != 0:
         raise OddRank("rank of C is odd")
-    p = width // 2
-    try:
-        Z = xl.solve_unique(-lead, D[:, :width])
-    except xl.Inconsistent:
-        raise NotSpecialForm("leading columns of D are not -C Z for any Z") from None
+    if not xl.is_zero(X[width:, :]):
+        raise NotSpecialForm("leading columns of D are not -C Z for any Z")
+    Z = X[:width, :]
     if not xl.is_skew(Z):
         raise NotSpecialForm("solved Z is not skew-symmetric")
-    if xl.det(xl.block([[lead, D[:, width:]]])) == 0:
-        raise NotSpecialForm("mixed block matrix [C11 D12; C21 D22] is singular")
-    return SpecialForm(n=n, p=p, Z=Z)
+    return SpecialForm(n=n, p=width // 2, Z=Z)
 
 
 def normalize_right(g: GroupElement) -> Mat:
@@ -80,8 +79,9 @@ def normalize_right(g: GroupElement) -> Mat:
 
     The trailing columns of R0 are a primitive basis of the integer kernel
     of C, so C R0 keeps its nonzero columns in the leading even-rank block.
-    normalize confirms the shape with detect_special_form on g * rho(R0), which
-    raises OddRank or NotSpecialForm if it is wrong.
+    complete_basis returns R0 unchecked; normalize decides it, rho(R0)
+    raising NotUnimodular if R0 is not unimodular and detect_special_form on
+    g * rho(R0) raising OddRank or NotSpecialForm if the shape is wrong.
     """
     return xl.complete_basis(g.C)
 

@@ -53,8 +53,9 @@ class Undefined(GroupError):
 class Theta:
     """A rational skew-symmetric n x n matrix, n >= 2."""
 
-    n: int
     M: Mat
+
+    n = property(lambda theta: theta.M.shape[0])
 
     def __eq__(self, other):
         return isinstance(other, Theta) and self.M == other.M
@@ -68,7 +69,7 @@ def make_theta(entries) -> Theta:
         raise ValueError("theta must be square of size >= 2")
     if not xl.is_skew(M):
         raise ValueError("theta must be skew-symmetric")
-    return Theta(n=n, M=M)
+    return Theta(M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +82,9 @@ class GroupElement:
     its factors.
     """
 
-    n: int
     M: Mat
 
+    n = property(lambda g: g.M.shape[0] // 2)
     A = property(lambda g: g.M[: g.n, : g.n])
     B = property(lambda g: g.M[: g.n, g.n :])
     C = property(lambda g: g.M[g.n :, : g.n])
@@ -128,7 +129,7 @@ def check_matrix(M: Mat) -> GroupElement:
 
 def _element(M: Mat) -> GroupElement:
     """Wrap an integer 2n x 2n matrix whose membership is already established."""
-    return GroupElement(n=M.shape[0] // 2, M=M)
+    return GroupElement(M)
 
 
 def identity_element(n: int) -> GroupElement:
@@ -151,11 +152,13 @@ def compose(g: GroupElement, h: GroupElement, *rest: GroupElement) -> GroupEleme
 
 
 def rho(R) -> GroupElement:
-    """Block-diagonal element diag(R, (R^-1)^t) from a unimodular R."""
+    """Block-diagonal diag(R, (R^-1)^t); the one inversion decides |det R| = 1."""
     R = xl.to_int(R)
-    if abs(xl.det(R)) != 1:
-        raise NotUnimodular("rho needs a matrix with determinant +-1")
-    return _element(xl.block_diag(R, xl.int_inverse(R).T))
+    try:
+        R_inv = xl.int_inverse(R)
+    except (xl.Singular, xl.NonIntegral):
+        raise NotUnimodular("rho needs a matrix with determinant +-1") from None
+    return _element(xl.block_diag(R, R_inv.T))
 
 
 def mu(N) -> GroupElement:

@@ -140,13 +140,17 @@ def test_criterion_4_normal_form_oracles():
         for _ in range(1000):
             r, c = rng.randint(1, 3), rng.randint(1, 3)
             M = xl.mat([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
-            res = xl.smith_normal_form(M)  # re-multiplication checked internally
+            res = xl.smith_normal_form(M)
+            assert res.U @ M @ res.V == res.D
+            assert abs(xl.det(res.U)) == abs(xl.det(res.V)) == 1
             got = [int(res.D[i, i]) for i in range(min(r, c)) if res.D[i, i] != 0]
             assert got == oracle(M)
         for _ in range(40):
             r, c = rng.randint(4, 6), rng.randint(4, 6)
             M = xl.mat([[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
             res = xl.smith_normal_form(M)
+            assert res.U @ M @ res.V == res.D
+            assert abs(xl.det(res.U)) == abs(xl.det(res.V)) == 1
             got = [int(res.D[i, i]) for i in range(min(r, c)) if res.D[i, i] != 0]
             assert got == oracle(M)
         for _ in range(40):
@@ -158,11 +162,12 @@ def test_criterion_4_normal_form_oracles():
                     A[i][j] = v
                     A[j][i] = -v
             A = xl.mat(A)
-            R, h = xl.alternating_normal_form_int(A)  # re-multiplication internal
+            R, h = xl.alternating_normal_form_int(A)
             assert abs(xl.det(R)) == 1
             assert 2 * len(h) == xl.rank(A)
-            # congruence preserves the integer equivalence class
             canon = xl.canonical_alternating(h, size)
+            assert R.T @ canon @ R == A
+            # congruence preserves the integer equivalence class
             assert oracle(A) == oracle(canon)
 
 

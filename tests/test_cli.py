@@ -485,6 +485,60 @@ class TestCommands:
         code, out = run(tmp_path, ["pipeline"], flip_doc())
         assert code == 1 and out["all_passed"] is False and len(out["certificates"]) == 18
 
+    @pytest.mark.parametrize("fault", ["congruence", "pivot", "smith"])
+    def test_kernel_fault_is_a_certificate_failure(self, tmp_path, monkeypatch, fault):
+        """A wrong exact-kernel result ends in an exit-1 error document, not a traceback.
+
+        The kernels return unchecked, so each fault is caught where its fact is
+        decided: congruence steps that miss Q by torsion_normal_form, a halved
+        first symplectic pivot by T_pullback, a Smith V started at diag(2, 1, 1, 1)
+        by rho(R0).
+        """
+        if fault == "congruence":
+            congr_add = xl._congr_add
+            monkeypatch.setattr(xl, "_congr_add", lambda W, Q, *step: congr_add(W, [row[:] for row in Q], *step))
+            expect = {"kind": "certificate", "name": "torsion_normal_form"}
+        elif fault == "pivot":
+            vector, calls = xl._vector, []
+
+            def vector_with_halved_first_pivot(xs, d):
+                calls.append(d)
+                return vector(xs, 2 * d if len(calls) == 1 else d)
+
+            monkeypatch.setattr(xl, "_vector", vector_with_halved_first_pivot)
+            expect = {"kind": "certificate", "name": "T_pullback"}
+        else:
+            smith, identity_rows = xl.smith_normal_form, xl._identity_rows
+
+            def smith_with_doubled_v(M):
+                made = []
+
+                def rows(n):  # U is made first, then V
+                    made.append(identity_rows(n))
+                    if len(made) == 2:
+                        made[-1][0][0] = 2
+                    return made[-1]
+
+                with monkeypatch.context() as m:
+                    m.setattr(xl, "_identity_rows", rows)
+                    return smith(M)
+
+            monkeypatch.setattr(xl, "smith_normal_form", smith_with_doubled_v)
+            expect = {"kind": "certificate", "message": "rho needs a matrix with determinant +-1"}
+        doc = {
+            "version": "nctorus/1",
+            "n": 4,  # p = 2, q = 0, torsion orders (4, 1)
+            "g": {
+                "A": [[0, 0, 1, 0], [0, -1, 1, 0], [-1, 0, 0, 0], [1, 0, 0, 1]],
+                "B": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                "C": [[-1, -2, 2, 3], [0, 0, -2, 0], [-2, 0, -4, -2], [-2, 0, -3, 0]],
+                "D": [[0, 1, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 1], [0, 0, 0, 1]],
+            },
+            "theta": [["0", "-7/5", "1", "4"], ["7/5", "0", "5/4", "-2"], ["-1", "-5/4", "0", "1"], ["-4", "2", "-1", "0"]],
+        }
+        code, out = run(tmp_path, ["pipeline"], doc)
+        assert code == 1 and expect.items() <= out["error"].items()
+
     def test_decompose_ignores_an_undefined_theta(self, tmp_path):
         """The flip at theta = 0 is undefined for act (exit 3); decompose does not read theta."""
         doc = flip_doc("0")

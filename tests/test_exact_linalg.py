@@ -75,6 +75,12 @@ class TestRationalInverse:
         with pytest.raises(xl.Singular):
             xl.rational_inverse(xl.mat([[1, 1], [1, 1]]))
 
+    def test_int_inverse_rejects_non_unimodular(self):
+        assert xl.int_inverse(xl.mat([[2, 1], [1, 1]])) == xl.mat([[1, -1], [-1, 2]])
+        # an ExactLinalgError, so the CLI turns it into an error document
+        with pytest.raises(xl.ExactLinalgError, match="not unimodular"):
+            xl.int_inverse(xl.diag([2, 1]))
+
     def test_empty(self):
         assert xl.rational_inverse(xl.zeros(0, 0)).shape == (0, 0)
         assert xl.det(xl.zeros(0, 0)) == 1

@@ -377,7 +377,7 @@ class TestInnerProduct:
     def test_p_bound(self):
         d = flip_descriptor()
         big = ms.ModuleDescriptor(
-            p=3, q=0, k=0, orders=(), T=d.T, S=d.S, theta=d.theta, theta_prime=d.theta_prime,
+            p=3, q=0, orders=(), T=d.T, S=d.S, theta=d.theta, theta_prime=d.theta_prime,
         )
         with pytest.raises(ValueError):
             ms.inner_product_numeric(ms.gaussian(d), ms.gaussian(d), [0, 0], big)

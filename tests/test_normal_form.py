@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nctorus import exact_linalg as xl
 from nctorus import normal_form as nf
@@ -42,19 +44,38 @@ class TestDetect:
         with pytest.raises(nf.NotSpecialForm):
             nf.detect_special_form(g)
 
-    def test_z_unique_across_pivot_orders(self):
-        for seed in range(10):
-            g = tg.random_element(seed, 6, 4)
-            R0 = nf.normalize_right(g)
-            g1 = tg.compose(g, tg.rho(R0))
-            sf = nf.detect_special_form(g1)
-            width = 2 * sf.p
-            lead = g1.C[:, :width]
-            # full column rank makes the Z solving -lead Z = D[:, :width] unique
-            assert xl.rank(lead) == width
-            assert -lead @ sf.Z == g1.D[:, :width]
-            assert xl.is_skew(sf.Z)
-            assert isinstance(sf.Z, xl.Mat)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), length=st.integers(1, 8), n=st.integers(2, 6))
+    # the fixed seeds 0..9 at length 6, n = 4 stay as explicit examples
+    @example(seed=0, length=6, n=4)
+    @example(seed=1, length=6, n=4)
+    @example(seed=2, length=6, n=4)
+    @example(seed=3, length=6, n=4)
+    @example(seed=4, length=6, n=4)
+    @example(seed=5, length=6, n=4)
+    @example(seed=6, length=6, n=4)
+    @example(seed=7, length=6, n=4)
+    @example(seed=8, length=6, n=4)
+    @example(seed=9, length=6, n=4)
+    def test_z_unique_across_pivot_orders(self, seed, length, n):
+        """After normalize, the one solve of detect_special_form stands for
+        three facts: lead = (C R0)[:, :2p] has full column rank (so the Z
+        solving -lead Z = D1 is unique), [lead | D12] is invertible and
+        -lead Z = D1.  rho(R0) and the detection run one elimination each."""
+        g = tg.random_element(seed, length, n)
+        R0, _, g1, sf = nf.normalize(g)
+        width = 2 * sf.p
+        lead, D1, D12 = g1.C[:, :width], g1.D[:, :width], g1.D[:, width:]
+        assert xl.rank(lead) == width
+        assert xl.det(xl.block([[lead, D12]])) != 0
+        assert -lead @ sf.Z == D1
+        assert xl.is_skew(sf.Z)
+        assert isinstance(sf.Z, xl.Mat)
+        with mock.patch.object(xl, "_row_reduce", wraps=xl._row_reduce) as eliminations:
+            tg.rho(R0)
+            assert eliminations.call_count == 1
+            assert nf.detect_special_form(g1).Z == sf.Z
+            assert eliminations.call_count == 2
 
 
 class TestNormalizeRight:
