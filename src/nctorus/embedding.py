@@ -52,7 +52,6 @@ from .torus_group import (
     check_matrix,
     compose,
     invert_element,
-    make_theta,
     mu,
 )
 
@@ -86,7 +85,7 @@ class TorsionData:
     """Normal-form data of the rational skew block Z.
 
     m clears the denominators of Z, R is the unimodular change of basis with
-    m Z = R^t [[0, P, 0], [-P, 0, 0], [0, 0, 0]] R, P = diag(h), and each
+    m Z = R^t [[0, P, 0], [-P, 0, 0], [0, 0, 0]] R, P = diag(h), R_inv = R^-1, and each
     ratio h_j / m reduces to m_j / n_j with the Bezout pair (c_j, d_j).
     Torsion factors with n_j = 1 are kept so matrix shapes stay uniform.
     The derived diagonal matrices are built once, on first use.
@@ -94,6 +93,7 @@ class TorsionData:
 
     m: int
     R: Mat
+    R_inv: Mat
     h: tuple[int, ...]
     mj: tuple[int, ...]
     nj: tuple[int, ...]
@@ -137,7 +137,7 @@ class TorsionData:
 def build_torsion_data(Z: Mat) -> TorsionData:
     """Clear denominators, reduce the alternating form, and take Bezout data."""
     m = Z.den
-    R, h = xl.alternating_normal_form_int(m * Z)
+    R, R_inv, h = xl.alternating_normal_form_int(m * Z)
     mj, nj, cj, dj = [], [], [], []
     for hj in h:
         g = math.gcd(hj, m)
@@ -146,7 +146,7 @@ def build_torsion_data(Z: Mat) -> TorsionData:
         nj.append(m // g)
         cj.append(c)
         dj.append(d)
-    return TorsionData(m=m, R=R, h=tuple(h), mj=tuple(mj), nj=tuple(nj), cj=tuple(cj), dj=tuple(dj))
+    return TorsionData(m=m, R=R, R_inv=R_inv, h=tuple(h), mj=tuple(mj), nj=tuple(nj), cj=tuple(cj), dj=tuple(dj))
 
 
 def _corner_form(td: TorsionData, top_right: Mat) -> Mat:
@@ -167,8 +167,8 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
     the a^ rows carry theta_21 and a fixed strict-upper splitting of
     theta_22, and the torsion rows land the reduced basis multiples in the
     covering lattice of W x W^.  The projection T~ onto the (u, u^, a) rows
-    must be invertible, and Tbar^t J is invertible exactly when T~ is (see
-    build_S), so one determinant certifies both.
+    is diag(T11, I_q), so det T11 != 0 decides it is invertible; Tbar^t J is
+    invertible exactly when T~ is (see build_S), so that one det certifies both.
     """
     p, q, k = sf.p, sf.q, td.k
     Z = xl.zeros
@@ -184,7 +184,7 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
     ])
     certs.check("T_pullback", xl.matmul(T.T, J, T) == theta.M, "T^t J T != theta")
     certs.check("T_lattice_rows", non_integral_rows(T, p, q, k) is None, "integer rows of T not integral")
-    invertible = xl.det(T[: sf.n, :]) != 0
+    invertible = xl.det(T11) != 0
     certs.check("T_tilde_invertible", invertible, "projection of T is singular")
     certs.check("S_tbar_invertible", invertible, "Tbar^t J is singular")
     return T
@@ -319,7 +319,7 @@ def theta_prime(S: Mat, StJ: Mat, td: TorsionData, theta: Theta, F11: Mat, certs
 def _gprime_closed_form(td: TorsionData, q: int) -> tuple[Mat, Mat, Mat, Mat]:
     """The theta-independent closed forms of the blocks A', B', C', D' of g'."""
     rest = 2 * td.p - 2 * td.k
-    Rt_inv = xl.int_inverse(td.R).T
+    Rt_inv = td.R_inv.T
     Ap = xl.block_diag(_corner_form(td, td.Q2) @ Rt_inv, -xl.eye(q))
     Bp = xl.block_diag(xl.block_diag(td.Q1, td.Q1, -xl.eye(rest)) @ td.R, xl.zeros(q, q))
     Cp = xl.block_diag(xl.block_diag(td.T4, -xl.eye(rest)) @ Rt_inv, xl.zeros(q, q))
@@ -481,7 +481,7 @@ def embed(fac: Factorization, theta: Theta) -> PipelineResult:
 def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
     certs = CertificateLog()
     sf, td, R0_inv = fac.special, fac.torsion, fac.r0_inv
-    theta1 = make_theta(xl.matmul(R0_inv, theta.M, R0_inv.T))
+    theta1 = Theta(xl.matmul(R0_inv, theta.M, R0_inv.T))  # skew, as theta is
     F11 = domain_check(sf, theta1)
     certs.check("domain_defined", F11 is not None, "theta_11 - Z is singular")
     J, _ = build_forms(sf.p, sf.q, td.nj)

@@ -569,12 +569,12 @@ def canonical_alternating(h: list, size: int) -> Mat:
     return Mat(rows, 1, size)
 
 
-def alternating_normal_form_int(A: Mat) -> tuple[Mat, list]:
+def alternating_normal_form_int(A: Mat) -> tuple[Mat, Mat, list]:
     """Reduce an integer alternating form: A = R^t * canonical * R.
 
-    Returns (R, h) with R unimodular and h the positive block multipliers
-    h_1..h_k, k = rank(A)/2.  R is int_inverse of the accumulated congruence;
-    the equation is decided by the torsion_normal_form certificate.
+    Returns (R, R^-1, h) with R unimodular and h the positive block multipliers
+    h_1..h_k, k = rank(A)/2.  R^-1 is the accumulated congruence and R its
+    int_inverse; the equation is decided by the torsion_normal_form certificate.
 
     Raises:
         NotSkew: if A != -A^t.
@@ -623,7 +623,8 @@ def alternating_normal_form_int(A: Mat) -> tuple[Mat, list]:
             hs[idx] = -hs[idx]
     k = len(hs)
     order = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)) + list(range(2 * k, n))
-    return int_inverse(Mat([[row[j] for j in order] for row in Q], 1, n)), hs
+    R_inv = Mat([[row[j] for j in order] for row in Q], 1, n)
+    return int_inverse(R_inv), R_inv, hs
 
 
 @functools.cache

@@ -25,10 +25,6 @@ class NotSpecialForm(NormalFormError):
     """C/D blocks do not have the required shape; normalize first."""
 
 
-class OddRank(NormalFormError):
-    """Invertible [C11 D12; C21 D22] with a leading block of odd width (= rank C)."""
-
-
 @dataclass(frozen=True, eq=False)
 class SpecialForm:
     n: int
@@ -47,31 +43,28 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
     trailing all-zero columns of C.  One solve of [C11 D12; C21 D22] X =
     -D[:, :width] decides the rest: the mixed matrix is invertible (so the
     leading columns of C have full rank), and -C Z = D[:, :width] is solvable
-    exactly when the bottom rows of X vanish; Z is its top rows.
+    exactly when the bottom rows of X vanish; Z is its top rows.  The width
+    is then rank C, even for g from check_matrix, check_membership or the
+    generators (see check_matrix); for g with det -1 the result is undefined.
 
     Raises:
         NotSpecialForm: mixed C/D matrix singular, no exact solution for Z,
             or Z not skew.
-        OddRank: invertible mixed matrix with a leading block of odd width
-            (corrupted input).
     """
-    n = g.n
     C, D = g.C, g.D
-    width = n
+    width = g.n
     while width > 0 and xl.is_zero(C[:, width - 1 : width]):
         width -= 1
     try:
         X = xl.solve_unique(xl.block([[C[:, :width], D[:, width:]]]), -D[:, :width])
     except xl.Inconsistent:
         raise NotSpecialForm("mixed block matrix [C11 D12; C21 D22] is singular") from None
-    if width % 2 != 0:
-        raise OddRank("rank of C is odd")
     if not xl.is_zero(X[width:, :]):
         raise NotSpecialForm("leading columns of D are not -C Z for any Z")
     Z = X[:width, :]
     if not xl.is_skew(Z):
         raise NotSpecialForm("solved Z is not skew-symmetric")
-    return SpecialForm(n=n, p=width // 2, Z=Z)
+    return SpecialForm(n=g.n, p=width // 2, Z=Z)
 
 
 def normalize_right(g: GroupElement) -> Mat:
@@ -81,7 +74,7 @@ def normalize_right(g: GroupElement) -> Mat:
     of C, so C R0 keeps its nonzero columns in the leading even-rank block.
     complete_basis returns R0 unchecked; normalize decides it, rho(R0)
     raising NotUnimodular if R0 is not unimodular and detect_special_form on
-    g * rho(R0) raising OddRank or NotSpecialForm if the shape is wrong.
+    g * rho(R0) raising NotSpecialForm if the shape is wrong.
     """
     return xl.complete_basis(g.C)
 

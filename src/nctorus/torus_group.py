@@ -4,7 +4,8 @@ An element is one integer 2n x 2n matrix M with
 
     M^t eta M = eta,   eta = [[0, I], [I, 0]],   det M = 1.
 
-Its n x n blocks A, B, C, D (M = [[A, B], [C, D]]) are read-only slices of M.
+Its n x n blocks A, B, C, D (M = [[A, B], [C, D]]) are slices of M, cut once.
+Given M^t eta M = eta, det M = (-1)^rank C: det M = 1 exactly when rank C is even.
 The (partial) action on a skew matrix is theta -> (A theta + B)(C theta + D)^-1,
 defined whenever C theta + D is invertible; an undefined action is a
 recoverable outcome, not a crash.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
@@ -85,10 +87,10 @@ class GroupElement:
     M: Mat
 
     n = property(lambda g: g.M.shape[0] // 2)
-    A = property(lambda g: g.M[: g.n, : g.n])
-    B = property(lambda g: g.M[: g.n, g.n :])
-    C = property(lambda g: g.M[g.n :, : g.n])
-    D = property(lambda g: g.M[g.n :, g.n :])
+    A = cached_property(lambda g: g.M[: g.n, : g.n])
+    B = cached_property(lambda g: g.M[: g.n, g.n :])
+    C = cached_property(lambda g: g.M[g.n :, : g.n])
+    D = cached_property(lambda g: g.M[g.n :, g.n :])
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.M == other.M
@@ -112,7 +114,9 @@ def check_matrix(M: Mat) -> GroupElement:
     """Validate M^t eta M = eta and det M = 1 for an integer 2n x 2n M, or name the violation.
 
     F = M^t (eta M) is symmetric with blocks A^t C + C^t A, A^t D + C^t B and
-    B^t D + D^t B, so these three decide it.
+    B^t D + D^t B, so these three decide it.  Then det M = (-1)^rank C: an
+    isometry of eta has det (-1)^codim(L cap M L) for the Lagrangian L of the
+    first n coordinates (Chevalley), and L cap M L = M ker C.
     """
     n = M.shape[0] // 2
     F = M.T @ M[_swap(n), :]
@@ -122,9 +126,10 @@ def check_matrix(M: Mat) -> GroupElement:
         raise RelationViolated("B^t D + D^t B = 0")
     if F[:n, n:] != xl.eye(n):
         raise RelationViolated("A^t D + C^t B = I")
-    if xl.det(M) != 1:
+    g = _element(M)
+    if xl.rank(g.C) % 2 != 0:
         raise DeterminantNotOne("assembled matrix must have determinant 1")
-    return _element(M)
+    return g
 
 
 def _element(M: Mat) -> GroupElement:
@@ -191,12 +196,12 @@ def act(g: GroupElement, theta: Theta) -> Theta:
     """Fractional-linear action; raises Undefined off the domain."""
     if g.n != theta.n:
         raise ValueError("dimension mismatch")
-    M = c_theta_plus_d(g, theta)
+    # X (C theta + D) = A theta + B, solved as (C theta + D)^t X^t = (A theta + B)^t
     try:
-        Minv = xl.rational_inverse(M)
-    except xl.Singular:
+        Xt = xl.solve_unique(c_theta_plus_d(g, theta).T, (g.A @ theta.M + g.B).T)
+    except xl.Inconsistent:
         raise Undefined("C theta + D is singular") from None
-    return make_theta(xl.matmul(g.A @ theta.M + g.B, Minv))
+    return make_theta(Xt.T)
 
 
 def is_defined(g: GroupElement, theta: Theta) -> bool:

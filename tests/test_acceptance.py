@@ -162,7 +162,7 @@ def test_criterion_4_normal_form_oracles():
                     A[i][j] = v
                     A[j][i] = -v
             A = xl.mat(A)
-            R, h = xl.alternating_normal_form_int(A)
+            R, _, h = xl.alternating_normal_form_int(A)
             assert abs(xl.det(R)) == 1
             assert 2 * len(h) == xl.rank(A)
             canon = xl.canonical_alternating(h, size)

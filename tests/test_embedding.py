@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -307,6 +308,13 @@ def flipped(A, B, C, D, E):
     return gs.A, gs.B, gs.C, gs.D
 
 
+def odd_flipped(A, B, C, D, E):
+    """The blocks of g' times the one-coordinate flip x_1 <-> x_{n+1}: integral, eta-preserving, det -1."""
+    n = A.shape[0]
+    M = xl.block([[A, B], [C, D]])[:, [n, *range(1, n), 0, *range(n + 1, 2 * n)]]
+    return M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+
+
 class TestVerifiedClosedForms:
     """S and g' come from closed forms checked against their defining systems,
     so a wrong closed form must fail a certificate."""
@@ -341,6 +349,8 @@ class TestVerifiedClosedForms:
             # g' sigma for a flip sigma: integral and a group member, but g (g' sigma)^-1 is not
             # block upper triangular
             (flipped, "decomp_ctilde_zero"),
+            # g' times a one-coordinate flip: the relations hold, det = -1
+            (odd_flipped, "gprime_membership"),
         ],
     )
     def test_perturbed_gprime_closed_form(self, monkeypatch, tmp_path, perturb, name):
@@ -356,13 +366,16 @@ class TestVerifiedClosedForms:
         assert failed_certificate(*mixed_torsion_case()) == name
         if name in eb.FACTOR_CERTIFICATE_NAMES:
             assert decompose_failure(tmp_path) == name
+        if perturb is odd_flipped:
+            with pytest.raises(eb.EmbeddingError, match="assembled matrix must have determinant 1"):
+                eb.factor(mixed_torsion_case()[0])
 
     def test_perturbed_torsion_reduction(self, monkeypatch, tmp_path):
         reduce = xl.alternating_normal_form_int
 
         def perturbed(A):
-            R, h = reduce(A)
-            return R, [h[0] + 1, *h[1:]]
+            R, R_inv, h = reduce(A)
+            return R, R_inv, [h[0] + 1, *h[1:]]
 
         monkeypatch.setattr(xl, "alternating_normal_form_int", perturbed)
         assert failed_certificate(*mixed_torsion_case()) == "torsion_normal_form"
@@ -380,6 +393,24 @@ class TestVerifiedClosedForms:
         orders = math.prod(nj**2 for nj in td.nj)
         T, n = d.descriptor.T, d.descriptor.n
         assert xl.det(eb._tbar(T, td, d.special.q)) == (-1) ** d.special.q * xl.det(T[:n, :]) * orders
+        # T~ = diag(T11, I_q): build_T takes the determinant on T11
+        assert xl.det(T[:n, :]) == xl.det(T[: 2 * d.special.p, : 2 * d.special.p])
+
+    def test_elimination_counts(self, tmp_path):
+        """One CLI pipeline job runs ten eliminations, one per fact: rank C for the
+        membership of g, g theta, rho(R0), the special form, R from its congruence,
+        rank C' for the membership of g', theta_11 - Z, det T11, det S~ and the
+        stacked lattice basis.  The closed forms of g' run none."""
+        g, theta = mixed_torsion_case()
+        td = eb.factor(g).torsion
+        inp, out = tmp_path / "in.json", tmp_path / "out.json"
+        job = {"version": docs.FORMAT_VERSION, "g": docs.group_doc(g), "theta": docs.theta_doc(theta)}
+        inp.write_text(docs.dumps(job))
+        with mock.patch.object(xl, "_row_reduce", wraps=xl._row_reduce) as eliminations:
+            eb._gprime_closed_form(td, 1)
+            assert eliminations.call_count == 0
+            assert cli.main(["pipeline", "--input", str(inp), "--output", str(out)]) == 0
+            assert eliminations.call_count == 10
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))

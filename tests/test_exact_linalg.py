@@ -176,20 +176,25 @@ class TestKernelAndCompletion:
 
 class TestAlternatingForm:
     def test_zero(self):
-        R, h = xl.alternating_normal_form_int(xl.zeros(2, 2))
+        R, _, h = xl.alternating_normal_form_int(xl.zeros(2, 2))
         assert R == xl.eye(2) and h == []
 
     def test_already_canonical(self):
-        R, h = xl.alternating_normal_form_int(xl.mat([[0, 6], [-6, 0]]))
+        R, _, h = xl.alternating_normal_form_int(xl.mat([[0, 6], [-6, 0]]))
         assert R == xl.eye(2) and h == [6]
 
     def test_interleaved_blocks(self):
         A = xl.mat(
             [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 4], [0, 0, -4, 0]]
         )
-        R, h = xl.alternating_normal_form_int(A)
+        R, _, h = xl.alternating_normal_form_int(A)
         assert h == [2, 4]
         assert R.T @ xl.canonical_alternating(h, 4) @ R == A
+
+    def test_returns_the_inverse_it_built(self):
+        A = xl.mat([[0, 2, 1, 0], [-2, 0, 0, 3], [-1, 0, 0, 4], [0, -3, -4, 0]])
+        R, R_inv, h = xl.alternating_normal_form_int(A)
+        assert R @ R_inv == xl.eye(4) and R.T @ xl.canonical_alternating(h, 4) @ R == A
 
     def test_rejects(self):
         with pytest.raises(xl.NotSkew):
@@ -210,7 +215,7 @@ class TestAlternatingForm:
                 A[i][j] = v
                 A[j][i] = -v
         A = xl.mat(A)
-        R, h = xl.alternating_normal_form_int(A)
+        R, _, h = xl.alternating_normal_form_int(A)
         assert abs(xl.det(R)) == 1
         assert all(v > 0 for v in h)
         assert 2 * len(h) == xl.rank(A)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import exact_linalg as xl
 from nctorus import torus_group as tg
@@ -49,6 +51,23 @@ class TestMembership:
         with pytest.raises(error) as e:
             tg.check_membership(*blocks)
         assert text in str(e.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6), length=st.integers(1, 10), odd=st.booleans())
+    def test_determinant_is_the_parity_of_rank_c(self, seed, n, length, odd):
+        """det M = (-1)^rank C on eta-preserving M, so check_matrix decides det M = 1
+        by one elimination on the n rows of C; a one-coordinate flip makes det -1."""
+        g = tg.random_element(seed, length, n)
+        if odd:  # x_1 <-> x_{n+1}
+            g = tg.compose(g, tg.GroupElement(xl.eye(2 * n)[[n, *range(1, n), 0, *range(n + 1, 2 * n)], :]))
+        assert xl.det(g.M) == (-1) ** xl.rank(g.C)
+        with mock.patch.object(xl, "_row_reduce", wraps=xl._row_reduce) as eliminations:
+            if odd:
+                with pytest.raises(tg.DeterminantNotOne, match="determinant 1"):
+                    tg.check_matrix(g.M)
+            else:
+                assert tg.check_matrix(g.M) == g
+        assert eliminations.call_count == 1 and len(eliminations.call_args.args[0]) == n
 
     def test_preserves_split_form(self):
         for seed in range(8):
