@@ -120,6 +120,10 @@ def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tole
     The trials are checked in blocks of at most ms.BATCH_POINTS points (one
     trial when the samples alone exceed it): a block's pairs act on the sample
     batch repeated once per pair, and each check runs once per block.
+
+    Raises:
+        OverflowError: if a residual is NaN or infinite; a NaN would vanish
+            from the max fold, and neither can be compared with the tolerance.
     """
     rng = random.Random(f"simulate:{seed}")
     f = ms.random_gaussian(rng, d)
@@ -132,9 +136,15 @@ def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tole
             for _ in range(min(per_block, trials - start))
         ]
         m = ms.tile(sample, len(pairs))
-        worst["module_relation"] = max(worst["module_relation"], ms.check_module_relation(pairs, f, m, d))
-        worst["left_relation"] = max(worst["left_relation"], ms.check_left_relation(pairs, f, m, d))
-        worst["commutation"] = max(worst["commutation"], ms.check_bimodule_commutation(pairs, f, m, d))
+        residuals = {
+            "module_relation": ms.check_module_relation(pairs, f, m, d),
+            "left_relation": ms.check_left_relation(pairs, f, m, d),
+            "commutation": ms.check_bimodule_commutation(pairs, f, m, d),
+        }
+        for name, r in residuals.items():
+            if not math.isfinite(r):
+                raise OverflowError(f"the {name} residual is {r}")
+            worst[name] = max(worst[name], r)
     return {
         "seed": seed,
         "samples": samples,
@@ -162,7 +172,7 @@ def cmd_simulate(job: dict, opts) -> dict:
         raise docs.ParseError("tolerance must be a positive finite number")
     try:
         report = run_simulation(d, seed, samples, trials, tol)
-    except OverflowError:  # a valid descriptor can still shift or pair points past float range
+    except OverflowError:  # a valid descriptor can still shift or pair points past float range, or give a NaN residual
         raise docs.ParseError("module descriptor is out of float range for the simulation") from None
     report["p"], report["q"], report["k"] = d.p, d.q, d.k
     return report

@@ -168,7 +168,8 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
     theta_22, and the torsion rows land the reduced basis multiples in the
     covering lattice of W x W^.  The projection T~ onto the (u, u^, a) rows
     is diag(T11, I_q), so det T11 != 0 decides it is invertible; Tbar^t J is
-    invertible exactly when T~ is (see build_S), so that one det certifies both.
+    invertible exactly when T~ is (see build_S), and so is the projection S~
+    of S (see _dual_closed_form), so that one det certifies all three.
     """
     p, q, k = sf.p, sf.q, td.k
     Z = xl.zeros
@@ -187,6 +188,7 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
     invertible = xl.det(T11) != 0
     certs.check("T_tilde_invertible", invertible, "projection of T is singular")
     certs.check("S_tbar_invertible", invertible, "Tbar^t J is singular")
+    certs.check("S_tilde_invertible", invertible, "projection of S is singular")
     return T
 
 
@@ -214,7 +216,10 @@ def _dual_closed_form(td: TorsionData, T: Mat, F11: Mat, q: int) -> Mat:
     """The closed-form blocks of the dual embedding S.
 
     T11^t J0 T11 = theta_11 - Z = F11^-1 and J0^2 = -I give
-    J0 T11^-t = -T11 F11, so no inverse is formed.
+    J0 T11^-t = -T11 F11, so no inverse is formed.  The projection S~ onto
+    the (u, u^, a) rows is [[-T11 F11 R^t blk3, *], [0, I_q]]: F11 and blk3
+    are invertible and R unimodular, so det S~ != 0 exactly when det T11 != 0,
+    which build_T certified as S_tilde_invertible.
     """
     p, k = td.p, td.k
     n = 2 * p + q
@@ -270,7 +275,6 @@ def build_S(
         "closed-form dual map does not solve Tbar^t J S = phi",
     )
     certs.check("S_lattice_rows", non_integral_rows(S, p, q, k) is None, "integer rows of S not integral")
-    certs.check("S_tilde_invertible", xl.det(S[: sf.n, :]) != 0, "projection of S is singular")
     return S, -JS.T
 
 

@@ -11,23 +11,29 @@ the final phase/Gaussian evaluations.
 All exact arithmetic runs on Python ints.  A descriptor is compiled on its
 first action (``ModuleDescriptor._images``): the integer rows of T and S are
 cut into coordinate blocks, with their a, w and w^ rows checked integral, and
-the half forms Q = M^t J' M are formed once.  The cocycles read the integer
-rows of theta and theta' directly.  An action is built for a list of lattice
-vectors and a block size at once (``_twist``, one pass over the image rows per
-list): vector i acts on the i-th of len(xs) equal blocks of a batch, and fixes
-its shift and its pairing there, integer coefficients over one modulus L and
-float u-shifts, held as per-point columns.  ``right_action`` and
-``left_action`` are the one-vector case.  The relation checks take the
-lattice pairs of several trials and the sample batch repeated once per pair
-(``tile``), so a simulation run builds each of its six distinct actions once
-per block of at most ``BATCH_POINTS`` points, and folds the worst residual
-per trial in trial order.  A phase e(N / L) is evaluated as
-exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first and the one
-int division is correctly rounded, so it equals float(Fraction(N, L) % 1)
-bit for bit and residuals stay at machine precision even for large integer
-arguments.  Evaluation builds no ``Fraction``, and each per-point float sum
-is a math.fsum over that point's terms, correctly rounded, so values depend
-neither on the batch nor on the Python version.
+the half forms Q = M^t J' M are formed once; J and J' are memoized per shape
+(``build_forms``).  The cocycles read the integer rows of theta and theta'
+directly.  An action is built for a list of lattice vectors and a block size
+at once, from their image vectors M(x) (``_twist``): vector i acts on the
+i-th of len(xs) equal blocks of a batch, and fixes its shift, its pairing
+(integer coefficients over one modulus L and float u-coefficients) and its
+phase e(-M(x).J'M(x)/2) there, each read off M(x) and held as per-point
+columns.  The relation checks take the lattice pairs of several trials and
+the sample batch repeated once per pair (``tile``).  A simulation block takes
+the images of its x and y once per embedding, one pass over the rows, and
+those of x + y by exact int addition (``_block_images``), so it builds each of
+its six distinct actions (U_x, U_y, U_{x+y}, V_x, V_y, V_{x+y}) once per
+block of at most ``BATCH_POINTS`` points; ``right_action`` and
+``left_action`` are the one-vector case of the same build.  Each check
+reports its worst residual, NaN if any residual is NaN.  A phase e(N / L) is
+evaluated as exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first
+and the one int division is correctly rounded, so it equals
+float(Fraction(N, L) % 1) bit for bit, whatever the denominator the fraction
+is written over, and residuals stay at machine precision even for large
+integer arguments.  Evaluation builds no ``Fraction``, and each per-point
+float sum is a math.fsum over that point's terms (a lone term is its own
+sum), correctly rounded, so values depend neither on the batch nor on the
+Python version.
 A pairing past float range raises OverflowError, as a shift past it does.
 
 The inner product <f, g>(x), for p <= 2, is the one integral: a midpoint rule
@@ -150,8 +156,13 @@ def _e(num: int, den: int) -> complex:
 # the compiled descriptor
 
 
+@functools.lru_cache(maxsize=256)
 def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[Mat, Mat]:
-    """The 2-form J on the ambient space and its positive half J', with J = J' - J'^t."""
+    """The 2-form J on the ambient space and its positive half J', with J = J' - J'^t.
+
+    Memoized per shape, like ``xl.eye`` per size, which is safe because a Mat
+    is immutable; the bound keeps a long campaign over many shapes from growing it.
+    """
     k = len(orders)
     P1 = xl.diag([Fraction(1, n) for n in orders])
     J2 = xl.block([[xl.zeros(k, k), P1], [-P1, xl.zeros(k, k)]])
@@ -170,10 +181,14 @@ def _half_phase(M: Mat, x: list[int], y: list[int]) -> complex:
     return _e(_value(M, x, y), 2 * M.den)
 
 
+def _block_bounds(p: int, q: int, k: int) -> list[tuple[int, int]]:
+    """The (start, stop) rows of the blocks (u, u^, a, a^, w, w^), of sizes (p, p, q, q, k, k)."""
+    return list(itertools.pairwise(itertools.accumulate((p, p, q, q, k, k), initial=0)))
+
+
 def coordinate_rows(M: Mat, p: int, q: int, k: int) -> list[tuple]:
     """The integer rows of M cut as (u, u^, a, a^, w, w^), of sizes (p, p, q, q, k, k)."""
-    bounds = list(itertools.accumulate((p, p, q, q, k, k), initial=0))
-    return [M.rows[i:j] for i, j in zip(bounds, bounds[1:])]
+    return [M.rows[i:j] for i, j in _block_bounds(p, q, k)]
 
 
 def non_integral_rows(M: Mat, p: int, q: int, k: int) -> str | None:
@@ -191,9 +206,13 @@ def non_integral_rows(M: Mat, p: int, q: int, k: int) -> str | None:
 class _Image:
     """An embedding matrix (T or S) as integer rows cut into coordinate blocks.
 
-    The u, u^ and a^ rows are numerators over ``den``; the a, w and w^ rows
-    are integral and held divided out.  ``half`` is M^t J' M, so that
-    M(x).J'M(x) = x^t half x for a lattice vector x.
+    ``rows`` are its ambient rows in the order (u, u^, a, a^, w, w^), and
+    ``bounds`` cut an image vector M(x) into those six blocks: the u, u^ and a^
+    entries are numerators over ``den``, the a, w and w^ rows are integral and
+    held divided out.  ``half`` is M^t J' M, so that M(x).J'M(x) = x^t half x
+    for a lattice vector x.  ``pairing`` lists the index pairs (i, j) of u.u^,
+    a.a^ and w.w^ with the int weight c that puts each product over the one
+    denominator den L: den L M(x).J'M(x) = sum of c v_i v_j.
     """
 
     def __init__(self, M: Mat, name: str, d: ModuleDescriptor):
@@ -203,11 +222,45 @@ class _Image:
         if label:
             raise ShapeMismatch(f"{name} has a non-integer entry in its {label} rows")
         self.den = den = M.den
-        self.u, self.uhat, a, self.ahat, w, what = coordinate_rows(M, d.p, d.q, d.k)
-        self.a, self.w, self.what = ([[x // den for x in row] for row in b] for b in (a, w, what))
+        u, uhat, a, ahat, w, what = coordinate_rows(M, d.p, d.q, d.k)
+        a, w, what = ([[x // den for x in row] for row in b] for b in (a, w, what))
+        self.rows = [*u, *uhat, *a, *ahat, *w, *what]
+        self.bounds = _block_bounds(d.p, d.q, d.k)
         self.orders = d.orders
-        self.modulus = math.lcm(den, *d.orders)
+        self.modulus = L = math.lcm(den, *d.orders)
+        (u0, _), (h0, _), (a0, _), (b0, _), (w0, _), (z0, _) = self.bounds
+        self.pairing = (
+            [(u0 + i, h0 + i, L // den) for i in range(d.p)]
+            + [(a0 + i, b0 + i, L) for i in range(d.q)]
+            + [(w0 + j, z0 + j, den * L // n) for j, n in enumerate(d.orders)]
+        )
         self.half = xl.matmul(M.T, d.Jprime, M)
+
+
+def _image(img: _Image, xs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The image vector M(x) of each lattice vector x, in the integer form of ``img.rows``."""
+    return tuple(tuple([sum(map(mul, row, x)) for row in img.rows]) for x in xs)
+
+
+@functools.lru_cache(maxsize=2)
+def _block_images(img: _Image, xs: tuple, ys: tuple) -> tuple[tuple, tuple, tuple]:
+    """The images of xs, of ys and of xs + ys: one pass over the rows, the sums by exact int addition.
+
+    A block of a simulation run reads these for T and for S, each in two checks.
+    """
+    ix, iy = _image(img, xs), _image(img, ys)
+    return ix, iy, tuple(tuple(map(add, vx, vy)) for vx, vy in zip(ix, iy))
+
+
+def _phase_arguments(img: _Image, image: tuple) -> tuple[list[int], int]:
+    """The phase arguments -v.J'v/2 of the image vectors v, as int numerators over one denominator.
+
+    v.J'v = sum u.u^/den^2 + a.a^/den + w.w^/n_j, and den L clears all three.
+    _e reduces num mod den before its one division, so e(num / den) is the
+    same float as from x^t half x over 2 half.den.
+    """
+    pairing = img.pairing
+    return [-sum([c * v[i] * v[j] for i, j, c in pairing]) for v in image], 2 * img.den * img.modulus
 
 
 def verify_descriptor(d: ModuleDescriptor) -> None:
@@ -241,52 +294,67 @@ def _lattice(x, d: ModuleDescriptor) -> tuple[int, ...]:
 
 
 class _Twist:
-    """The constants of the actions of the lattice vectors xs through an image M.
+    """The constants of the actions through an image M of the lattice vectors whose images M(x) are ``image``.
 
-    Vector i acts on the i-th of len(xs) blocks of ``block`` points, and each
-    constant is a column with one entry per point, vector i's value repeated
-    over its block.  With sign -1 (U_x through T)
-    or +1 (V_x through S): ``phase`` is e(-M(x).J'M(x)/2), the shift
-    m -> m + sign M'(x) adds the columns ``su``, ``sa`` and ``sw`` (mod
-    ``orders``), and the pairing <m, -sign M''(x)> has integer coefficient
-    columns ``ca``, ``cw`` over one ``modulus`` and float ones ``cu``, where M'
-    and M'' are the M and M-hat parts of M(x).
+    Vector i acts on the i-th of len(image) blocks of ``block`` points, and
+    each constant is a column with one entry per point, vector i's value
+    repeated over its block.  With sign -1 (U_x through T) or +1 (V_x through
+    S): ``phase`` is e(-M(x).J'M(x)/2), the shift m -> m + sign M'(x) adds the
+    columns ``su``, ``sa`` and ``sw`` (mod ``orders``), and the pairing
+    <m, -sign M''(x)> has integer coefficient columns ``cexact``, for a and
+    then w, over one ``modulus`` and float ones ``cu``, where M' and M'' are
+    the M and M-hat parts of M(x).  Every constant is read off the image.
     """
 
-    __slots__ = ("phase", "cu", "ca", "cw", "modulus", "su", "sa", "sw", "orders")
+    __slots__ = ("phase", "cu", "cexact", "modulus", "su", "sa", "sw", "orders")
 
-    def __init__(self, img: _Image, xs: tuple[tuple[int, ...], ...], sign: int, block: int):
-        def image(rows):  # per row, its value at each vector
-            return [[sum(map(mul, row, x)) for x in xs] for row in rows]
-
+    def __init__(self, img: _Image, image: tuple, sign: int, block: int):
         def spread(rows):  # per row, its value at each point
             return [_spread(r, block) for r in rows]
 
         den, L = img.den, img.modulus
-        self.phase = _spread([_e(-_value(img.half, x, x), 2 * img.half.den) for x in xs], block)
-        self.su = spread([[sign * (v / den) for v in r] for r in image(img.u)])
-        self.sa = spread([[sign * v for v in r] for r in image(img.a)])
-        self.sw = spread([[sign * v % n for v in r] for r, n in zip(image(img.w), img.orders)])
-        self.cu = spread([[-sign * (v / den) for v in r] for r in image(img.uhat)])
-        self.ca = spread([[-sign * v * (L // den) % L for v in r] for r in image(img.ahat)])
-        self.cw = spread([[-sign * v * (L // n) % L for v in r] for r, n in zip(image(img.what), img.orders)])
+        rows = list(zip(*image))  # per ambient row, its value at each vector
+        u, uhat, a, ahat, w, what = (rows[i:j] for i, j in img.bounds)
+        nums, phase_den = _phase_arguments(img, image)
+        self.phase = _spread([_e(t, phase_den) for t in nums], block)
+        self.su = spread([[sign * (v / den) for v in r] for r in u])
+        self.sa = spread([[sign * v for v in r] for r in a])
+        self.sw = spread([[sign * v % n for v in r] for r, n in zip(w, img.orders)])
+        self.cu = spread([[-sign * (v / den) for v in r] for r in uhat])
+        self.cexact = spread(
+            [[-sign * v * (L // den) % L for v in r] for r in ahat]
+            + [[-sign * v * (L // n) % L for v in r] for r, n in zip(what, img.orders)]
+        )
         self.modulus = L
         self.orders = img.orders
 
 
 # A block of a simulation run uses ten actions, six of them distinct
 @functools.lru_cache(maxsize=8)
-def _twist(img: _Image, xs: tuple[tuple[int, ...], ...], sign: int, block: int) -> _Twist:
-    return _Twist(img, xs, sign, block)
+def _twist(img: _Image, image: tuple, sign: int, block: int) -> _Twist:
+    return _Twist(img, image, sign, block)
 
 
-def _sums(columns: list, size: int, total=math.fsum) -> list:
-    """Per point, the total of its terms; 0 with no columns.
+def _sums(columns: list[list[float]], size: int) -> list:
+    """Per point, the math.fsum of its float terms; 0 with no columns.
 
-    math.fsum is correctly rounded, so a float total is the same on every
-    Python version; exact int terms pass total=sum to stay ints.
+    math.fsum is correctly rounded, so a total is the same on every Python
+    version.  A lone column is its own total, so a lone -0.0 term stays -0.0
+    where fsum gives 0.0.  No byte can see that sign: every such total is a
+    sum of squares, or is added to a float >= +0.0 or to the int 0 before it
+    is used, and x + -0.0 == x + 0.0 for those.
     """
-    return list(map(total, zip(*columns))) if columns else [0] * size
+    if len(columns) == 1:
+        return columns[0]
+    return list(map(math.fsum, zip(*columns))) if columns else [0] * size
+
+
+def _int_sums(columns, size: int) -> list[int]:
+    """Per point, the exact total of its int terms, column by column; 0 with no columns."""
+    acc = None
+    for col in columns:
+        acc = list(col) if acc is None else list(map(add, acc, col))
+    return [0] * size if acc is None else acc
 
 
 def _spread(consts: list, block: int) -> list:
@@ -297,64 +365,56 @@ def _spread(consts: list, block: int) -> list:
     return out
 
 
-def _twisted(f: PointFunction, img: _Image, xs: tuple, sign: int) -> PointFunction:
-    """m -> phase <m, ...> f(shift(m)) for the actions of the vectors xs, built for the block size of m."""
+def _twisted(f: PointFunction, img: _Image, image: tuple, sign: int) -> PointFunction:
+    """m -> phase <m, ...> f(shift(m)) for the actions of the image vectors, built for the block size of m."""
 
     def ev(m: Points) -> list[complex]:
-        block, rest = divmod(m.size, len(xs))
+        block, rest = divmod(m.size, len(image))
         if rest:
-            raise ShapeMismatch(f"{m.size} points do not split into {len(xs)} equal blocks")
-        tw = _twist(img, xs, sign, block)
+            raise ShapeMismatch(f"{m.size} points do not split into {len(image)} equal blocks")
+        tw = _twist(img, image, sign, block)
         L = tw.modulus
-        exact = _sums([list(map(mul, col, c)) for col, c in zip(m.a + m.w, tw.ca + tw.cw)], m.size, sum)
+        exact = _int_sums((map(mul, col, c) for col, c in zip(m.a + m.w, tw.cexact)), m.size)
         real = _sums([list(map(mul, col, c)) for col, c in zip(m.u, tw.cu)], m.size)
         u = [list(map(add, col, s)) for col, s in zip(m.u, tw.su)]
         a = [list(map(add, col, s)) for col, s in zip(m.a, tw.sa)]
         w = [[(v + s) % n for v, s in zip(col, c)] for col, c, n in zip(m.w, tw.sw, tw.orders)]
         values = f(Points(u, a, w, m.size))
+        exp, tau = cmath.exp, 2j * math.pi
         try:
-            return [
-                p * cmath.exp(2j * math.pi * (e % L / L + r)) * v
-                for p, e, r, v in zip(tw.phase, exact, real, values)
-            ]
+            return [p * exp(tau * (e % L / L + r)) * v for p, e, r, v in zip(tw.phase, exact, real, values)]
         except ValueError:  # cmath.exp of an infinite pairing
             raise OverflowError("a pairing phase is out of float range") from None
 
     return ev
 
 
-def _right(f: PointFunction, xs: tuple, d: ModuleDescriptor) -> PointFunction:
-    return _twisted(f, d._images[0], xs, -1)
+def _right(f: PointFunction, image: tuple, d: ModuleDescriptor) -> PointFunction:
+    return _twisted(f, d._images[0], image, -1)
 
 
-def _left(xs: tuple, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
-    return _twisted(f, d._images[1], xs, +1)
+def _left(image: tuple, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
+    return _twisted(f, d._images[1], image, +1)
 
 
 def right_action(f: PointFunction, x, d: ModuleDescriptor) -> PointFunction:
     """(f U_x)(m) = e(-T(x).J'T(x)/2) <m, T''(x)> f(m - T'(x))."""
-    return _right(f, (_lattice(x, d),), d)
+    return _right(f, _image(d._images[0], (_lattice(x, d),)), d)
 
 
 def left_action(x, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
     """(V_x f)(m) = e(-S(x).J'S(x)/2) <m, -S''(x)> f(m + S'(x))."""
-    return _left((_lattice(x, d),), f, d)
+    return _left(_image(d._images[1], (_lattice(x, d),)), f, d)
 
 
-def _pairs(pairs, d: ModuleDescriptor) -> tuple[tuple, tuple, tuple]:
-    """The lattice vectors x, y and x + y of each pair, as three vector lists."""
-    xs = tuple(_lattice(x, d) for x, _ in pairs)
-    ys = tuple(_lattice(y, d) for _, y in pairs)
-    return xs, ys, tuple(tuple(map(add, x, y)) for x, y in zip(xs, ys))
+def _pairs(pairs, d: ModuleDescriptor) -> tuple[tuple, tuple]:
+    """The lattice vectors x and y of each pair, as two vector lists."""
+    return tuple(_lattice(x, d) for x, _ in pairs), tuple(_lattice(y, d) for _, y in pairs)
 
 
-def _worst(residuals: list[float], trials: int) -> float:
-    """max(w, max(block)) folded from w = 0.0 over the trials' blocks in order."""
-    block = len(residuals) // trials
-    w = 0.0
-    for i in range(0, len(residuals), block):
-        w = max(w, max(residuals[i : i + block]))
-    return w
+def _worst(residuals: list[float]) -> float:
+    """The largest residual, or NaN if any is NaN: max alone keeps or drops a NaN by its position."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
 def check_module_relation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
@@ -362,28 +422,32 @@ def check_module_relation(pairs, f: PointFunction, m: Points, d: ModuleDescripto
 
     Pair i of ``pairs`` acts on the i-th of len(pairs) equal blocks of m.
     """
-    xs, ys, xys = _pairs(pairs, d)
-    lhs = _right(_right(f, xs, d), ys, d)(m)
+    xs, ys = _pairs(pairs, d)
+    ux, uy, uxy = _block_images(d._images[0], xs, ys)
+    lhs = _right(_right(f, ux, d), uy, d)(m)
     sig = _spread([_half_phase(d.theta.M, x, y) for x, y in zip(xs, ys)], m.size // len(xs))
-    rhs = _right(f, xys, d)(m)
-    return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)], len(xs))
+    rhs = _right(f, uxy, d)(m)
+    return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)])
 
 
 def check_left_relation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
-    xs, ys, xys = _pairs(pairs, d)
-    lhs = _left(xs, _left(ys, f, d), d)(m)
+    xs, ys = _pairs(pairs, d)
+    vx, vy, vxy = _block_images(d._images[1], xs, ys)
+    lhs = _left(vx, _left(vy, f, d), d)(m)
     sig = _spread([_half_phase(d.theta_prime.M, x, y) for x, y in zip(xs, ys)], m.size // len(xs))
-    rhs = _left(xys, f, d)(m)
-    return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)], len(xs))
+    rhs = _left(vxy, f, d)(m)
+    return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)])
 
 
 def check_bimodule_commutation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
     """The worst |(V_y (f U_x))(m) - ((V_y f) U_x)(m)|, blocks as in check_module_relation."""
-    xs, ys, _ = _pairs(pairs, d)
-    lhs = _left(ys, _right(f, xs, d), d)(m)
-    rhs = _right(_left(ys, f, d), xs, d)(m)
-    return _worst([abs(l - r) for l, r in zip(lhs, rhs)], len(xs))
+    xs, ys = _pairs(pairs, d)
+    ux = _block_images(d._images[0], xs, ys)[0]
+    vy = _block_images(d._images[1], xs, ys)[1]
+    lhs = _left(vy, _right(f, ux, d), d)(m)
+    rhs = _right(_left(vy, f, d), ux, d)(m)
+    return _worst([abs(l - r) for l, r in zip(lhs, rhs)])
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +470,11 @@ def gaussian(
 
     def ev(m: Points) -> list[complex]:
         su = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.u, cu)], m.size)
-        sa = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.a, ca)], m.size, sum)
+        sa = _int_sums(([(v - c) ** 2 for v in col] for col, c in zip(m.a, ca)), m.size)
         pua = _sums([[t * v for v in col] for t, col in zip(mod, m.u + m.a)], m.size)
         pw = _sums([[t * v % n / n for v in col] for t, col, n in zip(ch, m.w, orders)], m.size)
-        return [math.exp(-math.pi * (s + t)) * cmath.exp(2j * math.pi * (x + y)) for s, t, x, y in zip(su, sa, pua, pw)]
+        exp, cexp, neg_pi, tau = math.exp, cmath.exp, -math.pi, 2j * math.pi
+        return [exp(neg_pi * (s + t)) * cexp(tau * (x + y)) for s, t, x, y in zip(su, sa, pua, pw)]
 
     return ev
 
@@ -463,7 +528,8 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     """
     if d.p > 2:
         raise ValueError("numeric inner product supports p <= 2 only")
-    g_twisted = _twisted(g, d._images[0], (_lattice(x, d),), +1)  # built once per node batch size
+    T = d._images[0]
+    g_twisted = _twisted(g, T, _image(T, (_lattice(x, d),)), +1)  # built once per node batch size
     coarse = _integrate(f, g_twisted, d, U_POINTS)
     fine = _integrate(f, g_twisted, d, 2 * U_POINTS)
     if abs(fine - coarse) > TOLERANCE:

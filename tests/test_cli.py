@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from nctorus import cli
 from nctorus import documents as docs
 from nctorus import exact_linalg as xl
+from nctorus import module_sim as ms
 from nctorus import torus_group as tg
 
 
@@ -366,6 +368,35 @@ class TestCommands:
         # rows times c) is a symplectic change of coordinates: the identities
         # still hold exactly, but the shifts or the pairings leave float range
         code, out = run(tmp_path, ["simulate"], scaled_flip_descriptor_doc(exponent, mirrored))
+        message = "module descriptor is out of float range for the simulation"
+        assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+
+    @pytest.mark.parametrize("nan_at", [None, 0, 17])
+    def test_simulate_nan_residual_exit_2(self, tmp_path, monkeypatch, nan_at):
+        # a test function with NaN values (everywhere, or at one point of each
+        # evaluated batch) gives a NaN residual, which max would drop
+        gaussian = ms.random_gaussian
+
+        def nan_gaussian(rng, d):
+            f = gaussian(rng, d)
+
+            def ev(m):
+                values = f(m)
+                for i in range(m.size) if nan_at is None else [nan_at]:
+                    values[i] = complex(math.nan, 0.0)
+                return values
+
+            return ev
+
+        monkeypatch.setattr(ms, "random_gaussian", nan_gaussian)
+        code, out = run(tmp_path, ["simulate", "--trials", "3"], flip_doc())
+        message = "module descriptor is out of float range for the simulation"
+        assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+
+    def test_simulate_infinite_residual_exit_2(self, tmp_path, monkeypatch):
+        # an infinite worst residual would print the non-JSON token Infinity
+        monkeypatch.setattr(ms, "check_left_relation", lambda *args: math.inf)
+        code, out = run(tmp_path, ["simulate", "--trials", "3"], flip_doc())
         message = "module descriptor is out of float range for the simulation"
         assert code == 2 and out["error"] == {"kind": "parse", "message": message}
 

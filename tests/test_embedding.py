@@ -384,23 +384,29 @@ class TestVerifiedClosedForms:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
     def test_tbar_determinant_factors(self, seed, n):
-        """det Tbar = (-1)^q det T~ prod n_j^2: S_tbar_invertible rests on this."""
+        """det Tbar = (-1)^q det T~ prod n_j^2 and det S~ = det T11 det F11 det R det blk3:
+        S_tbar_invertible and S_tilde_invertible rest on these."""
         g = tg.random_element(f"tbar{seed}", 1 + seed % 8, n)
         results = defined_pipelines(g, f"tbar{seed}", 1)
         assume(results)
         d = results[0]
         td = d.torsion
         orders = math.prod(nj**2 for nj in td.nj)
-        T, n = d.descriptor.T, d.descriptor.n
+        T, S, n = d.descriptor.T, d.descriptor.S, d.descriptor.n
         assert xl.det(eb._tbar(T, td, d.special.q)) == (-1) ** d.special.q * xl.det(T[:n, :]) * orders
         # T~ = diag(T11, I_q): build_T takes the determinant on T11
-        assert xl.det(T[:n, :]) == xl.det(T[: 2 * d.special.p, : 2 * d.special.p])
+        T11 = T[: 2 * d.special.p, : 2 * d.special.p]
+        assert xl.det(T[:n, :]) == xl.det(T11)
+        # S~ = [[-T11 F11 R^t blk3, *], [0, I_q]] with F11 invertible and R unimodular
+        assert abs(xl.det(td.R)) == 1 and xl.det(d.f11) != 0
+        assert xl.det(S[:n, :]) == xl.det(T11) * xl.det(d.f11) * xl.det(td.R) * xl.det(td.blk3)
 
     def test_elimination_counts(self, tmp_path):
-        """One CLI pipeline job runs ten eliminations, one per fact: rank C for the
+        """One CLI pipeline job runs nine eliminations, one per fact: rank C for the
         membership of g, g theta, rho(R0), the special form, R from its congruence,
-        rank C' for the membership of g', theta_11 - Z, det T11, det S~ and the
-        stacked lattice basis.  The closed forms of g' run none."""
+        rank C' for the membership of g', theta_11 - Z, det T11 (which decides
+        T~, Tbar^t J and S~) and the stacked lattice basis.  The closed forms of
+        g' run none."""
         g, theta = mixed_torsion_case()
         td = eb.factor(g).torsion
         inp, out = tmp_path / "in.json", tmp_path / "out.json"
@@ -410,7 +416,7 @@ class TestVerifiedClosedForms:
             eb._gprime_closed_form(td, 1)
             assert eliminations.call_count == 0
             assert cli.main(["pipeline", "--input", str(inp), "--output", str(out)]) == 0
-            assert eliminations.call_count == 10
+            assert eliminations.call_count == 9
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))

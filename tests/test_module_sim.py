@@ -560,9 +560,9 @@ def test_each_action_is_built_once_per_block(monkeypatch):
     class CountingTwist(ms._Twist):
         __slots__ = ()
 
-        def __init__(self, img, xs, sign, block):
-            builds.append((img, xs, sign, block))
-            super().__init__(img, xs, sign, block)
+        def __init__(self, img, image, sign, block):
+            builds.append((img, image, sign, block))
+            super().__init__(img, image, sign, block)
 
     monkeypatch.setattr(ms, "_Twist", CountingTwist)
     ms._twist.cache_clear()
@@ -570,4 +570,90 @@ def test_each_action_is_built_once_per_block(monkeypatch):
     cli.run_simulation(d, 0, 8, 50, 1e-9)  # 2 trials per block, 25 blocks
     assert len(builds) == 6 * 25
     assert len(set(builds)) == len(builds)
-    assert {len(xs) for _, xs, _, _ in builds} == {2}
+    assert {len(image) for _, image, _, _ in builds} == {2}
+
+
+class TestBlockBuild:
+    """A block's six actions come from one image pass per embedding and equal the per-pair actions."""
+
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_block_sides_equal_the_per_pair_compositions(self, make, data):
+        d = cached(make)
+        lattice = st.lists(st.integers(-40, 40), min_size=d.n, max_size=d.n)
+        pairs = data.draw(st.lists(st.tuples(lattice, lattice), min_size=1, max_size=4))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        f = ms.random_gaussian(rng, d)
+        sample = ms.random_samples(rng, d, 3)
+        m = ms.tile(sample, len(pairs))
+        xs, ys = ms._pairs(pairs, d)
+        ux, uy, uxy = ms._block_images(d._images[0], xs, ys)
+        vx, vy, vxy = ms._block_images(d._images[1], xs, ys)
+        block = {
+            "(f U_x) U_y": ms._right(ms._right(f, ux, d), uy, d)(m),
+            "f U_x+y": ms._right(f, uxy, d)(m),
+            "V_x (V_y f)": ms._left(vx, ms._left(vy, f, d), d)(m),
+            "V_x+y f": ms._left(vxy, f, d)(m),
+            "V_y (f U_x)": ms._left(vy, ms._right(f, ux, d), d)(m),
+            "(V_y f) U_x": ms._right(ms._left(vy, f, d), ux, d)(m),
+        }
+        per_pair = {name: [] for name in block}
+        sig, sig_prime = [], []
+        for x, y in pairs:
+            xy = [a + b for a, b in zip(x, y)]
+            per_pair["(f U_x) U_y"] += ms.right_action(ms.right_action(f, x, d), y, d)(sample)
+            per_pair["f U_x+y"] += ms.right_action(f, xy, d)(sample)
+            per_pair["V_x (V_y f)"] += ms.left_action(x, ms.left_action(y, f, d), d)(sample)
+            per_pair["V_x+y f"] += ms.left_action(xy, f, d)(sample)
+            per_pair["V_y (f U_x)"] += ms.left_action(y, ms.right_action(f, x, d), d)(sample)
+            per_pair["(V_y f) U_x"] += ms.right_action(ms.left_action(y, f, d), x, d)(sample)
+            sig += [ref_sigma_cocycle(d.theta, x, y)] * sample.size
+            sig_prime += [ref_sigma_cocycle(d.theta_prime, x, y)] * sample.size
+        assert block == per_pair
+        worst = lambda lhs, sig, rhs: max(abs(l - s * r) for l, s, r in zip(lhs, sig, rhs))
+        sides = per_pair["(f U_x) U_y"], sig, per_pair["f U_x+y"]
+        assert ms.check_module_relation(pairs, f, m, d) == worst(*sides)
+        sides = per_pair["V_x (V_y f)"], sig_prime, per_pair["V_x+y f"]
+        assert ms.check_left_relation(pairs, f, m, d) == worst(*sides)
+        sides = per_pair["V_y (f U_x)"], [1] * m.size, per_pair["(V_y f) U_x"]
+        assert ms.check_bimodule_commutation(pairs, f, m, d) == worst(*sides)
+
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_phase_arguments_are_the_half_forms(self, make, data):
+        d = cached(make)
+        lattice = st.tuples(*[st.integers(-10**6, 10**6)] * d.n)
+        xs = tuple(data.draw(st.lists(lattice, min_size=1, max_size=4)))
+        ys = tuple(data.draw(st.lists(lattice, min_size=len(xs), max_size=len(xs))))
+        xys = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(xs, ys))
+        for img in d._images:
+            for vectors, image in zip((xs, ys, xys), ms._block_images(img, xs, ys)):
+                assert image == ms._image(img, vectors)
+                nums, den = ms._phase_arguments(img, image)
+                for x, num in zip(vectors, nums):
+                    assert F(num, den) % 1 == (-ref_bilinear(x, img.half, x) / 2) % 1
+                    assert ms._e(num, den) == ms._e(-ms._value(img.half, x, x), 2 * img.half.den)
+
+
+@pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("nan_at", [None, 0, 5, 11])
+def test_nan_value_gives_a_nan_residual(make, check, nan_at):
+    # NaN values everywhere, or at one point of each evaluated batch: max(0.0, nan)
+    # is 0.0, so a fold by max alone would report 0.0 or the other points' worst
+    d = make()
+    rng = random.Random(8)
+    g = ms.random_gaussian(rng, d)
+    m = ms.tile(ms.random_samples(rng, d, 4), 3)
+    pairs = [(ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d)) for _ in range(3)]
+
+    def f(pts):
+        values = g(pts)
+        for i in range(pts.size) if nan_at is None else [nan_at]:
+            values[i] = complex(math.nan, 0.0)
+        return values
+
+    assert math.isnan(check(pairs, f, m, d))
+    assert check(pairs, g, m, d) < 1e-9
