@@ -25,6 +25,7 @@ from .exact_linalg import (
     symplectic_factor_rational,
 )
 from .module_sim import (
+    Block,
     ModuleDescriptor,
     Points,
     check_bimodule_commutation,

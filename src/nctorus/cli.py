@@ -118,8 +118,9 @@ def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tole
     """Seeded residual sweep over random lattice pairs and sample points.
 
     The trials are checked in blocks of at most ms.BATCH_POINTS points (one
-    trial when the samples alone exceed it): a block's pairs act on the sample
-    batch repeated once per pair, and each check runs once per block.
+    trial when the samples alone exceed it).  Each ``ms.Block`` is built once:
+    it validates its pairs, repeats the sample batch once per pair and builds
+    its six actions, and the three checks each run once on it.
 
     Raises:
         OverflowError: if a residual is NaN or infinite; a NaN would vanish
@@ -135,11 +136,11 @@ def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tole
             (ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d))
             for _ in range(min(per_block, trials - start))
         ]
-        m = ms.tile(sample, len(pairs))
+        block = ms.Block(pairs, sample, d)
         residuals = {
-            "module_relation": ms.check_module_relation(pairs, f, m, d),
-            "left_relation": ms.check_left_relation(pairs, f, m, d),
-            "commutation": ms.check_bimodule_commutation(pairs, f, m, d),
+            "module_relation": ms.check_module_relation(block, f),
+            "left_relation": ms.check_left_relation(block, f),
+            "commutation": ms.check_bimodule_commutation(block, f),
         }
         for name, r in residuals.items():
             if not math.isfinite(r):

@@ -13,27 +13,26 @@ first action (``ModuleDescriptor._images``): the integer rows of T and S are
 cut into coordinate blocks, with their a, w and w^ rows checked integral, and
 the half forms Q = M^t J' M are formed once; J and J' are memoized per shape
 (``build_forms``).  The cocycles read the integer rows of theta and theta'
-directly.  An action is built for a list of lattice vectors and a block size
-at once, from their image vectors M(x) (``_twist``): vector i acts on the
-i-th of len(xs) equal blocks of a batch, and fixes its shift, its pairing
-(integer coefficients over one modulus L and float u-coefficients) and its
-phase e(-M(x).J'M(x)/2) there, each read off M(x) and held as per-point
-columns.  The relation checks take the lattice pairs of several trials and
-the sample batch repeated once per pair (``tile``).  A simulation block takes
-the images of its x and y once per embedding, one pass over the rows, and
-those of x + y by exact int addition (``_block_images``), so it builds each of
-its six distinct actions (U_x, U_y, U_{x+y}, V_x, V_y, V_{x+y}) once per
-block of at most ``BATCH_POINTS`` points; ``right_action`` and
-``left_action`` are the one-vector case of the same build.  Each check
-reports its worst residual, NaN if any residual is NaN.  A phase e(N / L) is
-evaluated as exp(2 pi i (N mod L) / L): the exact reduction mod 1 comes first
-and the one int division is correctly rounded, so it equals
-float(Fraction(N, L) % 1) bit for bit, whatever the denominator the fraction
-is written over, and residuals stay at machine precision even for large
-integer arguments.  Evaluation builds no ``Fraction``, and each per-point
-float sum is a math.fsum over that point's terms (a lone term is its own
-sum), correctly rounded, so values depend neither on the batch nor on the
-Python version.
+directly.  An action (``_Twist``) is built for a list of image vectors M(x)
+and a block size at once: vector i acts on the i-th of len(xs) equal blocks
+of a batch, and fixes its shift, its pairing (integer coefficients over one
+modulus L and float u-coefficients) and its phase e(-M(x).J'M(x)/2) there,
+each read off M(x) and held as per-point columns.  A simulation ``Block``
+validates the lattice pairs of several trials once, repeats the sample batch
+once per pair (``tile``), takes the images of its x and y in one pass over
+each embedding's rows (those of x + y by exact int addition) and builds its
+six actions (U_x, U_y, U_{x+y}, V_x, V_y, V_{x+y}) once, for the three
+relation checks to share; a block holds at most ``BATCH_POINTS`` points.
+``right_action`` and ``left_action`` build the one-vector case for the batch
+they are called on.  Each check reports its worst residual, NaN if any
+residual is NaN.  A phase e(N / L) is evaluated as exp(2 pi i (N mod L) / L):
+the exact reduction mod 1 comes first and the one int division is correctly
+rounded, so it equals float(Fraction(N, L) % 1) bit for bit, whatever the
+denominator the fraction is written over, and residuals stay at machine
+precision even for large integer arguments.  Evaluation builds no
+``Fraction``, and each per-point float sum is a math.fsum over that point's
+terms (a lone term is its own sum), correctly rounded, so values depend
+neither on the batch nor on the Python version.
 A pairing past float range raises OverflowError, as a shift past it does.
 
 The inner product <f, g>(x), for p <= 2, is the one integral: a midpoint rule
@@ -242,16 +241,6 @@ def _image(img: _Image, xs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     return tuple(tuple([sum(map(mul, row, x)) for row in img.rows]) for x in xs)
 
 
-@functools.lru_cache(maxsize=2)
-def _block_images(img: _Image, xs: tuple, ys: tuple) -> tuple[tuple, tuple, tuple]:
-    """The images of xs, of ys and of xs + ys: one pass over the rows, the sums by exact int addition.
-
-    A block of a simulation run reads these for T and for S, each in two checks.
-    """
-    ix, iy = _image(img, xs), _image(img, ys)
-    return ix, iy, tuple(tuple(map(add, vx, vy)) for vx, vy in zip(ix, iy))
-
-
 def _phase_arguments(img: _Image, image: tuple) -> tuple[list[int], int]:
     """The phase arguments -v.J'v/2 of the image vectors v, as int numerators over one denominator.
 
@@ -329,12 +318,6 @@ class _Twist:
         self.orders = img.orders
 
 
-# A block of a simulation run uses ten actions, six of them distinct
-@functools.lru_cache(maxsize=8)
-def _twist(img: _Image, image: tuple, sign: int, block: int) -> _Twist:
-    return _Twist(img, image, sign, block)
-
-
 def _sums(columns: list[list[float]], size: int) -> list:
     """Per point, the math.fsum of its float terms; 0 with no columns.
 
@@ -365,14 +348,10 @@ def _spread(consts: list, block: int) -> list:
     return out
 
 
-def _twisted(f: PointFunction, img: _Image, image: tuple, sign: int) -> PointFunction:
-    """m -> phase <m, ...> f(shift(m)) for the actions of the image vectors, built for the block size of m."""
+def _twisted(f: PointFunction, tw: _Twist) -> PointFunction:
+    """m -> phase <m, ...> f(shift(m)) for the actions of a twist, on a batch of the size it was built for."""
 
     def ev(m: Points) -> list[complex]:
-        block, rest = divmod(m.size, len(image))
-        if rest:
-            raise ShapeMismatch(f"{m.size} points do not split into {len(image)} equal blocks")
-        tw = _twist(img, image, sign, block)
         L = tw.modulus
         exact = _int_sums((map(mul, col, c) for col, c in zip(m.a + m.w, tw.cexact)), m.size)
         real = _sums([list(map(mul, col, c)) for col, c in zip(m.u, tw.cu)], m.size)
@@ -389,27 +368,57 @@ def _twisted(f: PointFunction, img: _Image, image: tuple, sign: int) -> PointFun
     return ev
 
 
-def _right(f: PointFunction, image: tuple, d: ModuleDescriptor) -> PointFunction:
-    return _twisted(f, d._images[0], image, -1)
-
-
-def _left(image: tuple, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
-    return _twisted(f, d._images[1], image, +1)
+def _action(f: PointFunction, img: _Image, x, sign: int, d: ModuleDescriptor) -> PointFunction:
+    """The action of one lattice vector x on f, its twist built for each batch it is evaluated on."""
+    image = _image(img, (_lattice(x, d),))
+    return lambda m: _twisted(f, _Twist(img, image, sign, m.size))(m)
 
 
 def right_action(f: PointFunction, x, d: ModuleDescriptor) -> PointFunction:
     """(f U_x)(m) = e(-T(x).J'T(x)/2) <m, T''(x)> f(m - T'(x))."""
-    return _right(f, _image(d._images[0], (_lattice(x, d),)), d)
+    return _action(f, d._images[0], x, -1, d)
 
 
 def left_action(x, f: PointFunction, d: ModuleDescriptor) -> PointFunction:
     """(V_x f)(m) = e(-S(x).J'S(x)/2) <m, -S''(x)> f(m + S'(x))."""
-    return _left(_image(d._images[1], (_lattice(x, d),)), f, d)
+    return _action(f, d._images[1], x, +1, d)
 
 
-def _pairs(pairs, d: ModuleDescriptor) -> tuple[tuple, tuple]:
-    """The lattice vectors x and y of each pair, as two vector lists."""
-    return tuple(_lattice(x, d) for x, _ in pairs), tuple(_lattice(y, d) for _, y in pairs)
+def _twists(img: _Image, xs: tuple, ys: tuple, sign: int, block: int) -> tuple[_Twist, _Twist, _Twist]:
+    """The actions of xs, of ys and of xs + ys: one image pass over the rows, the sums by exact int addition."""
+    images = _image(img, xs + ys)
+    ix, iy = images[: len(xs)], images[len(xs) :]
+    ixy = tuple(tuple(map(add, vx, vy)) for vx, vy in zip(ix, iy))
+    return _Twist(img, ix, sign, block), _Twist(img, iy, sign, block), _Twist(img, ixy, sign, block)
+
+
+class Block:
+    """A block of simulation trials: lattice pairs, the sample batch and the six actions on them.
+
+    Pair i acts on the i-th copy of ``sample`` in ``m``, the sample repeated
+    once per pair.  Each lattice vector is validated once, and the actions
+    U_x, U_y, U_{x+y} (through T) and V_x, V_y, V_{x+y} (through S) are built
+    once, for the three relation checks to share.
+
+    Raises:
+        ShapeMismatch: with no pair or no sample point, or a pair not of two lattice vectors.
+    """
+
+    def __init__(self, pairs, sample: Points, d: ModuleDescriptor):
+        if not pairs or not sample.size:
+            raise ShapeMismatch("a block needs at least one pair and one sample point")
+        self.d = d
+        self.xs = tuple(_lattice(x, d) for x, _ in pairs)
+        self.ys = tuple(_lattice(y, d) for _, y in pairs)
+        self.block = sample.size
+        self.m = tile(sample, len(pairs))
+        T, S = d._images
+        self.ux, self.uy, self.uxy = _twists(T, self.xs, self.ys, -1, self.block)
+        self.vx, self.vy, self.vxy = _twists(S, self.xs, self.ys, +1, self.block)
+
+    def cocycle(self, theta: Theta) -> list[complex]:
+        """sigma_theta(x, y) = e(x^t theta y / 2) of each pair, one entry per point."""
+        return _spread([_half_phase(theta.M, x, y) for x, y in zip(self.xs, self.ys)], self.block)
 
 
 def _worst(residuals: list[float]) -> float:
@@ -417,36 +426,26 @@ def _worst(residuals: list[float]) -> float:
     return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
-def check_module_relation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
-    """The worst |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)|.
-
-    Pair i of ``pairs`` acts on the i-th of len(pairs) equal blocks of m.
-    """
-    xs, ys = _pairs(pairs, d)
-    ux, uy, uxy = _block_images(d._images[0], xs, ys)
-    lhs = _right(_right(f, ux, d), uy, d)(m)
-    sig = _spread([_half_phase(d.theta.M, x, y) for x, y in zip(xs, ys)], m.size // len(xs))
-    rhs = _right(f, uxy, d)(m)
+def check_module_relation(block: Block, f: PointFunction) -> float:
+    """The worst |((f U_x) U_y)(m) - sigma_theta(x,y) (f U_{x+y})(m)| over the block's points."""
+    lhs = _twisted(_twisted(f, block.ux), block.uy)(block.m)
+    sig = block.cocycle(block.d.theta)
+    rhs = _twisted(f, block.uxy)(block.m)
     return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)])
 
 
-def check_left_relation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
+def check_left_relation(block: Block, f: PointFunction) -> float:
     """Mirror relation for the other algebra, with the cocycle of theta'."""
-    xs, ys = _pairs(pairs, d)
-    vx, vy, vxy = _block_images(d._images[1], xs, ys)
-    lhs = _left(vx, _left(vy, f, d), d)(m)
-    sig = _spread([_half_phase(d.theta_prime.M, x, y) for x, y in zip(xs, ys)], m.size // len(xs))
-    rhs = _left(vxy, f, d)(m)
+    lhs = _twisted(_twisted(f, block.vy), block.vx)(block.m)
+    sig = block.cocycle(block.d.theta_prime)
+    rhs = _twisted(f, block.vxy)(block.m)
     return _worst([abs(l - s * r) for l, s, r in zip(lhs, sig, rhs)])
 
 
-def check_bimodule_commutation(pairs, f: PointFunction, m: Points, d: ModuleDescriptor) -> float:
-    """The worst |(V_y (f U_x))(m) - ((V_y f) U_x)(m)|, blocks as in check_module_relation."""
-    xs, ys = _pairs(pairs, d)
-    ux = _block_images(d._images[0], xs, ys)[0]
-    vy = _block_images(d._images[1], xs, ys)[1]
-    lhs = _left(vy, _right(f, ux, d), d)(m)
-    rhs = _right(_left(vy, f, d), ux, d)(m)
+def check_bimodule_commutation(block: Block, f: PointFunction) -> float:
+    """The worst |(V_y (f U_x))(m) - ((V_y f) U_x)(m)| over the block's points."""
+    lhs = _twisted(_twisted(f, block.ux), block.vy)(block.m)
+    rhs = _twisted(_twisted(f, block.vy), block.ux)(block.m)
     return _worst([abs(l - r) for l, r in zip(lhs, rhs)])
 
 
@@ -528,16 +527,15 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     """
     if d.p > 2:
         raise ValueError("numeric inner product supports p <= 2 only")
-    T = d._images[0]
-    g_twisted = _twisted(g, T, _image(T, (_lattice(x, d),)), +1)  # built once per node batch size
-    coarse = _integrate(f, g_twisted, d, U_POINTS)
-    fine = _integrate(f, g_twisted, d, 2 * U_POINTS)
+    image = _image(d._images[0], (_lattice(x, d),))
+    coarse = _integrate(f, g, image, d, U_POINTS)
+    fine = _integrate(f, g, image, d, 2 * U_POINTS)
     if abs(fine - coarse) > TOLERANCE:
         raise QuadratureUnconverged(f"delta {abs(fine - coarse):.3e} above {TOLERANCE:.1e}")
     return fine
 
 
-def _integrate(f, g_twisted, d: ModuleDescriptor, nodes_per_axis: int) -> complex:
+def _integrate(f, g, image: tuple, d: ModuleDescriptor, nodes_per_axis: int) -> complex:
     # The integrand is smooth and decays like a Gaussian, so it is negligible
     # past +-U_HALFWIDTH and the equally spaced rule converges exponentially in
     # the number of points (Trefethen & Weideman 2014, SIAM Rev. 56:385-458).
@@ -545,6 +543,7 @@ def _integrate(f, g_twisted, d: ModuleDescriptor, nodes_per_axis: int) -> comple
     nodes = [(i + 0.5) * h - U_HALFWIDTH for i in range(nodes_per_axis)]
     u = [list(c) for c in zip(*itertools.product(nodes, repeat=d.p))]
     size = nodes_per_axis**d.p
+    g_twisted = _twisted(g, _Twist(d._images[0], image, +1, size))  # one twist for every node batch
     total = 0j
     for a, w in itertools.product(
         itertools.product(range(-A_HALFWIDTH, A_HALFWIDTH + 1), repeat=d.q),

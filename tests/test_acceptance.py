@@ -203,8 +203,8 @@ def test_criterion_5_module_simulation():
                 x = ms.random_lattice_vector(rng, dd)
                 y = ms.random_lattice_vector(rng, dd)
                 m = ms.random_samples(rng, dd, 1)
-                assert ms.check_module_relation([(x, y)], f, m, dd) < 1e-9
-                assert ms.check_bimodule_commutation([(x, y)], f, m, dd) < 1e-9
+                assert ms.check_module_relation(ms.Block([(x, y)], m, dd), f) < 1e-9
+                assert ms.check_bimodule_commutation(ms.Block([(x, y)], m, dd), f) < 1e-9
 
 
 def test_criterion_6_degenerate_closure():

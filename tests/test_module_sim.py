@@ -296,7 +296,7 @@ class TestRelations:
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
-            assert ms.check_module_relation([(x, y)], f, samples, d) < 1e-9
+            assert ms.check_module_relation(ms.Block([(x, y)], samples, d), f) < 1e-9
 
     @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
     def test_left_relation(self, make):
@@ -307,7 +307,7 @@ class TestRelations:
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
-            assert ms.check_left_relation([(x, y)], f, samples, d) < 1e-9
+            assert ms.check_left_relation(ms.Block([(x, y)], samples, d), f) < 1e-9
 
     @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
     def test_commutation(self, make):
@@ -318,14 +318,14 @@ class TestRelations:
         for _ in range(25):
             x = ms.random_lattice_vector(rng, d)
             y = ms.random_lattice_vector(rng, d)
-            assert ms.check_bimodule_commutation([(x, y)], f, samples, d) < 1e-9
+            assert ms.check_bimodule_commutation(ms.Block([(x, y)], samples, d), f) < 1e-9
 
     def test_trivial_cases(self):
         d = flip_descriptor()
         f = ms.gaussian(d)
         samples = ms.Points([[0.1]], [], [], 1)
-        assert ms.check_module_relation([([0, 0], [0, 0])], f, samples, d) == 0
-        assert ms.check_bimodule_commutation([([0, 0], [0, 0])], f, samples, d) < 1e-15
+        assert ms.check_module_relation(ms.Block([([0, 0], [0, 0])], samples, d), f) == 0
+        assert ms.check_bimodule_commutation(ms.Block([([0, 0], [0, 0])], samples, d), f) < 1e-15
 
     def test_phases_unit_modulus(self):
         for make in ALL_DESCRIPTORS:
@@ -424,12 +424,12 @@ class TestIntegerKernelOracle:
             assert ms._half_phase(theta.M, x, y) == ref_sigma_cocycle(theta, x, y)
         sig = ref_sigma_cocycle(d.theta, x, y)
         lhs, rhs = ref["(f U_x) U_y"], ref["f U_x+y"]
-        assert ms.check_module_relation([(x, y)], f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        assert ms.check_module_relation(ms.Block([(x, y)], batch, d), f) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
         sig = ref_sigma_cocycle(d.theta_prime, x, y)
         lhs, rhs = ref["V_x (V_y f)"], ref["V_x+y f"]
-        assert ms.check_left_relation([(x, y)], f, batch, d) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
+        assert ms.check_left_relation(ms.Block([(x, y)], batch, d), f) == max(abs(lhs(m) - sig * rhs(m)) for m in points)
         lhs, rhs = ref["V_y (f U_x)"], ref["(V_y f) U_x"]
-        assert ms.check_bimodule_commutation([(x, y)], f, batch, d) == max(abs(lhs(m) - rhs(m)) for m in points)
+        assert ms.check_bimodule_commutation(ms.Block([(x, y)], batch, d), f) == max(abs(lhs(m) - rhs(m)) for m in points)
 
     def test_point_evaluation_builds_no_fraction(self, monkeypatch):
         d = torsion_descriptor()
@@ -471,7 +471,7 @@ class TestIntegerKernelOracle:
         with pytest.raises(ms.ShapeMismatch):
             ms.left_action(bad, f, d)
         with pytest.raises(ms.ShapeMismatch):
-            ms.check_module_relation([(bad, [0, 0])], f, batch, d)
+            ms.check_module_relation(ms.Block([(bad, [0, 0])], batch, d), f)
         # integral entries of any numeric type are lattice vectors
         assert ms.right_action(f, [1.0, F(2)], d)(batch) == ms.right_action(f, [1, 2], d)(batch)
 
@@ -484,9 +484,9 @@ def per_trial_simulation(d, seed, samples, trials, tolerance):
     worst = {"module_relation": 0.0, "left_relation": 0.0, "commutation": 0.0}
     for _ in range(trials):
         pair = [(ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d))]
-        worst["module_relation"] = max(worst["module_relation"], ms.check_module_relation(pair, f, m, d))
-        worst["left_relation"] = max(worst["left_relation"], ms.check_left_relation(pair, f, m, d))
-        worst["commutation"] = max(worst["commutation"], ms.check_bimodule_commutation(pair, f, m, d))
+        worst["module_relation"] = max(worst["module_relation"], ms.check_module_relation(ms.Block(pair, m, d), f))
+        worst["left_relation"] = max(worst["left_relation"], ms.check_left_relation(ms.Block(pair, m, d), f))
+        worst["commutation"] = max(worst["commutation"], ms.check_bimodule_commutation(ms.Block(pair, m, d), f))
     return {
         "seed": seed,
         "samples": samples,
@@ -515,8 +515,8 @@ class TestTrialBatching:
             for check in CHECKS:
                 w = 0.0
                 for pair in pairs:
-                    w = max(w, check([pair], f, m, d))
-                assert check(pairs, f, ms.tile(m, trials), d) == w, check.__name__
+                    w = max(w, check(ms.Block([pair], m, d), f))
+                assert check(ms.Block(pairs, m, d), f) == w, check.__name__
 
     @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
     @pytest.mark.parametrize("trials", [1, 3, 7])
@@ -544,11 +544,25 @@ class TestTrialBatching:
             assert sizes and max(sizes) <= batch_points
             assert docs.dumps(batched) == docs.dumps(per_trial_simulation(d, seed, 5, trials, 1e-9))
 
-    def test_batch_must_split_into_equal_blocks(self):
+    def test_a_block_needs_a_pair_and_a_sample_point(self):
         d = flip_descriptor()
-        m = ms.random_samples(random.Random(0), d, 5)
         with pytest.raises(ms.ShapeMismatch):
-            ms.check_module_relation([([1, 0], [0, 1])] * 2, ms.gaussian(d), m, d)
+            ms.Block([], ms.random_samples(random.Random(0), d, 5), d)
+        with pytest.raises(ms.ShapeMismatch):
+            ms.Block([([1, 0], [0, 1])], ms.random_samples(random.Random(0), d, 0), d)
+
+    def test_each_lattice_vector_is_validated_once(self, monkeypatch):
+        monkeypatch.setattr(ms, "BATCH_POINTS", 16)
+        validated = []
+        lattice = ms._lattice
+
+        def counting_lattice(x, d):
+            validated.append(x)
+            return lattice(x, d)
+
+        monkeypatch.setattr(ms, "_lattice", counting_lattice)
+        cli.run_simulation(mixed_descriptor(), 0, 8, 50, 1e-9)  # 2 trials per block, 25 blocks
+        assert len(validated) == 2 * 50
 
 
 def test_each_action_is_built_once_per_block(monkeypatch):
@@ -565,7 +579,6 @@ def test_each_action_is_built_once_per_block(monkeypatch):
             super().__init__(img, image, sign, block)
 
     monkeypatch.setattr(ms, "_Twist", CountingTwist)
-    ms._twist.cache_clear()
     d = mixed_descriptor()
     cli.run_simulation(d, 0, 8, 50, 1e-9)  # 2 trials per block, 25 blocks
     assert len(builds) == 6 * 25
@@ -586,17 +599,15 @@ class TestBlockBuild:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         f = ms.random_gaussian(rng, d)
         sample = ms.random_samples(rng, d, 3)
-        m = ms.tile(sample, len(pairs))
-        xs, ys = ms._pairs(pairs, d)
-        ux, uy, uxy = ms._block_images(d._images[0], xs, ys)
-        vx, vy, vxy = ms._block_images(d._images[1], xs, ys)
+        b = ms.Block(pairs, sample, d)
+        m, act = b.m, ms._twisted
         block = {
-            "(f U_x) U_y": ms._right(ms._right(f, ux, d), uy, d)(m),
-            "f U_x+y": ms._right(f, uxy, d)(m),
-            "V_x (V_y f)": ms._left(vx, ms._left(vy, f, d), d)(m),
-            "V_x+y f": ms._left(vxy, f, d)(m),
-            "V_y (f U_x)": ms._left(vy, ms._right(f, ux, d), d)(m),
-            "(V_y f) U_x": ms._right(ms._left(vy, f, d), ux, d)(m),
+            "(f U_x) U_y": act(act(f, b.ux), b.uy)(m),
+            "f U_x+y": act(f, b.uxy)(m),
+            "V_x (V_y f)": act(act(f, b.vy), b.vx)(m),
+            "V_x+y f": act(f, b.vxy)(m),
+            "V_y (f U_x)": act(act(f, b.ux), b.vy)(m),
+            "(V_y f) U_x": act(act(f, b.vy), b.ux)(m),
         }
         per_pair = {name: [] for name in block}
         sig, sig_prime = [], []
@@ -613,11 +624,11 @@ class TestBlockBuild:
         assert block == per_pair
         worst = lambda lhs, sig, rhs: max(abs(l - s * r) for l, s, r in zip(lhs, sig, rhs))
         sides = per_pair["(f U_x) U_y"], sig, per_pair["f U_x+y"]
-        assert ms.check_module_relation(pairs, f, m, d) == worst(*sides)
+        assert ms.check_module_relation(b, f) == worst(*sides)
         sides = per_pair["V_x (V_y f)"], sig_prime, per_pair["V_x+y f"]
-        assert ms.check_left_relation(pairs, f, m, d) == worst(*sides)
+        assert ms.check_left_relation(b, f) == worst(*sides)
         sides = per_pair["V_y (f U_x)"], [1] * m.size, per_pair["(V_y f) U_x"]
-        assert ms.check_bimodule_commutation(pairs, f, m, d) == worst(*sides)
+        assert ms.check_bimodule_commutation(b, f) == worst(*sides)
 
     @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
     @settings(max_examples=25, deadline=None)
@@ -629,7 +640,9 @@ class TestBlockBuild:
         ys = tuple(data.draw(st.lists(lattice, min_size=len(xs), max_size=len(xs))))
         xys = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(xs, ys))
         for img in d._images:
-            for vectors, image in zip((xs, ys, xys), ms._block_images(img, xs, ys)):
+            ix, iy = ms._image(img, xs), ms._image(img, ys)
+            ixy = tuple(tuple(a + b for a, b in zip(vx, vy)) for vx, vy in zip(ix, iy))
+            for vectors, image in zip((xs, ys, xys), (ix, iy, ixy)):
                 assert image == ms._image(img, vectors)
                 nums, den = ms._phase_arguments(img, image)
                 for x, num in zip(vectors, nums):
@@ -646,7 +659,7 @@ def test_nan_value_gives_a_nan_residual(make, check, nan_at):
     d = make()
     rng = random.Random(8)
     g = ms.random_gaussian(rng, d)
-    m = ms.tile(ms.random_samples(rng, d, 4), 3)
+    sample = ms.random_samples(rng, d, 4)
     pairs = [(ms.random_lattice_vector(rng, d), ms.random_lattice_vector(rng, d)) for _ in range(3)]
 
     def f(pts):
@@ -655,5 +668,5 @@ def test_nan_value_gives_a_nan_residual(make, check, nan_at):
             values[i] = complex(math.nan, 0.0)
         return values
 
-    assert math.isnan(check(pairs, f, m, d))
-    assert check(pairs, g, m, d) < 1e-9
+    assert math.isnan(check(ms.Block(pairs, sample, d), f))
+    assert check(ms.Block(pairs, sample, d), g) < 1e-9
