@@ -10,10 +10,10 @@ and over the ambient phase space of dimension n + q + 2k:
 
   * the embedding matrix T with T^t J T = theta1,
   * the dual embedding S onto the annihilator lattice, taken from its closed
-    form and verified against the linear system that defines it,
-  * theta' = -S^t J S together with its displayed block formulas,
-  * the matrix of the dual tangent isomorphism and the normalized curvature,
-    against which g' is verified by the resolvent formulas (theta' = g' theta1).
+    form in the dual tangent matrix Phi* and verified against its linear system,
+  * theta' = -S^t J S together with its displayed block formulas in Phi*,
+  * the normalized curvature; g' is verified against it and Phi* by the
+    resolvent formulas (theta' = g' theta1).
 
 Every identity is checked in exact arithmetic, once, and a check that
 passes is logged by name.  Where a value is the unique solution of a linear
@@ -212,24 +212,32 @@ def _phi_matrices(td: TorsionData, p: int, q: int) -> Mat:
     return xl.block_diag(td.R.T, xl.eye(2 * q + 2 * k)) @ Mat(phi1, 1, n)
 
 
-def _dual_closed_form(td: TorsionData, T: Mat, F11: Mat, q: int) -> Mat:
+def _dual_tangent(td: TorsionData, theta: Theta, F11: Mat) -> tuple[Mat, Mat]:
+    """W = [R^t blk3 | theta_12] and the dual tangent matrix Phi* = [[F11 W], [0, -I_q]].
+
+    S, theta' and the resolvent check of g' all read this one Phi*.
+    """
+    c = 2 * td.p
+    q = theta.M.shape[0] - c
+    W = xl.block([[xl.matmul(td.R.T, td.blk3), theta.M[:c, c:]]])
+    return W, xl.block([[xl.matmul(F11, W)], [xl.zeros(q, c), -xl.eye(q)]])
+
+
+def _dual_closed_form(td: TorsionData, T: Mat, phi_star: Mat, q: int) -> Mat:
     """The closed-form blocks of the dual embedding S.
 
-    T11^t J0 T11 = theta_11 - Z = F11^-1 and J0^2 = -I give
-    J0 T11^-t = -T11 F11, so no inverse is formed.  The projection S~ onto
-    the (u, u^, a) rows is [[-T11 F11 R^t blk3, *], [0, I_q]]: F11 and blk3
-    are invertible and R unimodular, so det S~ != 0 exactly when det T11 != 0,
-    which build_T certified as S_tilde_invertible.
+    T11^t J0 T11 = theta_11 - Z = F11^-1 and J0^2 = -I give J0 T11^-t =
+    -T11 F11, so the projection S~ onto the (u, u^, a) rows is -T~ Phi* for
+    T~ = diag(T11, I_q) and the Phi* = [[F11 W], [0, -I_q]] of _dual_tangent,
+    and no inverse is formed.  F11 and blk3 are invertible and R unimodular,
+    so det S~ != 0 exactly when det T11 != 0, which build_T certified as
+    S_tilde_invertible.
     """
-    p, k = td.p, td.k
-    n = 2 * p + q
+    n, k = T.shape[1], td.k
     Z = xl.zeros
-    T11, T31, T32 = T[: 2 * p, : 2 * p], T[n : n + q, : 2 * p], T[n : n + q, 2 * p :]
-    J0_T11t_inv = -xl.matmul(T11, F11)
     return xl.block([
-        [xl.matmul(J0_T11t_inv, td.R.T, td.blk3), -xl.matmul(J0_T11t_inv, T31.T)],
-        [Z(q, 2 * p), xl.eye(q)],
-        [Z(q, 2 * p), T32.T],
+        [-xl.matmul(T[:n, :], phi_star)],
+        [Z(q, 2 * td.p), T[n : n + q, 2 * td.p :].T],
         [Z(k, k), -xl.eye(k), Z(k, n - 2 * k)],
         [td.Q2, Z(k, n - k)],
     ])
@@ -252,7 +260,7 @@ def build_S(
     T: Mat,
     J: Mat,
     phi: Mat,
-    F11: Mat,
+    phi_star: Mat,
     certs: CertificateLog,
 ) -> tuple[Mat, Mat]:
     """The dual embedding S onto the annihilator of the image lattice, and S^t J.
@@ -267,7 +275,7 @@ def build_S(
     S^t J = -(J S)^t reuses the product that check forms.
     """
     p, q, k = sf.p, sf.q, td.k
-    S = _dual_closed_form(td, T, F11, q)
+    S = _dual_closed_form(td, T, phi_star, q)
     JS = xl.matmul(J, S)
     certs.check(
         "S_closed_form",
@@ -302,20 +310,17 @@ def verify_duality(T: Mat, StJ: Mat, td: TorsionData, phi: Mat, certs: Certifica
     )
 
 
-def theta_prime(S: Mat, StJ: Mat, td: TorsionData, theta: Theta, F11: Mat, certs: CertificateLog) -> Theta:
-    """theta' = -S^t J S, cross-checked against the four displayed blocks."""
-    p = td.p
+def theta_prime(S: Mat, StJ: Mat, td: TorsionData, theta: Theta, W: Mat, phi_star: Mat, certs: CertificateLog) -> Theta:
+    """theta' = -S^t J S, cross-checked against the four displayed blocks.
+
+    Since -theta_21 = theta_12^t, they are W^t Phi*_1 + diag(corner(Q2 P1),
+    theta_22), with Phi*_1 = F11 W the top 2p rows of the dual tangent matrix.
+    """
+    c = 2 * td.p
     tp = -xl.matmul(StJ, S)
     certs.check("S_pullback", xl.is_skew(tp), "-S^t J S is not skew")
-    blk3 = td.blk3
-    R = td.R
-    t12 = theta.M[: 2 * p, 2 * p :]
-    t21 = theta.M[2 * p :, : 2 * p]
-    t22 = theta.M[2 * p :, 2 * p :]
-    expect = xl.block([
-        [xl.matmul(blk3, R, F11, R.T, blk3) + _corner_form(td, xl.matmul(td.Q2, td.P1)), xl.matmul(blk3, R, F11, t12)],
-        [-xl.matmul(t21, F11, R.T, blk3), t22 - xl.matmul(t21, F11, t12)],
-    ])
+    corners = xl.block_diag(_corner_form(td, xl.matmul(td.Q2, td.P1)), theta.M[c:, c:])
+    expect = xl.matmul(W.T, phi_star[:c, :]) + corners
     certs.check("theta_prime_blocks", tp == expect, "block formulas for theta' disagree with -S^t J S")
     return Theta(tp)  # S_pullback certified tp skew
 
@@ -346,8 +351,8 @@ def build_gprime(td: TorsionData, q: int, certs: CertificateLog) -> GroupElement
     return gp
 
 
-def verify_resolvent(fac: Factorization, theta: Theta, tp: Theta, F11: Mat, certs: CertificateLog) -> tuple[Mat, Mat]:
-    """The dual tangent matrix Phi* and the normalized curvature, with g' verified against them.
+def verify_resolvent(fac: Factorization, theta: Theta, tp: Theta, phi_star: Mat, F11: Mat, certs: CertificateLog) -> Mat:
+    """The normalized curvature, with g' verified against it and the Phi* of _dual_tangent.
 
     g', which build_gprime took from its closed forms, is verified against
     the resolvent formulas
@@ -361,13 +366,8 @@ def verify_resolvent(fac: Factorization, theta: Theta, tp: Theta, F11: Mat, cert
     Phi* C' = curv and A' = Phi*^t + theta' C'.  Given Phi* X = I, these four
     identities are exactly the resolvent formulas.
     """
-    gp, td = fac.g_prime, fac.torsion
-    p, q = fac.special.p, fac.special.q
-    phi_star = xl.block([
-        [xl.matmul(F11, td.R.T, td.blk3), xl.matmul(F11, theta.M[: 2 * p, 2 * p :])],
-        [xl.zeros(q, 2 * p), -xl.eye(q)],
-    ])
-    curvature = xl.block_diag(F11, xl.zeros(q, q))
+    gp = fac.g_prime
+    curvature = xl.block_diag(F11, xl.zeros(fac.special.q, fac.special.q))
     Ap, Bp, Cp, Dp = gp.A, gp.B, gp.C, gp.D
     X = Dp + xl.matmul(Cp, theta.M)
     certs.check(
@@ -380,7 +380,7 @@ def verify_resolvent(fac: Factorization, theta: Theta, tp: Theta, F11: Mat, cert
         xl.matmul(phi_star, Cp) == curvature and Ap == phi_star.T + xl.matmul(tp.M, Cp),
         "closed forms of g' disagree with the resolvent formulas",
     )
-    return phi_star, curvature
+    return curvature
 
 
 def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple[Mat, Mat]:
@@ -491,10 +491,11 @@ def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
     J, _ = build_forms(sf.p, sf.q, td.nj)
     T = build_T(sf, td, theta1, J, certs)
     phi = _phi_matrices(td, sf.p, sf.q)
-    S, StJ = build_S(sf, td, T, J, phi, F11, certs)
+    W, phi_star = _dual_tangent(td, theta1, F11)
+    S, StJ = build_S(sf, td, T, J, phi, phi_star, certs)
     verify_duality(T, StJ, td, phi, certs)
-    tp = theta_prime(S, StJ, td, theta1, F11, certs)
-    phi_star, curvature = verify_resolvent(fac, theta1, tp, F11, certs)
+    tp = theta_prime(S, StJ, td, theta1, W, phi_star, certs)
+    curvature = verify_resolvent(fac, theta1, tp, phi_star, F11, certs)
     # The first step carries theta to theta1 by construction and the certified
     # embedding carries theta1 to tp, so the chain ends at g theta exactly when
     # the last two steps carry tp there.

@@ -100,17 +100,13 @@ class ModuleDescriptor:
     def ambient_dim(self) -> int:
         return self.n + self.q + 2 * self.k
 
-    @functools.cached_property
-    def _forms(self) -> tuple[Mat, Mat]:
-        return build_forms(self.p, self.q, self.orders)
-
     @property
     def J(self) -> Mat:
-        return self._forms[0]
+        return build_forms(self.p, self.q, self.orders)[0]
 
     @property
     def Jprime(self) -> Mat:
-        return self._forms[1]
+        return build_forms(self.p, self.q, self.orders)[1]
 
     @functools.cached_property
     def _images(self) -> tuple[_Image, _Image]:

@@ -94,8 +94,8 @@ def domain_check(sf: SpecialForm, theta: Theta) -> Mat | None:
     undefined is a value, not an error.  That (C theta + D)^-1 C =
     blk(F11, 0; 0, 0) with F11 skew is a lemma of the construction, asserted
     in the tests: the pipeline never uses (C theta + D)^-1 C, and F11 itself
-    is certified downstream by theta_prime_blocks, gprime_action and
-    gprime_closed_form.
+    is certified downstream through the dual tangent matrix Phi* it builds,
+    by S_closed_form, theta_prime_blocks, gprime_action and gprime_closed_form.
     """
     c = 2 * sf.p
     try:

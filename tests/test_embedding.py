@@ -286,17 +286,27 @@ def defined_pipelines(g, seed, count):
     return results
 
 
+def one_entry(shape, i, j) -> xl.Mat:
+    """The matrix of the given shape with 1/97 at (i, j) and zeros elsewhere."""
+    r, c = shape
+    return xl.Mat([[int((a, b) == (i, j)) for b in range(c)] for a in range(r)], 97, c)
+
+
 def failed_certificate(g, theta) -> str:
     with pytest.raises(eb.EmbeddingError) as info:
         eb.pipeline(g, theta)
     return info.value.name
 
 
-def decompose_failure(tmp_path) -> str:
-    """The certificate named by `decompose`, run without theta on the g of mixed_torsion_case, exiting 1."""
+def cli_failure(tmp_path, command: str) -> str:
+    """The certificate named by `command` on mixed_torsion_case, exiting 1; decompose runs without theta."""
+    g, theta = mixed_torsion_case()
+    job = {"version": docs.FORMAT_VERSION, "g": docs.group_doc(g)}
+    if command == "pipeline":
+        job["theta"] = docs.theta_doc(theta)
     inp, out = tmp_path / "in.json", tmp_path / "out.json"
-    inp.write_text(docs.dumps({"version": docs.FORMAT_VERSION, "g": docs.group_doc(mixed_torsion_case()[0])}))
-    assert cli.main(["decompose", "--input", str(inp), "--output", str(out)]) == 1
+    inp.write_text(docs.dumps(job))
+    assert cli.main([command, "--input", str(inp), "--output", str(out)]) == 1
     error = json.loads(out.read_text())["error"]
     assert error["kind"] == "certificate"
     return error["name"]
@@ -365,7 +375,7 @@ class TestVerifiedClosedForms:
         monkeypatch.setattr(eb, "_gprime_closed_form", perturbed)
         assert failed_certificate(*mixed_torsion_case()) == name
         if name in eb.FACTOR_CERTIFICATE_NAMES:
-            assert decompose_failure(tmp_path) == name
+            assert cli_failure(tmp_path, "decompose") == name
         if perturb is odd_flipped:
             with pytest.raises(eb.EmbeddingError, match="assembled matrix must have determinant 1"):
                 eb.factor(mixed_torsion_case()[0])
@@ -379,7 +389,46 @@ class TestVerifiedClosedForms:
 
         monkeypatch.setattr(xl, "alternating_normal_form_int", perturbed)
         assert failed_certificate(*mixed_torsion_case()) == "torsion_normal_form"
-        assert decompose_failure(tmp_path) == "torsion_normal_form"
+        assert cli_failure(tmp_path, "decompose") == "torsion_normal_form"
+
+    def test_perturbed_dual_tangent(self, monkeypatch, tmp_path):
+        """S is read from Phi*, so a wrong Phi* fails the system S solves first."""
+        tangent = eb._dual_tangent
+
+        def perturbed(*args):
+            W, phi_star = tangent(*args)
+            return W, phi_star + one_entry(phi_star.shape, 0, 1)
+
+        monkeypatch.setattr(eb, "_dual_tangent", perturbed)
+        assert failed_certificate(*mixed_torsion_case()) == "S_closed_form"
+        assert cli_failure(tmp_path, "pipeline") == "S_closed_form"
+
+    @pytest.mark.parametrize("block", ["W", "theta_22"])
+    def test_perturbed_theta_prime_blocks(self, monkeypatch, tmp_path, block):
+        original = eb.theta_prime
+
+        def perturbed(S, StJ, td, theta, W, phi_star, certs):
+            if block == "W":
+                W = W + one_entry(W.shape, 0, W.shape[1] - 1)
+            else:
+                n = theta.M.shape[0]
+                theta = tg.Theta(theta.M + one_entry((n, n), n - 1, n - 1))
+            return original(S, StJ, td, theta, W, phi_star, certs)
+
+        monkeypatch.setattr(eb, "theta_prime", perturbed)
+        assert failed_certificate(*mixed_torsion_case()) == "theta_prime_blocks"
+        assert cli_failure(tmp_path, "pipeline") == "theta_prime_blocks"
+
+    def test_moved_target(self, monkeypatch, tmp_path):
+        act = eb.act
+
+        def moved(g, theta):
+            n = g.n
+            return tg.Theta(act(g, theta).M + one_entry((n, n), 0, 1) - one_entry((n, n), 1, 0))
+
+        monkeypatch.setattr(eb, "act", moved)
+        assert failed_certificate(*mixed_torsion_case()) == "chain_endpoint"
+        assert cli_failure(tmp_path, "pipeline") == "chain_endpoint"
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
@@ -397,7 +446,7 @@ class TestVerifiedClosedForms:
         # T~ = diag(T11, I_q): build_T takes the determinant on T11
         T11 = T[: 2 * d.special.p, : 2 * d.special.p]
         assert xl.det(T[:n, :]) == xl.det(T11)
-        # S~ = [[-T11 F11 R^t blk3, *], [0, I_q]] with F11 invertible and R unimodular
+        # S~ = -T~ Phi* with Phi* = [[F11 R^t blk3, F11 theta_12], [0, -I_q]], F11 invertible and R unimodular
         assert abs(xl.det(td.R)) == 1 and xl.det(d.f11) != 0
         assert xl.det(S[:n, :]) == xl.det(T11) * xl.det(d.f11) * xl.det(td.R) * xl.det(td.blk3)
 
