@@ -47,9 +47,8 @@ from .torus_group import (
     GroupElement,
     RelationViolated,
     Theta,
-    _element,
     act,
-    check_matrix,
+    check_membership,
     compose,
     invert_element,
     mu,
@@ -338,13 +337,12 @@ def _gprime_closed_form(td: TorsionData, q: int) -> tuple[Mat, Mat, Mat, Mat]:
 
 def build_gprime(td: TorsionData, q: int, certs: CertificateLog) -> GroupElement:
     """g' from its theta-independent closed forms, asserted integral and a group member."""
-    Ap, Bp, Cp, Dp = _gprime_closed_form(td, q)
-    assembled = xl.block([[Ap, Bp], [Cp, Dp]])
-    certs.check("gprime_integral", xl.is_integral(assembled), "closed forms of g' are not integral")
+    blocks = _gprime_closed_form(td, q)
+    certs.check("gprime_integral", all(map(xl.is_integral, blocks)), "closed forms of g' are not integral")
     gp = None
     detail = ""
     try:
-        gp = check_matrix(assembled)
+        gp = check_membership(*blocks)
     except (RelationViolated, DeterminantNotOne) as e:
         detail = str(e)
     certs.check("gprime_membership", gp is not None, detail)
@@ -392,7 +390,7 @@ def decompose(g: GroupElement, gp: GroupElement, certs: CertificateLog) -> tuple
     N = gt.B @ A.T
     certs.check("decomp_shear_skew", xl.is_skew(N), "B A^t is not skew")
     # A^t D = I makes D = A^-t, so diag(A, D) is rho(A) without an inverse.
-    rebuilt = compose(mu(N), _element(xl.block_diag(A, D)), gp)
+    rebuilt = compose(mu(N), GroupElement(xl.block_diag(A, D)), gp)
     certs.check("decomp_reassembly", rebuilt == g, "mu(N) rho(A) g' does not reproduce g")
     return N, A
 
@@ -488,7 +486,7 @@ def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
     theta1 = Theta(xl.matmul(R0_inv, theta.M, R0_inv.T))  # skew, as theta is
     F11 = domain_check(sf, theta1)
     certs.check("domain_defined", F11 is not None, "theta_11 - Z is singular")
-    J, _ = build_forms(sf.p, sf.q, td.nj)
+    J = build_forms(sf.p, sf.q, td.nj)
     T = build_T(sf, td, theta1, J, certs)
     phi = _phi_matrices(td, sf.p, sf.q)
     W, phi_star = _dual_tangent(td, theta1, F11)

@@ -446,9 +446,8 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True, eq=False)
 class SnfResult:
-    """U @ M @ V = D with U, V unimodular and D in Smith form."""
+    """U @ M @ V = D with U, V unimodular and D in Smith form; U is not kept, no caller reads it."""
 
-    U: Mat
     D: Mat
     V: Mat
 
@@ -481,12 +480,12 @@ def smith_normal_form(M: Mat) -> SnfResult:
 
     Pivot selection takes the nonzero entry of smallest absolute value in the
     working block, ties broken in row-major order; the diagonal is
-    sign-normalized to be non-negative.  Returned unchecked: V is R0 of
+    sign-normalized to be non-negative.  Only the column operations are
+    accumulated, into V.  Returned unchecked: V is R0 of
     normal_form.normalize, decided by rho(R0) and detect_special_form.
     """
     m, n = M.shape
     A = [list(row) for row in to_int(M).rows]
-    U = _identity_rows(m)
     V = _identity_rows(n)
     t = 0
     while t < min(m, n):
@@ -496,7 +495,6 @@ def smith_normal_form(M: Mat) -> SnfResult:
             i, j = _min_entry(A, t)
             if i != t:
                 A[t], A[i] = A[i], A[t]
-                U[t], U[i] = U[i], U[t]
             if j != t:
                 _swap_columns(A, t, j)
                 _swap_columns(V, t, j)
@@ -507,7 +505,6 @@ def smith_normal_form(M: Mat) -> SnfResult:
                     q = A[r][t] // p
                     if q:
                         A[r] = [a - q * b for a, b in zip(A[r], A[t])]
-                        U[r] = [a - q * b for a, b in zip(U[r], U[t])]
                     if A[r][t] != 0:
                         again = True
             if again:
@@ -527,13 +524,11 @@ def smith_normal_form(M: Mat) -> SnfResult:
             if bad is None:
                 break
             A[t] = [a + b for a, b in zip(A[t], A[bad])]
-            U[t] = [a + b for a, b in zip(U[t], U[bad])]
         t += 1
     for i in range(min(m, n)):
         if A[i][i] < 0:
             A[i] = [-a for a in A[i]]
-            U[i] = [-a for a in U[i]]
-    return SnfResult(U=Mat(U, 1, m), D=Mat(A, 1, n), V=Mat(V, 1, n))
+    return SnfResult(D=Mat(A, 1, n), V=Mat(V, 1, n))
 
 
 def complete_basis(C: Mat) -> Mat:

@@ -10,14 +10,13 @@ the final phase/Gaussian evaluations.
 
 All exact arithmetic runs on Python ints.  A descriptor is compiled on its
 first action (``ModuleDescriptor._images``): the integer rows of T and S are
-cut into coordinate blocks, with their a, w and w^ rows checked integral, and
-the half forms Q = M^t J' M are formed once; J and J' are memoized per shape
-(``build_forms``).  The cocycles read the integer rows of theta and theta'
-directly.  An action (``_Twist``) is built for a list of image vectors M(x)
-and a block size at once: vector i acts on the i-th of len(xs) equal blocks
-of a batch, and fixes its shift, its pairing (integer coefficients over one
-modulus L and float u-coefficients) and its phase e(-M(x).J'M(x)/2) there,
-each read off M(x) and held as per-point columns.  A simulation ``Block``
+cut into coordinate blocks, with their a, w and w^ rows checked integral; J is
+memoized per shape (``build_forms``).  The cocycles read the integer rows of
+theta and theta' directly.  An action (``_Twist``) is built for a list of
+image vectors M(x) and a block size at once: vector i acts on the i-th of
+len(xs) equal blocks of a batch, and fixes its shift, its pairing (integer
+coefficients over one modulus L and float u-coefficients) and its phase
+e(-M(x).J'M(x)/2) there, each read off M(x) and held as per-point columns.  A simulation ``Block``
 validates the lattice pairs of several trials once, repeats the sample batch
 once per pair (``tile``), takes the images of its x and y in one pass over
 each embedding's rows (those of x + y by exact int addition) and builds its
@@ -102,11 +101,7 @@ class ModuleDescriptor:
 
     @property
     def J(self) -> Mat:
-        return build_forms(self.p, self.q, self.orders)[0]
-
-    @property
-    def Jprime(self) -> Mat:
-        return build_forms(self.p, self.q, self.orders)[1]
+        return build_forms(self.p, self.q, self.orders)
 
     @functools.cached_property
     def _images(self) -> tuple[_Image, _Image]:
@@ -152,8 +147,8 @@ def _e(num: int, den: int) -> complex:
 
 
 @functools.lru_cache(maxsize=256)
-def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[Mat, Mat]:
-    """The 2-form J on the ambient space and its positive half J', with J = J' - J'^t.
+def build_forms(p: int, q: int, orders: tuple[int, ...]) -> Mat:
+    """The 2-form J on the ambient space, whose positive half J' the action phases read.
 
     Memoized per shape, like ``xl.eye`` per size, which is safe because a Mat
     is immutable; the bound keeps a long campaign over many shapes from growing it.
@@ -161,9 +156,7 @@ def build_forms(p: int, q: int, orders: tuple[int, ...]) -> tuple[Mat, Mat]:
     k = len(orders)
     P1 = xl.diag([Fraction(1, n) for n in orders])
     J2 = xl.block([[xl.zeros(k, k), P1], [-P1, xl.zeros(k, k)]])
-    J = xl.block_diag(xl.standard_symplectic(p), xl.standard_symplectic(q), J2)
-    Jp = Mat([[max(x, 0) for x in row] for row in J.rows], J.den, J.shape[1])
-    return J, Jp
+    return xl.block_diag(xl.standard_symplectic(p), xl.standard_symplectic(q), J2)
 
 
 def _value(M: Mat, x: list[int], y: list[int]) -> int:
@@ -204,8 +197,7 @@ class _Image:
     ``rows`` are its ambient rows in the order (u, u^, a, a^, w, w^), and
     ``bounds`` cut an image vector M(x) into those six blocks: the u, u^ and a^
     entries are numerators over ``den``, the a, w and w^ rows are integral and
-    held divided out.  ``half`` is M^t J' M, so that M(x).J'M(x) = x^t half x
-    for a lattice vector x.  ``pairing`` lists the index pairs (i, j) of u.u^,
+    held divided out.  ``pairing`` lists the index pairs (i, j) of u.u^,
     a.a^ and w.w^ with the int weight c that puts each product over the one
     denominator den L: den L M(x).J'M(x) = sum of c v_i v_j.
     """
@@ -229,7 +221,6 @@ class _Image:
             + [(a0 + i, b0 + i, L) for i in range(d.q)]
             + [(w0 + j, z0 + j, den * L // n) for j, n in enumerate(d.orders)]
         )
-        self.half = xl.matmul(M.T, d.Jprime, M)
 
 
 def _image(img: _Image, xs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -242,28 +233,27 @@ def _phase_arguments(img: _Image, image: tuple) -> tuple[list[int], int]:
 
     v.J'v = sum u.u^/den^2 + a.a^/den + w.w^/n_j, and den L clears all three.
     _e reduces num mod den before its one division, so e(num / den) is the
-    same float as from x^t half x over 2 half.den.
+    same float over any denominator of the same rational.
     """
     pairing = img.pairing
     return [-sum([c * v[i] * v[j] for i, j, c in pairing]) for v in image], 2 * img.den * img.modulus
 
 
 def verify_descriptor(d: ModuleDescriptor) -> None:
-    """Check exactly that T^t J T = theta, S^t J S = -theta' and S^t J T is integral.
-
-    Since J = J' - J'^t, the first two read Q - Q^t for the half forms
-    Q = M^t J' M that ``_images`` compiles.
+    """Check exactly that T^t J T = theta, S^t J S = -theta' and S^t J T is integral, forming S^t J once.
 
     Raises:
         ShapeMismatch: if an a, w or w^ row of T or S is not integral.
         IdentityViolated: naming the first identity that fails.
     """
-    T, S = d._images
-    if T.half - T.half.T != d.theta.M:
+    d._images  # compiled first: a non-integral a, w or w^ row is a ShapeMismatch
+    T, S = d.T, d.S
+    StJ = xl.matmul(S.T, d.J)
+    if xl.matmul(T.T, d.J, T) != d.theta.M:
         raise IdentityViolated("T^t J T = theta does not hold")
-    if S.half - S.half.T != -d.theta_prime.M:
+    if xl.matmul(StJ, S) != -d.theta_prime.M:
         raise IdentityViolated("S^t J S = -theta' does not hold")
-    if not xl.is_integral(xl.matmul(d.S.T, d.J, d.T)):
+    if not xl.is_integral(xl.matmul(StJ, T)):
         raise IdentityViolated("S^t J T is not integral")
 
 

@@ -44,8 +44,8 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
     -D[:, :width] decides the rest: the mixed matrix is invertible (so the
     leading columns of C have full rank), and -C Z = D[:, :width] is solvable
     exactly when the bottom rows of X vanish; Z is its top rows.  The width
-    is then rank C, even for g from check_matrix, check_membership or the
-    generators (see check_matrix); for g with det -1 the result is undefined.
+    is then rank C, even for g from check_membership or the generators (see
+    check_membership); for g with det -1 the result is undefined.
 
     Raises:
         NotSpecialForm: mixed C/D matrix singular, no exact solution for Z,

@@ -5,7 +5,8 @@ An element is one integer 2n x 2n matrix M with
     M^t eta M = eta,   eta = [[0, I], [I, 0]],   det M = 1.
 
 Its n x n blocks A, B, C, D (M = [[A, B], [C, D]]) are slices of M, cut once.
-Given M^t eta M = eta, det M = (-1)^rank C: det M = 1 exactly when rank C is even.
+check_membership is the one place that decides both conditions; given
+M^t eta M = eta, det M = (-1)^rank C: det M = 1 exactly when rank C is even.
 The (partial) action on a skew matrix is theta -> (A theta + B)(C theta + D)^-1,
 defined whenever C theta + D is invertible; an undefined action is a
 recoverable outcome, not a crash.
@@ -78,10 +79,10 @@ def make_theta(entries) -> Theta:
 class GroupElement:
     """A group member: its 2n x 2n integer matrix M = [[A, B], [C, D]].
 
-    Elements entering the program are validated by check_membership or
-    check_matrix; the generators and group operations build theirs through
-    _element, since membership of a product or inverse follows from that of
-    its factors.
+    Elements entering the program are validated by check_membership.  The
+    generators and group operations construct theirs directly: each generator
+    is a member by its shape, and membership of a product or inverse follows
+    from that of its factors.
     """
 
     M: Mat
@@ -102,23 +103,18 @@ def _swap(n: int) -> list[int]:
 
 
 def check_membership(A, B, C, D) -> GroupElement:
-    """The element with integer blocks A, B, C, D, validated by check_matrix."""
-    blocks = [xl.to_int(X) for X in (A, B, C, D)]
-    n = blocks[0].shape[0]
-    if any(X.shape != (n, n) for X in blocks):
-        raise ValueError("blocks must be square and of equal size")
-    return check_matrix(xl.block([blocks[:2], blocks[2:]]))
-
-
-def check_matrix(M: Mat) -> GroupElement:
-    """Validate M^t eta M = eta and det M = 1 for an integer 2n x 2n M, or name the violation.
+    """The element with integer blocks A, B, C, D, or the violation of M^t eta M = eta or det M = 1.
 
     F = M^t (eta M) is symmetric with blocks A^t C + C^t A, A^t D + C^t B and
     B^t D + D^t B, so these three decide it.  Then det M = (-1)^rank C: an
     isometry of eta has det (-1)^codim(L cap M L) for the Lagrangian L of the
     first n coordinates (Chevalley), and L cap M L = M ker C.
     """
-    n = M.shape[0] // 2
+    A, B, C, D = (xl.to_int(X) for X in (A, B, C, D))
+    n = A.shape[0]
+    if any(X.shape != (n, n) for X in (A, B, C, D)):
+        raise ValueError("blocks must be square and of equal size")
+    M = xl.block([[A, B], [C, D]])
     F = M.T @ M[_swap(n), :]
     if not xl.is_zero(F[:n, :n]):
         raise RelationViolated("A^t C + C^t A = 0")
@@ -126,25 +122,19 @@ def check_matrix(M: Mat) -> GroupElement:
         raise RelationViolated("B^t D + D^t B = 0")
     if F[:n, n:] != xl.eye(n):
         raise RelationViolated("A^t D + C^t B = I")
-    g = _element(M)
-    if xl.rank(g.C) % 2 != 0:
+    if xl.rank(C) % 2 != 0:
         raise DeterminantNotOne("assembled matrix must have determinant 1")
-    return g
-
-
-def _element(M: Mat) -> GroupElement:
-    """Wrap an integer 2n x 2n matrix whose membership is already established."""
     return GroupElement(M)
 
 
 def identity_element(n: int) -> GroupElement:
-    return _element(xl.eye(2 * n))
+    return GroupElement(xl.eye(2 * n))
 
 
 def invert_element(g: GroupElement) -> GroupElement:
     """The inverse eta M^t eta, the block transpose [[D^t, B^t], [C^t, A^t]]."""
     s = _swap(g.n)
-    return _element(g.M.T[s, s])
+    return GroupElement(g.M.T[s, s])
 
 
 def compose(g: GroupElement, h: GroupElement, *rest: GroupElement) -> GroupElement:
@@ -153,7 +143,7 @@ def compose(g: GroupElement, h: GroupElement, *rest: GroupElement) -> GroupEleme
         if f.n != g.n:
             raise ValueError("dimension mismatch")
         M = M @ f.M
-    return _element(M)
+    return GroupElement(M)
 
 
 def rho(R) -> GroupElement:
@@ -163,7 +153,7 @@ def rho(R) -> GroupElement:
         R_inv = xl.int_inverse(R)
     except (xl.Singular, xl.NonIntegral):
         raise NotUnimodular("rho needs a matrix with determinant +-1") from None
-    return _element(xl.block_diag(R, R_inv.T))
+    return GroupElement(xl.block_diag(R, R_inv.T))
 
 
 def mu(N) -> GroupElement:
@@ -172,7 +162,7 @@ def mu(N) -> GroupElement:
     if not xl.is_skew(N):
         raise xl.NotSkew("mu needs an integer skew-symmetric matrix")
     n = N.shape[0]
-    return _element(xl.block([[xl.eye(n), N], [xl.zeros(n, n), xl.eye(n)]]))
+    return GroupElement(xl.block([[xl.eye(n), N], [xl.zeros(n, n), xl.eye(n)]]))
 
 
 def sigma_flip(support, n: int) -> GroupElement:
@@ -185,7 +175,7 @@ def sigma_flip(support, n: int) -> GroupElement:
     perm = list(range(2 * n))
     for i in support:
         perm[i - 1], perm[n + i - 1] = n + i - 1, i - 1
-    return _element(xl.eye(2 * n)[perm, :])
+    return GroupElement(xl.eye(2 * n)[perm, :])
 
 
 def c_theta_plus_d(g: GroupElement, theta: Theta) -> Mat:

@@ -544,9 +544,9 @@ class TestCommands:
             def smith_with_doubled_v(M):
                 made = []
 
-                def rows(n):  # U is made first, then V
+                def rows(n):  # V is the one identity made
                     made.append(identity_rows(n))
-                    if len(made) == 2:
+                    if len(made) == 1:
                         made[-1][0][0] = 2
                     return made[-1]
 

@@ -314,7 +314,7 @@ def cli_failure(tmp_path, command: str) -> str:
 
 def flipped(A, B, C, D, E):
     """The blocks of g' sigma for the flip sigma on coordinates 1 and 2."""
-    gs = tg.compose(tg.check_matrix(xl.block([[A, B], [C, D]])), tg.sigma_flip([1, 2], A.shape[0]))
+    gs = tg.compose(tg.check_membership(A, B, C, D), tg.sigma_flip([1, 2], A.shape[0]))
     return gs.A, gs.B, gs.C, gs.D
 
 
@@ -429,6 +429,43 @@ class TestVerifiedClosedForms:
         monkeypatch.setattr(eb, "act", moved)
         assert failed_certificate(*mixed_torsion_case()) == "chain_endpoint"
         assert cli_failure(tmp_path, "pipeline") == "chain_endpoint"
+
+    @pytest.mark.parametrize(
+        "change, name",
+        [
+            # D~ doubled: C~ is still 0, but A~^t D~ = 2 I
+            (lambda A, B, D, S: (A, B, 2 * D), "decomp_unimodular"),
+            # A~ added to B~: N gains A~ A~^t, whose diagonal is positive
+            (lambda A, B, D, S: (A, B + A, D), "decomp_shear_skew"),
+            # g1 g'^-1 mu(S) for a skew S: a group member, but not g1 g'^-1
+            (lambda A, B, D, S: (A, B + A @ S, D), "decomp_reassembly"),
+        ],
+    )
+    def test_perturbed_quotient(self, monkeypatch, tmp_path, change, name):
+        """A wrong g1 g'^-1 fails the factor certificate that reads the changed block first.
+
+        For a group member with C~ = 0, A~^t D~ = I and the skew B~ A~^t follow
+        from the relations, and the reassembly from the product, so these three
+        can fail only on a wrong quotient.  decompose forms it with the one
+        two-factor call of compose; the reassembly is a three-factor call.
+        """
+        compose = eb.compose
+
+        def perturbed(g, h, *rest):
+            gt = compose(g, h, *rest)
+            if rest:
+                return gt
+            n = gt.n
+            E = xl.Mat([[int((i, j) == (0, n - 1)) for j in range(n)] for i in range(n)], 1, n)
+            A, B, D = change(gt.A, gt.B, gt.D, E - E.T)
+            return tg.GroupElement(xl.block([[A, B], [gt.C, D]]))
+
+        monkeypatch.setattr(eb, "compose", perturbed)
+        with pytest.raises(eb.EmbeddingError) as info:
+            eb.factor(mixed_torsion_case()[0])
+        assert info.value.name == name
+        assert cli_failure(tmp_path, "decompose") == name
+        assert cli_failure(tmp_path, "pipeline") == name
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))

@@ -127,6 +127,12 @@ def ref_column(M, x):
     return [sum((F(m) * int(t) for m, t in zip(row, x)), F(0)) for row in M.tolist()]
 
 
+def ref_jprime(d):
+    """The positive part J' of the descriptor's form J, so that J = J' - J'^t."""
+    J = d.J
+    return xl.Mat([[max(x, 0) for x in row] for row in J.rows], J.den, J.shape[1])
+
+
 def ref_half_form(v, Jprime):
     return ref_bilinear(v, Jprime, v) / 2
 
@@ -150,14 +156,14 @@ def ref_shift_point(m, part, sign, d):
 
 def ref_right_action(f, x, d):
     Tx = ref_column(d.T, x)
-    phase = ref_e2pi(-ref_half_form(Tx, d.Jprime))
+    phase = ref_e2pi(-ref_half_form(Tx, ref_jprime(d)))
     tpart, that = split_coordinates(Tx, d)
     return lambda m: phase * ref_pairing(m, that, d) * f(ref_shift_point(m, tpart, -1, d))
 
 
 def ref_left_action(x, f, d):
     Sx = ref_column(d.S, x)
-    phase = ref_e2pi(-ref_half_form(Sx, d.Jprime))
+    phase = ref_e2pi(-ref_half_form(Sx, ref_jprime(d)))
     spart, shat = split_coordinates(Sx, d)
     neg_shat = MHatPart(
         uhat=tuple(-v for v in shat.uhat),
@@ -334,7 +340,7 @@ class TestRelations:
             for _ in range(20):
                 x = ms.random_lattice_vector(rng, d)
                 v = [row[0] for row in (d.T @ xl.mat([[t] for t in x])).tolist()]
-                phase = ref_e2pi(-ref_half_form(v, d.Jprime))
+                phase = ref_e2pi(-ref_half_form(v, ref_jprime(d)))
                 assert abs(abs(phase) - 1) < 1e-12
 
 
@@ -639,15 +645,16 @@ class TestBlockBuild:
         xs = tuple(data.draw(st.lists(lattice, min_size=1, max_size=4)))
         ys = tuple(data.draw(st.lists(lattice, min_size=len(xs), max_size=len(xs))))
         xys = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(xs, ys))
-        for img in d._images:
+        for M, img in zip((d.T, d.S), d._images):
+            half = xl.matmul(M.T, ref_jprime(d), M)
             ix, iy = ms._image(img, xs), ms._image(img, ys)
             ixy = tuple(tuple(a + b for a, b in zip(vx, vy)) for vx, vy in zip(ix, iy))
             for vectors, image in zip((xs, ys, xys), (ix, iy, ixy)):
                 assert image == ms._image(img, vectors)
                 nums, den = ms._phase_arguments(img, image)
                 for x, num in zip(vectors, nums):
-                    assert F(num, den) % 1 == (-ref_bilinear(x, img.half, x) / 2) % 1
-                    assert ms._e(num, den) == ms._e(-ms._value(img.half, x, x), 2 * img.half.den)
+                    assert F(num, den) % 1 == (-ref_bilinear(x, half, x) / 2) % 1
+                    assert ms._e(num, den) == ms._e(-ms._value(half, x, x), 2 * half.den)
 
 
 @pytest.mark.parametrize("make", ALL_DESCRIPTORS)

@@ -55,7 +55,7 @@ class TestMembership:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6), length=st.integers(1, 10), odd=st.booleans())
     def test_determinant_is_the_parity_of_rank_c(self, seed, n, length, odd):
-        """det M = (-1)^rank C on eta-preserving M, so check_matrix decides det M = 1
+        """det M = (-1)^rank C on eta-preserving M, so check_membership decides det M = 1
         by one elimination on the n rows of C; a one-coordinate flip makes det -1."""
         g = tg.random_element(seed, length, n)
         if odd:  # x_1 <-> x_{n+1}
@@ -64,9 +64,9 @@ class TestMembership:
         with mock.patch.object(xl, "_row_reduce", wraps=xl._row_reduce) as eliminations:
             if odd:
                 with pytest.raises(tg.DeterminantNotOne, match="determinant 1"):
-                    tg.check_matrix(g.M)
+                    tg.check_membership(g.A, g.B, g.C, g.D)
             else:
-                assert tg.check_matrix(g.M) == g
+                assert tg.check_membership(g.A, g.B, g.C, g.D) == g
         assert eliminations.call_count == 1 and len(eliminations.call_args.args[0]) == n
 
     def test_preserves_split_form(self):

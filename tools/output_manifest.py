@@ -5,7 +5,9 @@
     diff parent.txt change.txt
 
 Two library versions produce the same output bytes and exit codes on this set
-exactly when their manifests are equal.  The run set:
+exactly when their manifests are equal.  The expected manifest is committed
+next to this script as ``output_manifest.txt``, and CI diffs against it.  The
+run set:
 
 - ``simulate`` on the job sets of the ``simulate_sweep`` benchmark workload for
   seeds 1-3 (one descriptor per (p, q, k) shape, chosen as
