@@ -6,7 +6,10 @@ of its result and error documents.  decompose factors g alone and reads no
 theta.  Exit codes: 0 all certificates pass, 1 a certificate failed, 2 parse
 error, a flag the command does not take, a module descriptor out of float
 range for simulate, or unwritable --output (its error document goes to
-stdout), 3 action undefined (act, embed, pipeline and simulate).
+stdout), 3 action undefined (act, embed, pipeline and simulate).  ``_run``
+maps the library's exceptions to them: ParseError to 2, Undefined to 3, and
+EmbeddingError (with the certificate's name), GroupError and
+ExactLinalgError to 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import documents as docs
 from . import exact_linalg as xl
 from . import module_sim as ms
 from .embedding import EmbeddingError, embed, factor, pipeline
-from .normal_form import NormalFormError, normalize
+from .normal_form import normalize
 from .torus_group import (
     GroupError,
     Undefined,
@@ -233,9 +236,10 @@ def run_campaign(n: int, seed, trials: int, word_length: int = 8) -> dict:
 
 
 def cmd_campaign(job: dict, opts) -> dict:
-    n = docs.check_int(opts.n if opts.n is not None else job["n"], "n", 2)
+    n = opts.n if opts.n is not None else job["n"]
     if n is None:
         raise docs.ParseError("campaign needs n (document field or --n)")
+    n = docs.check_int(n, "n", 2)
     seed = docs.check_int(_option(opts, job, "seed", 0), "seed", 0)
     trials = docs.check_int(_option(opts, job, "trials", 10), "trials", 1)
     word_length = docs.check_int(_option(opts, job, "word_length", 8), "word_length", 1)
@@ -293,7 +297,7 @@ def _run(opts, version: str) -> tuple[int, str]:
         return EXIT_UNDEFINED, docs.dumps(docs.error_doc("undefined", str(e)), version)
     except EmbeddingError as e:
         return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e), name=e.name), version)
-    except (GroupError, NormalFormError, xl.ExactLinalgError) as e:
+    except (GroupError, xl.ExactLinalgError) as e:
         return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e)), version)
 
 

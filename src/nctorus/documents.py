@@ -136,8 +136,8 @@ def group_doc(g: GroupElement) -> dict:
 
 
 def check_int(value, name: str, floor: int):
-    """A size or count from a document or command line, if given, is an integer >= floor."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < floor):
+    """A size or count from a document or command line is an integer >= floor; null is not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
         raise ParseError(f"{name} must be an integer >= {floor}")
     return value
 
@@ -152,7 +152,7 @@ def load_job(doc: dict) -> dict:
     out = {"options": doc.get("options", {})}
     if not isinstance(out["options"], dict):
         raise ParseError("options must be an object")
-    n = out["n"] = check_int(doc.get("n"), "n", 2)
+    n = out["n"] = None if doc.get("n") is None else check_int(doc["n"], "n", 2)
     if "g" in doc:
         out["g"] = group_blocks_from_doc(doc["g"], n)
     if "theta" in doc:

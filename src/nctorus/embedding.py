@@ -43,9 +43,8 @@ from .exact_linalg import Mat
 from .module_sim import ModuleDescriptor, build_forms, non_integral_rows
 from .normal_form import SpecialForm, domain_check, normalize
 from .torus_group import (
-    DeterminantNotOne,
     GroupElement,
-    RelationViolated,
+    GroupError,
     Theta,
     act,
     check_membership,
@@ -343,7 +342,7 @@ def build_gprime(td: TorsionData, q: int, certs: CertificateLog) -> GroupElement
     detail = ""
     try:
         gp = check_membership(*blocks)
-    except (RelationViolated, DeterminantNotOne) as e:
+    except GroupError as e:
         detail = str(e)
     certs.check("gprime_membership", gp is not None, detail)
     return gp

@@ -35,27 +35,7 @@ class ExactLinalgError(Exception):
 
 
 class Singular(ExactLinalgError):
-    """Matrix has determinant zero where an inverse was required."""
-
-
-class NotSkew(ExactLinalgError):
-    """Input is not skew-symmetric."""
-
-
-class OddSize(ExactLinalgError):
-    """Operation requires an even-sized square matrix."""
-
-
-class BothZero(ExactLinalgError):
-    """gcd certificate of (0, 0) requested."""
-
-
-class Inconsistent(ExactLinalgError):
-    """Linear system has no exact solution."""
-
-
-class NonIntegral(ExactLinalgError):
-    """Integer matrix whose inverse is not integral (|det| != 1)."""
+    """No exact (or no integral) inverse or solution exists where one was required."""
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +370,10 @@ def rational_inverse(M: Mat) -> Mat:
 
 
 def int_inverse(M: Mat) -> Mat:
-    """Integer inverse of M; raises Singular, or NonIntegral if |det M| != 1."""
+    """Integer inverse of M; raises Singular if det M = 0 or |det M| != 1."""
     inv = rational_inverse(M)
     if inv.den != 1:
-        raise NonIntegral("matrix is not unimodular: its inverse is not integral")
+        raise Singular("matrix is not unimodular: its inverse is not integral")
     return inv
 
 
@@ -404,7 +384,7 @@ def solve_unique(A: Mat, B: Mat) -> Mat:
     reduced fraction-free.
 
     Raises:
-        Inconsistent: if no exact solution exists or A is column-rank
+        Singular: if no exact solution exists or A is column-rank
             deficient.
     """
     m, r = A.shape
@@ -416,9 +396,9 @@ def solve_unique(A: Mat, B: Mat) -> Mat:
     W = [[x * sA for x in ra] + [x * sB for x in rb] for ra, rb in zip(A.rows, B.rows)]
     pivots, _, last = _row_reduce(W, r, full=True)
     if len(pivots) < r:
-        raise Inconsistent("coefficient matrix is column-rank deficient")
+        raise Singular("coefficient matrix is column-rank deficient")
     if any(x for row in W[r:] for x in row[r:]):
-        raise Inconsistent("system has no exact solution")
+        raise Singular("system has no exact solution")
     return _reduced([row[r:] for row in W[:r]], last, (r, B.shape[1]))
 
 
@@ -429,10 +409,10 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     0 <= c < |b|/g.  For b == 0 the certificate is (|a|, sign(a), 0).
 
     Raises:
-        BothZero: if a == b == 0.
+        ExactLinalgError: if a == b == 0.
     """
     if a == 0 and b == 0:
-        raise BothZero("gcd(0, 0) has no certificate")
+        raise ExactLinalgError("gcd(0, 0) has no certificate")
     if b == 0:
         return abs(a), (1 if a > 0 else -1), 0
     g = math.gcd(a, b)
@@ -572,14 +552,13 @@ def alternating_normal_form_int(A: Mat) -> tuple[Mat, Mat, list]:
     int_inverse; the equation is decided by the torsion_normal_form certificate.
 
     Raises:
-        NotSkew: if A != -A^t.
-        OddSize: if A is not of even size.
+        ExactLinalgError: if A != -A^t or A is not of even size.
     """
     n = A.shape[0]
     if not is_skew(A):
-        raise NotSkew("alternating reduction needs an integer skew-symmetric matrix")
+        raise ExactLinalgError("alternating reduction needs an integer skew-symmetric matrix")
     if n % 2 != 0:
-        raise OddSize("alternating reduction is defined for even size")
+        raise ExactLinalgError("alternating reduction is defined for even size")
     W = [list(row) for row in to_int(A).rows]
     Q = _identity_rows(n)
     t = 0
@@ -651,12 +630,12 @@ def symplectic_factor_rational(A: Mat) -> Mat:
     pairing and update runs on ints.
 
     Raises:
-        NotSkew: if A is not skew-symmetric.
+        ExactLinalgError: if A is not skew-symmetric.
         Singular: if A is singular (odd sizes always are); a basis vector
             then finds no partner.
     """
     if not is_skew(A):
-        raise NotSkew("symplectic factorization needs a skew-symmetric matrix")
+        raise ExactLinalgError("symplectic factorization needs a skew-symmetric matrix")
     n = A.shape[0]
     if n == 0:
         return zeros(0, 0)

@@ -56,19 +56,7 @@ from .torus_group import Theta
 
 
 class ModuleSimError(Exception):
-    pass
-
-
-class ShapeMismatch(ModuleSimError):
-    """A vector or embedding matrix has the wrong shape or a non-integer entry in an integer slot."""
-
-
-class IdentityViolated(ModuleSimError):
-    """The embeddings T and S of a descriptor do not satisfy their identities."""
-
-
-class QuadratureUnconverged(ModuleSimError):
-    pass
+    """A malformed vector, block or embedding matrix, a failed identity of T and S, or an unconverged quadrature."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +96,7 @@ class ModuleDescriptor:
         """T and S cut into coordinate blocks, built on first use.
 
         Raises:
-            ShapeMismatch: if an a, w or w^ row of T or S is not integral.
+            ModuleSimError: if T or S has the wrong shape or an a, w or w^ row that is not integral.
         """
         return _Image(self.T, "T", self), _Image(self.S, "S", self)
 
@@ -204,10 +192,10 @@ class _Image:
 
     def __init__(self, M: Mat, name: str, d: ModuleDescriptor):
         if M.shape != (d.ambient_dim, d.n):
-            raise ShapeMismatch(f"{name} has shape {M.shape}, expected {(d.ambient_dim, d.n)}")
+            raise ModuleSimError(f"{name} has shape {M.shape}, expected {(d.ambient_dim, d.n)}")
         label = non_integral_rows(M, d.p, d.q, d.k)
         if label:
-            raise ShapeMismatch(f"{name} has a non-integer entry in its {label} rows")
+            raise ModuleSimError(f"{name} has a non-integer entry in its {label} rows")
         self.den = den = M.den
         u, uhat, a, ahat, w, what = coordinate_rows(M, d.p, d.q, d.k)
         a, w, what = ([[x // den for x in row] for row in b] for b in (a, w, what))
@@ -243,18 +231,18 @@ def verify_descriptor(d: ModuleDescriptor) -> None:
     """Check exactly that T^t J T = theta, S^t J S = -theta' and S^t J T is integral, forming S^t J once.
 
     Raises:
-        ShapeMismatch: if an a, w or w^ row of T or S is not integral.
-        IdentityViolated: naming the first identity that fails.
+        ModuleSimError: if T or S has the wrong shape or an a, w or w^ row
+            that is not integral, or naming the first identity that fails.
     """
-    d._images  # compiled first: a non-integral a, w or w^ row is a ShapeMismatch
+    d._images  # compiled first: a bad shape or a non-integral a, w or w^ row is reported before an identity
     T, S = d.T, d.S
     StJ = xl.matmul(S.T, d.J)
     if xl.matmul(T.T, d.J, T) != d.theta.M:
-        raise IdentityViolated("T^t J T = theta does not hold")
+        raise ModuleSimError("T^t J T = theta does not hold")
     if xl.matmul(StJ, S) != -d.theta_prime.M:
-        raise IdentityViolated("S^t J S = -theta' does not hold")
+        raise ModuleSimError("S^t J S = -theta' does not hold")
     if not xl.is_integral(xl.matmul(StJ, T)):
-        raise IdentityViolated("S^t J T is not integral")
+        raise ModuleSimError("S^t J T is not integral")
 
 
 def _lattice(x, d: ModuleDescriptor) -> tuple[int, ...]:
@@ -264,7 +252,7 @@ def _lattice(x, d: ModuleDescriptor) -> tuple[int, ...]:
     except (TypeError, ValueError, ArithmeticError):  # None, 1j, nan, +-inf, ...
         v = None
     if len(x) != d.n or x != v:
-        raise ShapeMismatch(f"expected a lattice vector of {d.n} integers, got {list(x)}")
+        raise ModuleSimError(f"expected a lattice vector of {d.n} integers, got {list(x)}")
     return v
 
 
@@ -387,12 +375,12 @@ class Block:
     once, for the three relation checks to share.
 
     Raises:
-        ShapeMismatch: with no pair or no sample point, or a pair not of two lattice vectors.
+        ModuleSimError: with no pair or no sample point, or a pair not of two lattice vectors.
     """
 
     def __init__(self, pairs, sample: Points, d: ModuleDescriptor):
         if not pairs or not sample.size:
-            raise ShapeMismatch("a block needs at least one pair and one sample point")
+            raise ModuleSimError("a block needs at least one pair and one sample point")
         self.d = d
         self.xs = tuple(_lattice(x, d) for x, _ in pairs)
         self.ys = tuple(_lattice(y, d) for _, y in pairs)
@@ -508,7 +496,7 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     Convergence is checked by doubling the number of midpoints.
 
     Raises:
-        QuadratureUnconverged: if doubling changes the value by more than
+        ModuleSimError: if doubling changes the value by more than
             TOLERANCE.
     """
     if d.p > 2:
@@ -517,7 +505,7 @@ def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescri
     coarse = _integrate(f, g, image, d, U_POINTS)
     fine = _integrate(f, g, image, d, 2 * U_POINTS)
     if abs(fine - coarse) > TOLERANCE:
-        raise QuadratureUnconverged(f"delta {abs(fine - coarse):.3e} above {TOLERANCE:.1e}")
+        raise ModuleSimError(f"delta {abs(fine - coarse):.3e} above {TOLERANCE:.1e}")
     return fine
 
 

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 from . import exact_linalg as xl
 from .exact_linalg import Mat
-from .torus_group import GroupElement, Theta, compose, rho
-
-
-class NormalFormError(Exception):
-    pass
-
-
-class NotSpecialForm(NormalFormError):
-    """C/D blocks do not have the required shape; normalize first."""
+from .torus_group import GroupElement, GroupError, Theta, compose, rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +40,7 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
     check_membership); for g with det -1 the result is undefined.
 
     Raises:
-        NotSpecialForm: mixed C/D matrix singular, no exact solution for Z,
+        GroupError: mixed C/D matrix singular, no exact solution for Z,
             or Z not skew.
     """
     C, D = g.C, g.D
@@ -57,13 +49,13 @@ def detect_special_form(g: GroupElement) -> SpecialForm:
         width -= 1
     try:
         X = xl.solve_unique(xl.block([[C[:, :width], D[:, width:]]]), -D[:, :width])
-    except xl.Inconsistent:
-        raise NotSpecialForm("mixed block matrix [C11 D12; C21 D22] is singular") from None
+    except xl.Singular:
+        raise GroupError("mixed block matrix [C11 D12; C21 D22] is singular") from None
     if not xl.is_zero(X[width:, :]):
-        raise NotSpecialForm("leading columns of D are not -C Z for any Z")
+        raise GroupError("leading columns of D are not -C Z for any Z")
     Z = X[:width, :]
     if not xl.is_skew(Z):
-        raise NotSpecialForm("solved Z is not skew-symmetric")
+        raise GroupError("solved Z is not skew-symmetric")
     return SpecialForm(n=g.n, p=width // 2, Z=Z)
 
 
@@ -72,9 +64,9 @@ def normalize_right(g: GroupElement) -> Mat:
 
     The trailing columns of R0 are a primitive basis of the integer kernel
     of C, so C R0 keeps its nonzero columns in the leading even-rank block.
-    complete_basis returns R0 unchecked; normalize decides it, rho(R0)
-    raising NotUnimodular if R0 is not unimodular and detect_special_form on
-    g * rho(R0) raising NotSpecialForm if the shape is wrong.
+    complete_basis returns R0 unchecked; normalize decides it: rho(R0)
+    raises GroupError if R0 is not unimodular, and detect_special_form on
+    g * rho(R0) if the shape is wrong.
     """
     return xl.complete_basis(g.C)
 

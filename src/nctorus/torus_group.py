@@ -27,25 +27,7 @@ from .exact_linalg import Mat
 
 
 class GroupError(Exception):
-    pass
-
-
-class RelationViolated(GroupError):
-    def __init__(self, relation: str):
-        super().__init__(f"block relation violated: {relation}")
-        self.relation = relation
-
-
-class DeterminantNotOne(GroupError):
-    pass
-
-
-class NotUnimodular(GroupError):
-    pass
-
-
-class OddSupport(GroupError):
-    pass
+    """g is not a group member or not in special form, or a generator's argument is invalid."""
 
 
 class Undefined(GroupError):
@@ -117,13 +99,13 @@ def check_membership(A, B, C, D) -> GroupElement:
     M = xl.block([[A, B], [C, D]])
     F = M.T @ M[_swap(n), :]
     if not xl.is_zero(F[:n, :n]):
-        raise RelationViolated("A^t C + C^t A = 0")
+        raise GroupError("block relation violated: A^t C + C^t A = 0")
     if not xl.is_zero(F[n:, n:]):
-        raise RelationViolated("B^t D + D^t B = 0")
+        raise GroupError("block relation violated: B^t D + D^t B = 0")
     if F[:n, n:] != xl.eye(n):
-        raise RelationViolated("A^t D + C^t B = I")
+        raise GroupError("block relation violated: A^t D + C^t B = I")
     if xl.rank(C) % 2 != 0:
-        raise DeterminantNotOne("assembled matrix must have determinant 1")
+        raise GroupError("assembled matrix must have determinant 1")
     return GroupElement(M)
 
 
@@ -151,8 +133,8 @@ def rho(R) -> GroupElement:
     R = xl.to_int(R)
     try:
         R_inv = xl.int_inverse(R)
-    except (xl.Singular, xl.NonIntegral):
-        raise NotUnimodular("rho needs a matrix with determinant +-1") from None
+    except xl.Singular:
+        raise GroupError("rho needs a matrix with determinant +-1") from None
     return GroupElement(xl.block_diag(R, R_inv.T))
 
 
@@ -160,7 +142,7 @@ def mu(N) -> GroupElement:
     """Upper-triangular shear blk(I, N; 0, I) from an integer skew N."""
     N = xl.to_int(N)
     if not xl.is_skew(N):
-        raise xl.NotSkew("mu needs an integer skew-symmetric matrix")
+        raise GroupError("mu needs an integer skew-symmetric matrix")
     n = N.shape[0]
     return GroupElement(xl.block([[xl.eye(n), N], [xl.zeros(n, n), xl.eye(n)]]))
 
@@ -171,7 +153,7 @@ def sigma_flip(support, n: int) -> GroupElement:
     if any(i < 1 or i > n for i in support):
         raise ValueError("support indices must lie in 1..n")
     if len(support) % 2 != 0:
-        raise OddSupport("flip support must have even size")
+        raise ValueError("flip support must have even size")
     perm = list(range(2 * n))
     for i in support:
         perm[i - 1], perm[n + i - 1] = n + i - 1, i - 1
@@ -189,7 +171,7 @@ def act(g: GroupElement, theta: Theta) -> Theta:
     # X (C theta + D) = A theta + B, solved as (C theta + D)^t X^t = (A theta + B)^t
     try:
         Xt = xl.solve_unique(c_theta_plus_d(g, theta).T, (g.A @ theta.M + g.B).T)
-    except xl.Inconsistent:
+    except xl.Singular:
         raise Undefined("C theta + D is singular") from None
     return make_theta(Xt.T)
 

@@ -456,6 +456,24 @@ class TestCommands:
             message = f"{field} must be an integer >= 1"
         assert code == 2 and out["error"] == {"kind": "parse", "message": message}
 
+    @pytest.mark.parametrize(
+        "command, field, floor",
+        [
+            ("simulate", "samples", 1),
+            ("simulate", "trials", 1),
+            ("simulate", "seed", 0),
+            ("campaign", "trials", 1),
+            ("campaign", "word_length", 1),
+            ("campaign", "seed", 0),
+        ],
+    )
+    def test_null_option_exit_2(self, tmp_path, command, field, floor):
+        """A null option is a value other than an integer, not an omitted one."""
+        doc = flip_doc()
+        doc["options"] = {field: None}
+        code, out = run(tmp_path, [command], doc)
+        assert code == 2 and out["error"] == {"kind": "parse", "message": f"{field} must be an integer >= {floor}"}
+
     def test_check_one_by_one_exit_2(self, tmp_path):
         doc = {"version": "nctorus/1", "g": {"A": [[1]], "B": [[0]], "C": [[0]], "D": [[1]]}}
         code, out = run(tmp_path, ["check"], doc)
@@ -635,7 +653,7 @@ class TestCommands:
 # the input contract: every document ends in a documented exit code
 
 
-CONTRACT_COMMANDS = ["check", "act", "normalize", "decompose", "embed", "pipeline", "simulate"]
+CONTRACT_COMMANDS = ["check", "act", "normalize", "decompose", "embed", "pipeline", "simulate", "campaign"]
 RATIONAL_STRINGS = ["0", "-2", "1/3", " 5/4 ", "0.5", "1e3", "1_0/3", "1/0", "", "x", "--1", "1/-3"]
 
 json_values = st.recursive(

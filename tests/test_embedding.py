@@ -430,6 +430,22 @@ class TestVerifiedClosedForms:
         assert failed_certificate(*mixed_torsion_case()) == "chain_endpoint"
         assert cli_failure(tmp_path, "pipeline") == "chain_endpoint"
 
+    def test_domain_reported_undefined(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(eb, "domain_check", lambda sf, theta: None)
+        assert failed_certificate(*mixed_torsion_case()) == "domain_defined"
+        assert cli_failure(tmp_path, "pipeline") == "domain_defined"
+
+    def test_doubled_curvature(self, monkeypatch, tmp_path):
+        """Only the curvature reads F11, so gprime_action passes and gprime_closed_form fails."""
+        resolvent = eb.verify_resolvent
+
+        def doubled(fac, theta, tp, phi_star, F11, certs):
+            return resolvent(fac, theta, tp, phi_star, 2 * F11, certs)
+
+        monkeypatch.setattr(eb, "verify_resolvent", doubled)
+        assert failed_certificate(*mixed_torsion_case()) == "gprime_closed_form"
+        assert cli_failure(tmp_path, "pipeline") == "gprime_closed_form"
+
     @pytest.mark.parametrize(
         "change, name",
         [

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -84,7 +85,7 @@ def _as_int(x, what):
         return x.numerator
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    raise ms.ShapeMismatch(f"{what} slot holds non-integer value {x!r}")
+    raise ms.ModuleSimError(f"{what} slot holds non-integer value {x!r}")
 
 
 def split_coordinates(v, d):
@@ -95,7 +96,7 @@ def split_coordinates(v, d):
     """
     v = list(v)
     if len(v) != d.ambient_dim:
-        raise ms.ShapeMismatch(f"expected {d.ambient_dim} coordinates, got {len(v)}")
+        raise ms.ModuleSimError(f"expected {d.ambient_dim} coordinates, got {len(v)}")
     p, q, k = d.p, d.q, d.k
     u = tuple(F(x) for x in v[:p])
     uhat = tuple(F(x) for x in v[p : 2 * p])
@@ -229,11 +230,11 @@ class TestSplitCoordinates:
         v = [0, 0, 2.0, 0]  # a-slot holds an integral float
         split_coordinates(v, d)
         v[2] = 2.5
-        with pytest.raises(ms.ShapeMismatch):
+        with pytest.raises(ms.ModuleSimError, match="^a slot holds non-integer value 2.5$"):
             split_coordinates(v, d)
 
     def test_wrong_length(self):
-        with pytest.raises(ms.ShapeMismatch):
+        with pytest.raises(ms.ModuleSimError, match="^expected 2 coordinates, got 3$"):
             split_coordinates([0, 0, 0], flip_descriptor())
 
     def test_residue_reduction(self):
@@ -385,8 +386,15 @@ class TestInnerProduct:
         big = ms.ModuleDescriptor(
             p=3, q=0, orders=(), T=d.T, S=d.S, theta=d.theta, theta_prime=d.theta_prime,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^numeric inner product supports p <= 2 only$"):
             ms.inner_product_numeric(ms.gaussian(d), ms.gaussian(d), [0, 0], big)
+
+    def test_unconverged(self):
+        """A step at u = 0.05 falls between the nodes of one rule and on the other side of the next."""
+        d = flip_descriptor()
+        step = lambda m: [1.0 if u > 0.05 else 0.0 for u in m.u[0]]
+        with pytest.raises(ms.ModuleSimError, match="^delta 6.250e-02 above 1.0e-08$"):
+            ms.inner_product_numeric(step, step, [0, 0], d)
 
 
 class TestIntegerKernelOracle:
@@ -458,9 +466,17 @@ class TestIntegerKernelOracle:
     def test_descriptors_satisfy_identities(self, make):
         ms.verify_descriptor(make())
 
+    def test_wrong_embedding_shape(self):
+        d = flip_descriptor()
+        bad = ms.ModuleDescriptor(
+            p=d.p, q=d.q, orders=d.orders, T=xl.zeros(3, 2), S=d.S, theta=d.theta, theta_prime=d.theta_prime,
+        )
+        with pytest.raises(ms.ModuleSimError, match=r"^T has shape \(3, 2\), expected \(2, 2\)$"):
+            ms.verify_descriptor(bad)
+
     def test_wrong_lattice_length(self):
         d = flip_descriptor()
-        with pytest.raises(ms.ShapeMismatch):
+        with pytest.raises(ms.ModuleSimError, match=r"^expected a lattice vector of 2 integers, got \[1, 0, 0\]$"):
             ms.right_action(ms.gaussian(d), [1, 0, 0], d)
 
     @pytest.mark.parametrize(
@@ -472,11 +488,12 @@ class TestIntegerKernelOracle:
         d = flip_descriptor()
         f = ms.gaussian(d)
         batch = ms.Points([[0.1]], [], [], 1)
-        with pytest.raises(ms.ShapeMismatch):
+        message = "^" + re.escape(f"expected a lattice vector of 2 integers, got {bad}") + "$"
+        with pytest.raises(ms.ModuleSimError, match=message):
             ms.right_action(f, bad, d)
-        with pytest.raises(ms.ShapeMismatch):
+        with pytest.raises(ms.ModuleSimError, match=message):
             ms.left_action(bad, f, d)
-        with pytest.raises(ms.ShapeMismatch):
+        with pytest.raises(ms.ModuleSimError, match=message):
             ms.check_module_relation(ms.Block([(bad, [0, 0])], batch, d), f)
         # integral entries of any numeric type are lattice vectors
         assert ms.right_action(f, [1.0, F(2)], d)(batch) == ms.right_action(f, [1, 2], d)(batch)
@@ -552,9 +569,10 @@ class TestTrialBatching:
 
     def test_a_block_needs_a_pair_and_a_sample_point(self):
         d = flip_descriptor()
-        with pytest.raises(ms.ShapeMismatch):
+        message = "^a block needs at least one pair and one sample point$"
+        with pytest.raises(ms.ModuleSimError, match=message):
             ms.Block([], ms.random_samples(random.Random(0), d, 5), d)
-        with pytest.raises(ms.ShapeMismatch):
+        with pytest.raises(ms.ModuleSimError, match=message):
             ms.Block([([1, 0], [0, 1])], ms.random_samples(random.Random(0), d, 0), d)
 
     def test_each_lattice_vector_is_validated_once(self, monkeypatch):

@@ -41,7 +41,20 @@ class TestDetect:
             tg.sigma_flip([1, 2], 3),
             tg.rho(xl.mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])),
         )
-        with pytest.raises(nf.NotSpecialForm):
+        with pytest.raises(tg.GroupError, match=r"^mixed block matrix \[C11 D12; C21 D22\] is singular$"):
+            nf.detect_special_form(g)
+
+    @pytest.mark.parametrize(
+        "C, D, message",
+        [
+            ([[1, 0], [0, 0]], [[0, 0], [1, 1]], "leading columns of D are not -C Z for any Z"),
+            ([[1, 0], [0, 1]], [[1, 0], [0, 1]], "solved Z is not skew-symmetric"),
+        ],
+    )
+    def test_not_special_names_the_shape_failure(self, C, D, message):
+        """The two later shape failures, on elements built directly: neither is a group member."""
+        g = tg.GroupElement(xl.block([[xl.eye(2), xl.eye(2)], [xl.mat(C), xl.mat(D)]]))
+        with pytest.raises(tg.GroupError, match=f"^{message}$"):
             nf.detect_special_form(g)
 
     @settings(max_examples=60, deadline=None)

@@ -1,9 +1,12 @@
 """The README's examples run as documented."""
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import nctorus
 from nctorus import cli
 from nctorus import documents as docs
 from nctorus import exact_linalg as xl
@@ -33,3 +36,17 @@ def test_act_example(tmp_path):
     assert cli.main(["act", "--input", str(inp), "--output", str(out)]) == 0
     theta = json.loads(out.read_text())["theta"]
     assert docs.parse_rat_matrix(theta) == xl.mat(json.loads(expected))
+
+
+def test_errors_lists_every_exception_class():
+    """The Errors section names exactly the Exception subclasses that nctorus.* defines."""
+    section = re.search(r"\n### Errors\n(.*?)(?=\n#|\Z)", README, re.S)[1]
+    listed = re.findall(r"^- `(\w+)`", section, re.M)
+    modules = [importlib.import_module(f"nctorus.{m.name}") for m in pkgutil.iter_modules(nctorus.__path__)]
+    defined = {
+        name
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__
+    }
+    assert sorted(listed) == sorted(defined) and len(defined) == 7

@@ -18,7 +18,9 @@ run set:
   n in {2, ..., 6, 8}, and ``decompose`` on each of them with theta removed;
 - a few runs that end in an error document: each input command on a document
   without ``g`` (exit 2), a theta entry ``"1e3"`` (exit 2), g with
-  A = B = D = I and C = 0 (exit 1) and the flip element at theta = 0 (exit 3).
+  A = B = D = I and C = 0 (exit 1), the flip element at theta = 0 (exit 3), and
+  ``simulate`` with ``samples`` null and ``campaign`` with ``trials`` null
+  (exit 2).
 
 Each line reads ``<sha256 of the output document> <exit code> <run>``; a run
 that ends in an exception prints ``- exception:<type> <run>``.  Standard
@@ -50,10 +52,10 @@ POOL_DOCUMENTS = 12
 INPUT_COMMANDS = ("check", "act", "normalize", "decompose", "embed", "pipeline", "simulate")
 
 
-def job(A, B, C, D, theta) -> bytes:
-    """A 2x2 input document."""
-    g = {"A": A, "B": B, "C": C, "D": D}
-    return json.dumps({"version": "nctorus/1", "n": 2, "g": g, "theta": theta}).encode()
+def job(A, B, C, D, theta, options=None) -> bytes:
+    """A 2x2 input document, with the given options if any."""
+    doc = {"version": "nctorus/1", "n": 2, "g": {"A": A, "B": B, "C": C, "D": D}, "theta": theta}
+    return json.dumps(doc if options is None else {**doc, "options": options}).encode()
 
 
 I2, O2 = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
@@ -62,6 +64,8 @@ ERROR_RUNS = (
     ("pipeline", "theta entry 1e3", job(O2, I2, I2, O2, [["0", "1e3"], ["-1e3", "0"]])),
     ("check", "B^t D + D^t B != 0", job(I2, I2, O2, I2, THETA)),
     ("act", "flip at theta 0", job(O2, I2, I2, O2, [["0", "0"], ["0", "0"]])),
+    ("simulate", "samples null", job(O2, I2, I2, O2, THETA, {"samples": None})),
+    ("campaign", "trials null", job(O2, I2, I2, O2, THETA, {"trials": None})),
 )
 
 
