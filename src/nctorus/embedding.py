@@ -86,7 +86,6 @@ class TorsionData:
     m Z = R^t [[0, P, 0], [-P, 0, 0], [0, 0, 0]] R, P = diag(h), R_inv = R^-1, and each
     ratio h_j / m reduces to m_j / n_j with the Bezout pair (c_j, d_j).
     Torsion factors with n_j = 1 are kept so matrix shapes stay uniform.
-    The derived diagonal matrices are built once, on first use.
     """
 
     m: int
@@ -107,29 +106,8 @@ class TorsionData:
         return len(self.h)
 
     @cached_property
-    def P1(self) -> Mat:
-        return xl.diag([Fraction(1, n) for n in self.nj])
-
-    @cached_property
-    def P2(self) -> Mat:
-        return xl.diag(self.mj)
-
-    @cached_property
-    def Q1(self) -> Mat:
-        return xl.diag(self.dj)
-
-    @cached_property
-    def Q2(self) -> Mat:
-        return xl.diag(self.cj)
-
-    @cached_property
     def T4(self) -> Mat:
         return xl.diag(self.nj + self.nj)
-
-    @cached_property
-    def blk3(self) -> Mat:
-        """diag-block (P1, P1, -I) cut as (k, k, 2p - 2k)."""
-        return xl.block_diag(self.P1, self.P1, -xl.eye(2 * self.p - 2 * self.k))
 
 
 def build_torsion_data(Z: Mat) -> TorsionData:
@@ -147,11 +125,9 @@ def build_torsion_data(Z: Mat) -> TorsionData:
     return TorsionData(m=m, R=R, R_inv=R_inv, h=tuple(h), mj=tuple(mj), nj=tuple(nj), cj=tuple(cj), dj=tuple(dj))
 
 
-def _corner_form(td: TorsionData, top_right: Mat) -> Mat:
-    """[[0, -X, 0], [X, 0, 0], [0, 0, 0]] cut as (k, k, 2p - 2k)."""
-    k, rest = td.k, 2 * td.p - 2 * td.k
-    Z = xl.zeros
-    return xl.block([[Z(k, k), -top_right, Z(k, rest)], [top_right, Z(k, k), Z(k, rest)], [Z(rest, 2 * td.p)]])
+def _torsion_diag(td: TorsionData, x) -> Mat:
+    """diag(x, x, -I) cut as (k, k, 2p - 2k), for a diagonal x of k ints or Fractions."""
+    return xl.diag([*x, *x, *[-1] * (2 * td.p - 2 * td.k)])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +154,7 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
         [T11, Z(2 * p, q)],
         [Z(q, 2 * p), xl.eye(q)],
         [T31, T32],
-        [td.P2 @ td.R[:k, :], Z(k, q)],
+        [xl.diag(td.mj) @ td.R[:k, :], Z(k, q)],
         [td.R[k : 2 * k, :], Z(k, q)],
     ])
     certs.check("T_pullback", xl.matmul(T.T, J, T) == theta.M, "T^t J T != theta")
@@ -211,13 +187,13 @@ def _phi_matrices(td: TorsionData, p: int, q: int) -> Mat:
 
 
 def _dual_tangent(td: TorsionData, theta: Theta, F11: Mat) -> tuple[Mat, Mat]:
-    """W = [R^t blk3 | theta_12] and the dual tangent matrix Phi* = [[F11 W], [0, -I_q]].
+    """W = [R^t blk3 | theta_12], blk3 = diag(P1, P1, -I) for P1 = diag(1/n_j), and Phi* = [[F11 W], [0, -I_q]].
 
     S, theta' and the resolvent check of g' all read this one Phi*.
     """
     c = 2 * td.p
     q = theta.M.shape[0] - c
-    W = xl.block([[xl.matmul(td.R.T, td.blk3), theta.M[:c, c:]]])
+    W = xl.block([[xl.matmul(td.R.T, _torsion_diag(td, [Fraction(1, n) for n in td.nj])), theta.M[:c, c:]]])
     return W, xl.block([[xl.matmul(F11, W)], [xl.zeros(q, c), -xl.eye(q)]])
 
 
@@ -237,7 +213,7 @@ def _dual_closed_form(td: TorsionData, T: Mat, phi_star: Mat, q: int) -> Mat:
         [-xl.matmul(T[:n, :], phi_star)],
         [Z(q, 2 * td.p), T[n : n + q, 2 * td.p :].T],
         [Z(k, k), -xl.eye(k), Z(k, n - 2 * k)],
-        [td.Q2, Z(k, n - k)],
+        [xl.diag(td.cj), Z(k, n - k)],
     ])
 
 
@@ -311,26 +287,26 @@ def verify_duality(T: Mat, StJ: Mat, td: TorsionData, phi: Mat, certs: Certifica
 def theta_prime(S: Mat, StJ: Mat, td: TorsionData, theta: Theta, W: Mat, phi_star: Mat, certs: CertificateLog) -> Theta:
     """theta' = -S^t J S, cross-checked against the four displayed blocks.
 
-    Since -theta_21 = theta_12^t, they are W^t Phi*_1 + diag(corner(Q2 P1),
-    theta_22), with Phi*_1 = F11 W the top 2p rows of the dual tangent matrix.
+    Since -theta_21 = theta_12^t, they are W^t Phi*_1 + diag(corner, theta_22),
+    with corner the canonical alternating form of the diagonal -c_j / n_j and
+    Phi*_1 = F11 W the top 2p rows of the dual tangent matrix.
     """
     c = 2 * td.p
     tp = -xl.matmul(StJ, S)
     certs.check("S_pullback", xl.is_skew(tp), "-S^t J S is not skew")
-    corners = xl.block_diag(_corner_form(td, xl.matmul(td.Q2, td.P1)), theta.M[c:, c:])
-    expect = xl.matmul(W.T, phi_star[:c, :]) + corners
+    corner = xl.canonical_alternating([Fraction(-cj, nj) for cj, nj in zip(td.cj, td.nj)], c)
+    expect = xl.matmul(W.T, phi_star[:c, :]) + xl.block_diag(corner, theta.M[c:, c:])
     certs.check("theta_prime_blocks", tp == expect, "block formulas for theta' disagree with -S^t J S")
     return Theta(tp)  # S_pullback certified tp skew
 
 
 def _gprime_closed_form(td: TorsionData, q: int) -> tuple[Mat, Mat, Mat, Mat]:
     """The theta-independent closed forms of the blocks A', B', C', D' of g'."""
-    rest = 2 * td.p - 2 * td.k
-    Rt_inv = td.R_inv.T
-    Ap = xl.block_diag(_corner_form(td, td.Q2) @ Rt_inv, -xl.eye(q))
-    Bp = xl.block_diag(xl.block_diag(td.Q1, td.Q1, -xl.eye(rest)) @ td.R, xl.zeros(q, q))
-    Cp = xl.block_diag(xl.block_diag(td.T4, -xl.eye(rest)) @ Rt_inv, xl.zeros(q, q))
-    Dp = xl.block_diag(_corner_form(td, td.P2) @ td.R, -xl.eye(q))
+    c, Rt_inv = 2 * td.p, td.R_inv.T
+    Ap = xl.block_diag(xl.canonical_alternating([-cj for cj in td.cj], c) @ Rt_inv, -xl.eye(q))
+    Bp = xl.block_diag(_torsion_diag(td, td.dj) @ td.R, xl.zeros(q, q))
+    Cp = xl.block_diag(_torsion_diag(td, td.nj) @ Rt_inv, xl.zeros(q, q))
+    Dp = xl.block_diag(xl.canonical_alternating([-mj for mj in td.mj], c) @ td.R, -xl.eye(q))
     return Ap, Bp, Cp, Dp
 
 
@@ -433,7 +409,6 @@ class PipelineResult(Factorization):
 
     source: Theta
     target: Theta
-    f11: Mat
     phi_star: Mat
     curvature: Mat
     descriptor: ModuleDescriptor
@@ -509,7 +484,6 @@ def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
         **factored,
         source=theta,
         target=target,
-        f11=F11,
         phi_star=phi_star,
         curvature=curvature,
         descriptor=ModuleDescriptor(

@@ -180,8 +180,14 @@ def eye(n: int) -> Mat:
 
 
 def diag(entries) -> Mat:
+    """The diagonal matrix of ints or Fractions, as int rows over one denominator."""
     entries = list(entries)
-    return mat([[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
+    n = len(entries)
+    den = math.lcm(*(v.denominator for v in entries))
+    rows = [[0] * n for _ in range(n)]
+    for i, v in enumerate(entries):
+        rows[i][i] = v.numerator * (den // v.denominator)
+    return _reduced(rows, den, (n, n))
 
 
 def block(grid) -> Mat:
@@ -535,13 +541,15 @@ def _congr_add(W: list[list[int]], Q: list[list[int]], dst: int, src: int, s: in
 
 
 def canonical_alternating(h: list, size: int) -> Mat:
-    """The block matrix [[0, P, 0], [-P, 0, 0], [0, 0, 0]] with P = diag(h)."""
+    """[[0, P, 0], [-P, 0, 0], [0, 0, 0]] for P = diag(h) of ints or Fractions, as int rows over one denominator."""
     k = len(h)
+    den = math.lcm(*(v.denominator for v in h))
     rows = [[0] * size for _ in range(size)]
     for j, v in enumerate(h):
-        rows[j][k + j] = v
-        rows[k + j][j] = -v
-    return Mat(rows, 1, size)
+        x = v.numerator * (den // v.denominator)
+        rows[j][k + j] = x
+        rows[k + j][j] = -x
+    return _reduced(rows, den, (size, size))
 
 
 def alternating_normal_form_int(A: Mat) -> tuple[Mat, Mat, list]:

@@ -8,9 +8,10 @@ the exact embedding matrices, so the algebra relations are checked at sample
 points with no grid discretization; the only floating point enters through
 the final phase/Gaussian evaluations.
 
-All exact arithmetic runs on Python ints.  A descriptor is compiled on its
-first action (``ModuleDescriptor._images``): the integer rows of T and S are
-cut into coordinate blocks, with their a, w and w^ rows checked integral; J is
+All exact arithmetic runs on Python ints.  A descriptor is compiled once
+(``ModuleDescriptor._images``), by ``verify_descriptor`` when it is parsed
+and otherwise on its first action: the integer rows of T and S are cut into
+coordinate blocks, with their a, w and w^ rows checked integral; J is
 memoized per shape (``build_forms``).  The cocycles read the integer rows of
 theta and theta' directly.  An action (``_Twist``) is built for a list of
 image vectors M(x) and a block size at once: vector i acts on the i-th of
@@ -141,9 +142,7 @@ def build_forms(p: int, q: int, orders: tuple[int, ...]) -> Mat:
     Memoized per shape, like ``xl.eye`` per size, which is safe because a Mat
     is immutable; the bound keeps a long campaign over many shapes from growing it.
     """
-    k = len(orders)
-    P1 = xl.diag([Fraction(1, n) for n in orders])
-    J2 = xl.block([[xl.zeros(k, k), P1], [-P1, xl.zeros(k, k)]])
+    J2 = xl.canonical_alternating([Fraction(1, n) for n in orders], 2 * len(orders))
     return xl.block_diag(xl.standard_symplectic(p), xl.standard_symplectic(q), J2)
 
 

@@ -729,14 +729,17 @@ def run_cli_process(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_numpy(tmp_path):
-    """The library is stdlib-only: with numpy unimportable, pipeline and the inner product run."""
-    job, out = tmp_path / "job.json", tmp_path / "out.json"
+    """The library is stdlib-only: with numpy, sympy and hypothesis unimportable, pipeline,
+    simulate and the inner product run."""
+    job, out, sim = tmp_path / "job.json", tmp_path / "out.json", tmp_path / "sim.json"
     job.write_text(json.dumps(flip_doc()))  # the README example job
     code = f"""if True:
         import json, sys
-        sys.modules["numpy"] = None
+        for name in ("numpy", "sympy", "hypothesis"):
+            sys.modules[name] = None
         from nctorus import cli, documents as docs, module_sim as ms
         assert cli.main(["pipeline", "--input", {str(job)!r}, "--output", {str(out)!r}]) == 0
+        assert cli.main(["simulate", "--input", {str(job)!r}, "--output", {str(sim)!r}, "--trials", "2"]) == 0
         with open({str(out)!r}) as fh:
             d = docs.descriptor_from_doc(json.load(fh)["module_descriptor"])
         f = ms.gaussian(d)

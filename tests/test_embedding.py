@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from nctorus import cli
 from nctorus import documents as docs
 from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
+from nctorus import module_sim as ms
 from nctorus import torus_group as tg
 
 
@@ -83,6 +85,45 @@ class TestTorsionData:
                 assert td.cj[j] * td.mj[j] + td.dj[j] * td.nj[j] == 1
 
 
+class TestTorsionBlocks:
+    """The two torsion block shapes, pinned on Z with one hyperbolic pair of ratio 1/2."""
+
+    def torsion(self, p):
+        Z = [[0] * (2 * p) for _ in range(2 * p)]
+        Z[0][1], Z[1][0] = F(1, 2), F(-1, 2)
+        td = eb.build_torsion_data(xl.mat(Z))
+        assert (td.mj, td.nj, td.cj, td.dj) == ((1,), (2,), (1,), (0,))
+        return td
+
+    def test_torsion_diag_without_radical(self):
+        assert eb._torsion_diag(self.torsion(1), (2,)) == xl.diag([2, 2])
+
+    def test_torsion_diag_with_radical(self):
+        td = self.torsion(2)
+        assert eb._torsion_diag(td, (F(1, 2),)) == xl.diag([F(1, 2), F(1, 2), -1, -1])
+
+    def test_corner_sign_of_gprime(self):
+        """A' = [[0, -C, 0], [C, 0, 0], [0, 0, 0]] R^-t for C = diag(c_j), and D' the same form of diag(m_j) times R."""
+        td = self.torsion(2)
+        assert td.R == xl.eye(4)
+        Ap, Bp, Cp, Dp = eb._gprime_closed_form(td, 0)
+        corner = xl.mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        assert Ap == corner and Dp == corner
+        assert Bp == xl.diag([0, 0, -1, -1]) and Cp == xl.diag([2, 2, -1, -1])
+
+    def test_torsion_block_of_J(self):
+        assert ms.build_forms(1, 0, (2, 3)) == xl.mat(
+            [
+                [0, 1, 0, 0, 0, 0],
+                [-1, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, F(1, 2), 0],
+                [0, 0, 0, 0, 0, F(1, 3)],
+                [0, 0, F(-1, 2), 0, 0, 0],
+                [0, 0, 0, F(-1, 3), 0, 0],
+            ]
+        )
+
+
 class TestFlipWorkedExample:
     """The n=2 full-flip at theta_12 = 1/3, every matrix pinned."""
 
@@ -136,7 +177,7 @@ class TestMixedExample:
         res = eb.pipeline(self.g, self.theta)
         d = res
         assert d.special.p == 1 and d.special.q == 1 and d.torsion.k == 0
-        assert d.f11 == xl.mat([[0, F(-2)], [F(2), 0]])
+        assert d.curvature[:2, :2] == xl.mat([[0, F(-2)], [F(2), 0]])
         expected_tp = xl.mat(
             [[0, -2, F(2, 5)], [2, 0, F(-2, 3)], [F(-2, 5), F(2, 3), 0]]
         )
@@ -500,8 +541,10 @@ class TestVerifiedClosedForms:
         T11 = T[: 2 * d.special.p, : 2 * d.special.p]
         assert xl.det(T[:n, :]) == xl.det(T11)
         # S~ = -T~ Phi* with Phi* = [[F11 R^t blk3, F11 theta_12], [0, -I_q]], F11 invertible and R unimodular
-        assert abs(xl.det(td.R)) == 1 and xl.det(d.f11) != 0
-        assert xl.det(S[:n, :]) == xl.det(T11) * xl.det(d.f11) * xl.det(td.R) * xl.det(td.blk3)
+        F11 = d.curvature[: 2 * d.special.p, : 2 * d.special.p]
+        blk3 = xl.diag([F(1, nj) for nj in td.nj] * 2 + [-1] * (2 * d.special.p - 2 * td.k))
+        assert abs(xl.det(td.R)) == 1 and xl.det(F11) != 0
+        assert xl.det(S[:n, :]) == xl.det(T11) * xl.det(F11) * xl.det(td.R) * xl.det(blk3)
 
     def test_elimination_counts(self, tmp_path):
         """One CLI pipeline job runs nine eliminations, one per fact: rank C for the
@@ -539,6 +582,171 @@ class TestVerifiedClosedForms:
         Ap = d.phi_star.T + xl.matmul(theta_out, Cp)
         Bp = xl.matmul(theta_out, inv) - xl.matmul(Ap, theta)
         assert xl.block([[Ap, Bp], [Cp, Dp]]) == d.g_prime.M
+
+
+# ---------------------------------------------------------------------------
+# every certificate can fail
+
+
+def doubled_symplectic_factor(monkeypatch):
+    """T11 doubled: T^t J T reads 4 (theta_11 - Z) + Z in its symplectic block."""
+    factor = xl.symplectic_factor_rational
+    monkeypatch.setattr(xl, "symplectic_factor_rational", lambda A: 2 * factor(A))
+
+
+def rational_torsion_pair(monkeypatch):
+    """T built from R with its first k rows divided by 97 and the next k multiplied by 97.
+
+    That change fixes the canonical form, so T^t J T = theta still holds, but
+    the w rows m_j R_j / 97 are not integral.
+    """
+    build_T = eb.build_T
+
+    def rescaled(sf, td, theta, J, certs):
+        k = td.k
+        M = xl.diag([F(1, 97)] * k + [97] * k + [1] * (2 * td.p - 2 * k))
+        return build_T(sf, dataclasses.replace(td, R=M @ td.R), theta, J, certs)
+
+    monkeypatch.setattr(eb, "build_T", rescaled)
+
+
+def singular_T11(monkeypatch):
+    """det reads T11 as 0.
+
+    T_pullback and domain_defined already make T11^t J0 T11 = theta_11 - Z
+    invertible, so only a wrong det fails T_tilde_invertible.
+    """
+    d = eb.pipeline(*mixed_torsion_case())
+    T11 = d.descriptor.T[: 2 * d.special.p, : 2 * d.special.p]
+    det = xl.det
+    monkeypatch.setattr(xl, "det", lambda M: F(0) if M == T11 else det(M))
+
+
+def rational_lattice_basis(monkeypatch):
+    """phi and S both times diag(1, .., 1/97, .., 1), the 1/97 at column k.
+
+    (Tbar^t J) S M = phi M still holds, so S_closed_form passes, but the
+    first w row of S M, [0, -I_k, 0] M, has -1/97.
+    """
+    phi_matrices, closed = eb._phi_matrices, eb._dual_closed_form
+
+    def basis_change(n, k):
+        return xl.diag([1] * k + [F(1, 97)] + [1] * (n - k - 1))
+
+    monkeypatch.setattr(eb, "_phi_matrices", lambda td, p, q: phi_matrices(td, p, q) @ basis_change(2 * p + q, td.k))
+    monkeypatch.setattr(eb, "_dual_closed_form", lambda td, T, *rest: closed(td, T, *rest) @ basis_change(T.shape[1], td.k))
+
+
+def wrong_StJ_for_duality(monkeypatch):
+    """build_S hands on S^t J with 1/97 added at (0, 0): S^t J T gains T's first row / 97."""
+    build_S = eb.build_S
+
+    def perturbed(*args):
+        S, StJ = build_S(*args)
+        return S, StJ + one_entry(StJ.shape, 0, 0)
+
+    monkeypatch.setattr(eb, "build_S", perturbed)
+
+
+def doubled_splitting_column(monkeypatch):
+    """verify_duality reads phi with its first column doubled: integral, with |det| 2 in the stack."""
+    verify = eb.verify_duality
+
+    def doubled(T, StJ, td, phi, certs):
+        return verify(T, StJ, td, phi @ xl.diag([2] + [1] * (phi.shape[1] - 1)), certs)
+
+    monkeypatch.setattr(eb, "verify_duality", doubled)
+
+
+def wrong_StJ_for_theta_prime(monkeypatch):
+    """theta_prime reads S^t J with 1/97 added at (0, 0): -S^t J S is skew for every S, so only a wrong S^t J fails it."""
+    original = eb.theta_prime
+
+    def perturbed(S, StJ, *rest):
+        return original(S, StJ + one_entry(StJ.shape, 0, 0), *rest)
+
+    monkeypatch.setattr(eb, "theta_prime", perturbed)
+
+
+# The fault that makes each certificate the first to fail, for TestEveryCertificateCanFail.
+FAULTS = {
+    "T_pullback": doubled_symplectic_factor,
+    "T_lattice_rows": rational_torsion_pair,
+    "T_tilde_invertible": singular_T11,
+    "S_lattice_rows": rational_lattice_basis,
+    "pairing_integral": wrong_StJ_for_duality,
+    "dual_lattice_unimodular": doubled_splitting_column,
+    "S_pullback": wrong_StJ_for_theta_prime,
+}
+
+
+class RecordingLog(eb.CertificateLog):
+    """A log that records a failed certificate instead of raising."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed = []
+
+    def check(self, name, ok, message):
+        (self.names if ok else self.failed).append(name)
+
+
+class TestEveryCertificateCanFail:
+    @pytest.mark.parametrize("name", list(FAULTS))
+    def test_fault_fails_first(self, monkeypatch, tmp_path, name):
+        FAULTS[name](monkeypatch)
+        assert failed_certificate(*mixed_torsion_case()) == name
+        assert cli_failure(tmp_path, "pipeline") == name
+
+    def test_invertibility_certificates_read_one_determinant(self, monkeypatch):
+        """S_tbar_invertible and S_tilde_invertible read det T11 != 0, as T_tilde_invertible does,
+        so they fail exactly when it fails, and it fails first; test_tbar_determinant_factors
+        shows det T11 decides Tbar^t J and S~."""
+        d = eb.pipeline(*mixed_torsion_case())
+        args = (d.special, d.torsion, d.theta_in, d.descriptor.J)
+        log = RecordingLog()
+        eb.build_T(*args, log)
+        assert log.failed == []
+        singular_T11(monkeypatch)
+        log = RecordingLog()
+        eb.build_T(*args, log)
+        assert log.failed == ["T_tilde_invertible", "S_tbar_invertible", "S_tilde_invertible"]
+
+
+# The other tests that make a certificate the first to fail.
+TRIPPED_BY = {
+    "domain_defined": TestVerifiedClosedForms.test_domain_reported_undefined,
+    "torsion_normal_form": TestVerifiedClosedForms.test_perturbed_torsion_reduction,
+    "S_closed_form": TestVerifiedClosedForms.test_perturbed_dual_closed_form,
+    "theta_prime_blocks": TestVerifiedClosedForms.test_perturbed_theta_prime_blocks,
+    "gprime_integral": TestVerifiedClosedForms.test_perturbed_gprime_closed_form,
+    "gprime_membership": TestVerifiedClosedForms.test_perturbed_gprime_closed_form,
+    "gprime_action": TestVerifiedClosedForms.test_perturbed_gprime_closed_form,
+    "gprime_closed_form": TestVerifiedClosedForms.test_doubled_curvature,
+    "decomp_ctilde_zero": TestVerifiedClosedForms.test_perturbed_gprime_closed_form,
+    "decomp_unimodular": TestVerifiedClosedForms.test_perturbed_quotient,
+    "decomp_shear_skew": TestVerifiedClosedForms.test_perturbed_quotient,
+    "decomp_reassembly": TestVerifiedClosedForms.test_perturbed_quotient,
+    "chain_endpoint": TestVerifiedClosedForms.test_moved_target,
+}
+
+# Certificates that can fail only after an earlier one, with the tests of that implication.
+IMPLIED_BY = {
+    "S_tbar_invertible": (
+        TestEveryCertificateCanFail.test_invertibility_certificates_read_one_determinant,
+        TestVerifiedClosedForms.test_tbar_determinant_factors,
+    ),
+    "S_tilde_invertible": (
+        TestEveryCertificateCanFail.test_invertibility_certificates_read_one_determinant,
+        TestVerifiedClosedForms.test_tbar_determinant_factors,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", eb.CERTIFICATE_NAMES)
+def test_every_certificate_has_a_fault_or_an_implication(name):
+    """A certificate that no fault can trip proves nothing, unless an earlier one decides it."""
+    assert (name in FAULTS) + (name in TRIPPED_BY) + (name in IMPLIED_BY) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -214,6 +214,16 @@ class TestAlternatingForm:
         R, R_inv, h = xl.alternating_normal_form_int(A)
         assert R @ R_inv == xl.eye(4) and R.T @ xl.canonical_alternating(h, 4) @ R == A
 
+    def test_canonical_form_of_a_fraction_diagonal(self):
+        """J's torsion block for orders (2, 3), over one denominator."""
+        assert xl.canonical_alternating([F(1, 2), F(1, 3)], 4) == xl.mat(
+            [[0, 0, F(1, 2), 0], [0, 0, 0, F(1, 3)], [F(-1, 2), 0, 0, 0], [0, F(-1, 3), 0, 0]]
+        )
+        assert xl.canonical_alternating([F(1, 2), F(1, 3)], 4).den == 6
+
+    def test_canonical_form_pads_the_radical(self):
+        assert xl.canonical_alternating([-5], 4) == xl.mat([[0, -5, 0, 0], [5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
     def test_rejects(self):
         with pytest.raises(xl.ExactLinalgError, match="^alternating reduction needs an integer skew-symmetric matrix$"):
             xl.alternating_normal_form_int(xl.mat([[0, 1], [1, 0]]))
