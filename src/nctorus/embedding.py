@@ -157,7 +157,8 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
         [xl.diag(td.mj) @ td.R[:k, :], Z(k, q)],
         [td.R[k : 2 * k, :], Z(k, q)],
     ])
-    certs.check("T_pullback", xl.matmul(T.T, J, T) == theta.M, "T^t J T != theta")
+    # J T first: each row of J has one nonzero entry, so each row of J T is one scaled row of T
+    certs.check("T_pullback", xl.matmul(T.T, xl.matmul(J, T)) == theta.M, "T^t J T != theta")
     certs.check("T_lattice_rows", non_integral_rows(T, p, q, k) is None, "integer rows of T not integral")
     invertible = xl.det(T11) != 0
     certs.check("T_tilde_invertible", invertible, "projection of T is singular")

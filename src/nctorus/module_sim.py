@@ -12,7 +12,10 @@ All exact arithmetic runs on Python ints.  A descriptor is compiled once
 (``ModuleDescriptor._images``), by ``verify_descriptor`` when it is parsed
 and otherwise on its first action: the integer rows of T and S are cut into
 coordinate blocks, with their a, w and w^ rows checked integral; J is
-memoized per shape (``build_forms``).  The cocycles read the integer rows of
+memoized per shape (``build_forms``).  Each row of J has one nonzero
+entry, so the products of the descriptor's identities keep J on the left:
+J T and J S are formed once, each row one scaled row of T or S, and then
+T^t (J T), S^t (J S) and S^t (J T).  The cocycles read the integer rows of
 theta and theta' directly.  An action (``_Twist``) is built for a list of
 image vectors M(x) and a block size at once: vector i acts on the i-th of
 len(xs) equal blocks of a batch, and fixes its shift, its pairing (integer
@@ -227,7 +230,10 @@ def _phase_arguments(img: _Image, image: tuple) -> tuple[list[int], int]:
 
 
 def verify_descriptor(d: ModuleDescriptor) -> None:
-    """Check exactly that T^t J T = theta, S^t J S = -theta' and S^t J T is integral, forming S^t J once.
+    """Check exactly that T^t J T = theta, S^t J S = -theta' and S^t J T is integral.
+
+    J T and J S are formed once each, with J on the left: each row of J has
+    one nonzero entry, so each of their rows is one scaled row of T or S.
 
     Raises:
         ModuleSimError: if T or S has the wrong shape or an a, w or w^ row
@@ -235,12 +241,12 @@ def verify_descriptor(d: ModuleDescriptor) -> None:
     """
     d._images  # compiled first: a bad shape or a non-integral a, w or w^ row is reported before an identity
     T, S = d.T, d.S
-    StJ = xl.matmul(S.T, d.J)
-    if xl.matmul(T.T, d.J, T) != d.theta.M:
+    JT, JS = xl.matmul(d.J, T), xl.matmul(d.J, S)
+    if xl.matmul(T.T, JT) != d.theta.M:
         raise ModuleSimError("T^t J T = theta does not hold")
-    if xl.matmul(StJ, S) != -d.theta_prime.M:
+    if xl.matmul(S.T, JS) != -d.theta_prime.M:
         raise ModuleSimError("S^t J S = -theta' does not hold")
-    if not xl.is_integral(xl.matmul(StJ, T)):
+    if not xl.is_integral(xl.matmul(S.T, JT)):
         raise ModuleSimError("S^t J T is not integral")
 
 

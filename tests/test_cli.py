@@ -72,6 +72,31 @@ class TestRationalRoundTrip:
             with pytest.raises(docs.ParseError):
                 docs.parse_rat_matrix([[s]])
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([["0", "a"], ["b", "a"]], "bad rational 'a'"),
+            ([["0", "0"], ["b", "a"]], "bad rational 'b'"),
+            ([["1/3", None], ["x", "x"]], "not a rational: None"),
+            ([["x", None], ["x", "1"]], "bad rational 'x'"),
+        ],
+    )
+    def test_first_bad_entry_in_row_major_order_is_named(self, rows, named):
+        with pytest.raises(docs.ParseError) as err:
+            docs.parse_rat_matrix(rows)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("entry", [True, 1.5, None, [1], {"1": 2}])
+    def test_non_rational_entries_raise_parse_errors(self, entry):
+        """Unhashable entries included: only text entries are looked up as parsed text."""
+        for rows in ([["1/2", entry]], [[entry, "1/2"]]):
+            with pytest.raises(docs.ParseError, match="^not a rational: "):
+                docs.parse_rat_matrix(rows)
+
+    def test_texts_of_one_rational_give_one_value(self):
+        assert docs.parse_rat_matrix([[" 1/2 "]]) == docs.parse_rat_matrix([["1/2"]])
+        assert docs.parse_rat_matrix([[" 1/2 ", "1/2", "2/4"], ["0", 0, "-0"]]) == xl.mat([[F(1, 2)] * 3, [0] * 3])
+
     def test_theta_round_trip(self):
         theta = tg.random_theta(3, 4)
         assert docs.theta_from_doc(docs.theta_doc(theta)) == theta
@@ -768,6 +793,43 @@ def test_bad_output_or_argv_exits_2_without_traceback(tmp_path, case):
     if "output" in case:
         err = json.loads(proc.stdout)["error"]
         assert err["kind"] == "parse" and err["message"].startswith(f"cannot write {missing}: ")
+
+
+class TestOutputFile:
+    """--output is overwritten in place and cut at the end of the new document."""
+
+    def stdout_of(self, argv):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        return code, stdout.getvalue()
+
+    def test_short_document_over_a_long_one_leaves_only_the_short_one(self, tmp_path):
+        good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out.json"
+        good.write_text(json.dumps(flip_doc()))
+        bad.write_text("{not json")
+        assert cli.main(["pipeline", "--input", str(good), "--output", str(out)]) == 0
+        long_size = out.stat().st_size
+        assert self.stdout_of(["pipeline", "--input", str(bad), "--output", str(out)]) == (2, "")
+        code, expected = self.stdout_of(["pipeline", "--input", str(bad)])
+        assert code == 2 and out.read_bytes() == expected.encode()
+        assert len(expected) < long_size
+
+    def test_device_output(self):
+        assert cli.main(["campaign", "--n", "2", "--trials", "1", "--output", os.devnull]) == 0
+
+    def test_directory_output_exits_2_with_the_error_on_stdout(self, tmp_path):
+        code, text = self.stdout_of(["campaign", "--n", "2", "--trials", "1", "--output", str(tmp_path)])
+        err = json.loads(text)["error"]
+        assert code == 2 and err["kind"] == "parse" and err["message"].startswith(f"cannot write {tmp_path}: ")
+
+    def test_input_file_as_output_is_replaced_by_the_result(self, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(flip_doc(), indent=8))
+        code, expected = self.stdout_of(["act", "--input", str(job)])
+        assert code == 0 and len(expected) < job.stat().st_size
+        assert cli.main(["act", "--input", str(job), "--output", str(job)]) == 0
+        assert job.read_bytes() == expected.encode()
 
 
 # The flags each command takes beyond --input and --output; every other one is refused

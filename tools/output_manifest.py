@@ -81,8 +81,17 @@ def load_gen():
     return gen
 
 
+# Longer than any listed output (the largest is about 33 KB), so a run that
+# leaves any of it behind gets a different digest.
+SENTINEL = b"\xff" * 65536
+
+
 class Runner:
-    """Runs ``cli.main`` in process on documents written to one work directory."""
+    """Runs ``cli.main`` in process on documents written to one work directory.
+
+    Each run writes its --output over ``SENTINEL``, so every listed run also
+    checks that an overwrite leaves exactly the new document.
+    """
 
     def __init__(self, cli, work: Path):
         self.cli = cli
@@ -92,7 +101,7 @@ class Runner:
         if doc is not None:
             self.inp.write_bytes(doc)
             argv = argv + ["--input", str(self.inp)]
-        self.out.unlink(missing_ok=True)
+        self.out.write_bytes(SENTINEL)
         try:
             code = self.cli.main(argv + ["--output", str(self.out)])
         except Exception as e:  # a traceback is an outcome to compare, not a reason to stop
