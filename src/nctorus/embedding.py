@@ -63,15 +63,20 @@ class EmbeddingError(Exception):
 
 
 class CertificateLog:
-    """The names of the certificates that passed, in run order; a failure raises."""
+    """The names of the certificates that passed, in run order, after those given; a failure raises."""
 
-    def __init__(self):
-        self.names: list[str] = []
+    def __init__(self, passed=()):
+        self.names: list[str] = list(passed)
 
     def check(self, name: str, ok: bool, message: str):
         if not ok:
             raise EmbeddingError(name, message)
         self.names.append(name)
+
+    def follow(self, name: str, message: str):
+        """Decide name from the recorded verdicts of the names it follows from in CERTIFICATES."""
+        after = next(after for row, _, after in CERTIFICATES if row == name)
+        self.check(name, set(after) <= set(self.names), message)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +146,10 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
     the a^ rows carry theta_21 and a fixed strict-upper splitting of
     theta_22, and the torsion rows land the reduced basis multiples in the
     covering lattice of W x W^.  The projection T~ onto the (u, u^, a) rows
-    is diag(T11, I_q), so det T11 != 0 decides it is invertible; Tbar^t J is
-    invertible exactly when T~ is (see build_S), and so is the projection S~
-    of S (see _dual_closed_form), so that one det certifies all three.
+    is diag(T11, I_q).  The torsion rows add Z (torsion_normal_form), so
+    T^t J T = theta gives T11^t J0 T11 = theta_11 - Z, which domain_check
+    inverted: T~ is invertible, and Tbar^t J (see build_S) and the
+    projection S~ of S (see _dual_closed_form) are invertible exactly when T~ is.
     """
     p, q, k = sf.p, sf.q, td.k
     Z = xl.zeros
@@ -160,10 +166,9 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
     # J T first: each row of J has one nonzero entry, so each row of J T is one scaled row of T
     certs.check("T_pullback", xl.matmul(T.T, xl.matmul(J, T)) == theta.M, "T^t J T != theta")
     certs.check("T_lattice_rows", non_integral_rows(T, p, q, k) is None, "integer rows of T not integral")
-    invertible = xl.det(T11) != 0
-    certs.check("T_tilde_invertible", invertible, "projection of T is singular")
-    certs.check("S_tbar_invertible", invertible, "Tbar^t J is singular")
-    certs.check("S_tilde_invertible", invertible, "projection of S is singular")
+    certs.follow("T_tilde_invertible", "projection of T is singular")
+    certs.follow("S_tbar_invertible", "Tbar^t J is singular")
+    certs.follow("S_tilde_invertible", "projection of S is singular")
     return T
 
 
@@ -205,8 +210,8 @@ def _dual_closed_form(td: TorsionData, T: Mat, phi_star: Mat, q: int) -> Mat:
     -T11 F11, so the projection S~ onto the (u, u^, a) rows is -T~ Phi* for
     T~ = diag(T11, I_q) and the Phi* = [[F11 W], [0, -I_q]] of _dual_tangent,
     and no inverse is formed.  F11 and blk3 are invertible and R unimodular,
-    so det S~ != 0 exactly when det T11 != 0, which build_T certified as
-    S_tilde_invertible.
+    so det S~ != 0 exactly when det T11 != 0: S_tilde_invertible follows
+    from T_tilde_invertible (see build_T).
     """
     n, k = T.shape[1], td.k
     Z = xl.zeros
@@ -243,11 +248,11 @@ def build_S(
     S is the unique solution of (Tbar^t J) S = phi, the lattice splitting
     phi pulled back through the dual Gram matrix.  Tbar is block lower
     triangular with diagonal blocks T~, -I_q and T4 = diag(n_j, n_j), and J
-    is nonsingular, so Tbar^t J is invertible exactly when det T~ != 0, which
-    build_T certified as S_tbar_invertible.  The closed form is then verified
-    against the system instead of solving it: given invertibility,
-    (Tbar^t J) S_closed = phi proves S_closed is the solution.  J is skew, so
-    S^t J = -(J S)^t reuses the product that check forms.
+    is nonsingular, so Tbar^t J is invertible exactly when T~ is, and
+    S_tbar_invertible follows from T_tilde_invertible.  The closed form is
+    then verified against the system instead of solving it: given
+    invertibility, (Tbar^t J) S_closed = phi proves S_closed is the solution.
+    J is skew, so S^t J = -(J S)^t reuses the product that check forms.
     """
     p, q, k = sf.p, sf.q, td.k
     S = _dual_closed_form(td, T, phi_star, q)
@@ -261,17 +266,17 @@ def build_S(
     return S, -JS.T
 
 
-def verify_duality(T: Mat, StJ: Mat, td: TorsionData, phi: Mat, certs: CertificateLog) -> None:
+def verify_duality(T: Mat, td: TorsionData, phi: Mat, certs: CertificateLog) -> None:
     """Two exact duality checks.
 
     (a) S^t J T integral: the skew bicharacter pairs the two image lattices
-        trivially.
+        trivially.  It is -phi[:n]^t, since S_closed_form proved T^t J S = phi[:n].
     (b) The stacked basis of the kernel sublattice and the embedded lattice
         phi (the splitting build_S used) is a basis of the full certificate
         lattice: determinant +-1.
     """
-    certs.check("pairing_integral", xl.is_integral(xl.matmul(StJ, T)), "S^t J T has a non-integer entry")
     n, p, k = T.shape[1], td.p, td.k
+    certs.check("pairing_integral", xl.is_integral(phi[:n, :]), "S^t J T has a non-integer entry")
     q = n - 2 * p
     delta = xl.block([[T[n + q :, :].T], [xl.zeros(q, 2 * k)], [td.T4]])
     stack = xl.block([[delta, phi]])
@@ -456,7 +461,7 @@ def embed(fac: Factorization, theta: Theta) -> PipelineResult:
 
 
 def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
-    certs = CertificateLog()
+    certs = CertificateLog(fac.certificates)
     sf, td, R0_inv = fac.special, fac.torsion, fac.r0_inv
     theta1 = Theta(xl.matmul(R0_inv, theta.M, R0_inv.T))  # skew, as theta is
     F11 = domain_check(sf, theta1)
@@ -466,7 +471,7 @@ def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
     phi = _phi_matrices(td, sf.p, sf.q)
     W, phi_star = _dual_tangent(td, theta1, F11)
     S, StJ = build_S(sf, td, T, J, phi, phi_star, certs)
-    verify_duality(T, StJ, td, phi, certs)
+    verify_duality(T, td, phi, certs)
     tp = theta_prime(S, StJ, td, theta1, W, phi_star, certs)
     curvature = verify_resolvent(fac, theta1, tp, phi_star, F11, certs)
     # The first step carries theta to theta1 by construction and the certified
@@ -478,9 +483,8 @@ def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
         xl.matmul(At, tp.M, At.T) + fac.shear == target.M,
         "composed chain does not reach g theta",
     )
-    passed = {*fac.certificates, *certs.names}
     factored = {f.name: getattr(fac, f.name) for f in fields(Factorization)}
-    factored["certificates"] = tuple(name for name in CERTIFICATE_NAMES if name in passed)
+    factored["certificates"] = tuple(filter(set(certs.names).__contains__, CERTIFICATE_NAMES))
     return PipelineResult(
         **factored,
         source=theta,
@@ -504,38 +508,34 @@ def pipeline(g: GroupElement, theta: Theta) -> PipelineResult:
     return _embed(act(g, theta), factor(g), theta)
 
 
-CERTIFICATE_NAMES = [
-    "domain_defined",
-    "torsion_normal_form",
-    "T_pullback",
-    "T_lattice_rows",
-    "T_tilde_invertible",
-    "S_tbar_invertible",
-    "S_closed_form",
-    "S_lattice_rows",
-    "S_tilde_invertible",
-    "pairing_integral",
-    "dual_lattice_unimodular",
-    "S_pullback",
-    "theta_prime_blocks",
-    "gprime_integral",
-    "gprime_membership",
-    "gprime_action",
-    "gprime_closed_form",
-    "decomp_ctilde_zero",
-    "decomp_unimodular",
-    "decomp_shear_skew",
-    "decomp_reassembly",
-    "chain_endpoint",
-]
+# Every certificate in output order: its name, the step that runs it, and the
+# names whose recorded verdicts decide it (CertificateLog.follow), empty when
+# its own check decides it.
+CERTIFICATES = (
+    ("domain_defined", "embed", ()),
+    ("torsion_normal_form", "factor", ()),
+    ("T_pullback", "embed", ()),
+    ("T_lattice_rows", "embed", ()),
+    ("T_tilde_invertible", "embed", ("torsion_normal_form", "domain_defined", "T_pullback")),
+    ("S_tbar_invertible", "embed", ("T_tilde_invertible",)),
+    ("S_closed_form", "embed", ()),
+    ("S_lattice_rows", "embed", ()),
+    ("S_tilde_invertible", "embed", ("T_tilde_invertible",)),
+    ("pairing_integral", "embed", ()),
+    ("dual_lattice_unimodular", "embed", ()),
+    ("S_pullback", "embed", ()),
+    ("theta_prime_blocks", "embed", ()),
+    ("gprime_integral", "factor", ()),
+    ("gprime_membership", "factor", ()),
+    ("gprime_action", "embed", ()),
+    ("gprime_closed_form", "embed", ()),
+    ("decomp_ctilde_zero", "factor", ()),
+    ("decomp_unimodular", "factor", ()),
+    ("decomp_shear_skew", "factor", ()),
+    ("decomp_reassembly", "factor", ()),
+    ("chain_endpoint", "embed", ()),
+)
 
+CERTIFICATE_NAMES = [name for name, _, _ in CERTIFICATES]
 # The certificates factor runs, which read g alone.
-FACTOR_CERTIFICATE_NAMES = [
-    "torsion_normal_form",
-    "gprime_integral",
-    "gprime_membership",
-    "decomp_ctilde_zero",
-    "decomp_unimodular",
-    "decomp_shear_skew",
-    "decomp_reassembly",
-]
+FACTOR_CERTIFICATE_NAMES = [name for name, step, _ in CERTIFICATES if step == "factor"]

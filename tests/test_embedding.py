@@ -303,15 +303,25 @@ class TestRandomCampaignSmall:
 # verified closed forms
 
 
-def mixed_torsion_case():
-    """Acceptance trial 5:15: g and theta with p = 2, q = 1, k = 2 and orders (6, 1)."""
-    rng = random.Random("acceptance:5:15")
-    g = tg.random_element("acceptance:5:15:g", rng.randint(1, 8), 5)
+def acceptance_case(n, t):
+    """g and the first theta in its domain of acceptance trial n:t."""
+    rng = random.Random(f"acceptance:{n}:{t}")
+    g = tg.random_element(f"acceptance:{n}:{t}:g", rng.randint(1, 8), n)
     for r in range(20):
-        theta = tg.random_theta(f"acceptance:5:15:theta:{r}", 5, 12)
+        theta = tg.random_theta(f"acceptance:{n}:{t}:theta:{r}", n, 12)
         if tg.is_defined(g, theta):
             return g, theta
     raise AssertionError("no theta in the domain")
+
+
+def mixed_torsion_case():
+    """Acceptance trial 5:15: g and theta with p = 2, q = 1, k = 2 and orders (6, 1)."""
+    return acceptance_case(5, 15)
+
+
+def radical_torsion_case():
+    """Acceptance trial 5:132: g and theta with p = 2, q = 1, k = 1 and orders (5,), so 2k < 2p."""
+    return acceptance_case(5, 132)
 
 
 def defined_pipelines(g, seed, count):
@@ -339,9 +349,9 @@ def failed_certificate(g, theta) -> str:
     return info.value.name
 
 
-def cli_failure(tmp_path, command: str) -> str:
-    """The certificate named by `command` on mixed_torsion_case, exiting 1; decompose runs without theta."""
-    g, theta = mixed_torsion_case()
+def cli_failure(tmp_path, command: str, case=mixed_torsion_case) -> str:
+    """The certificate named by `command` on the case, exiting 1; decompose runs without theta."""
+    g, theta = case()
     job = {"version": docs.FORMAT_VERSION, "g": docs.group_doc(g)}
     if command == "pipeline":
         job["theta"] = docs.theta_doc(theta)
@@ -371,9 +381,10 @@ class TestVerifiedClosedForms:
     so a wrong closed form must fail a certificate."""
 
     def test_case_shape(self):
-        d = eb.pipeline(*mixed_torsion_case())
-        assert (d.special.p, d.special.q, d.torsion.k, d.torsion.nj) == (2, 1, 2, (6, 1))
-        assert d.all_passed()
+        for case, shape in ((mixed_torsion_case, (2, 1, 2, (6, 1))), (radical_torsion_case, (2, 1, 1, (5,)))):
+            d = eb.pipeline(*case())
+            assert (d.special.p, d.special.q, d.torsion.k, d.torsion.nj) == shape
+            assert d.all_passed()
 
     @pytest.mark.parametrize("row", [0, 5, -1])  # rows of the u, a^ and w^ blocks
     def test_perturbed_dual_closed_form(self, monkeypatch, row):
@@ -528,7 +539,8 @@ class TestVerifiedClosedForms:
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
     def test_tbar_determinant_factors(self, seed, n):
         """det Tbar = (-1)^q det T~ prod n_j^2 and det S~ = det T11 det F11 det R det blk3:
-        S_tbar_invertible and S_tilde_invertible rest on these."""
+        S_tbar_invertible and S_tilde_invertible rest on these, as T_tilde_invertible
+        rests on T11^t J0 T11 = theta_11 - Z."""
         g = tg.random_element(f"tbar{seed}", 1 + seed % 8, n)
         results = defined_pipelines(g, f"tbar{seed}", 1)
         assume(results)
@@ -537,31 +549,46 @@ class TestVerifiedClosedForms:
         orders = math.prod(nj**2 for nj in td.nj)
         T, S, n = d.descriptor.T, d.descriptor.S, d.descriptor.n
         assert xl.det(eb._tbar(T, td, d.special.q)) == (-1) ** d.special.q * xl.det(T[:n, :]) * orders
-        # T~ = diag(T11, I_q): build_T takes the determinant on T11
-        T11 = T[: 2 * d.special.p, : 2 * d.special.p]
+        # T~ = diag(T11, I_q), and T11^t J0 T11 = theta_11 - Z, which domain_check inverted
+        c = 2 * d.special.p
+        T11 = T[:c, :c]
         assert xl.det(T[:n, :]) == xl.det(T11)
+        assert T11.T @ xl.standard_symplectic(d.special.p) @ T11 == d.theta_in.M[:c, :c] - d.special.Z
         # S~ = -T~ Phi* with Phi* = [[F11 R^t blk3, F11 theta_12], [0, -I_q]], F11 invertible and R unimodular
         F11 = d.curvature[: 2 * d.special.p, : 2 * d.special.p]
         blk3 = xl.diag([F(1, nj) for nj in td.nj] * 2 + [-1] * (2 * d.special.p - 2 * td.k))
         assert abs(xl.det(td.R)) == 1 and xl.det(F11) != 0
         assert xl.det(S[:n, :]) == xl.det(T11) * xl.det(F11) * xl.det(td.R) * xl.det(blk3)
 
-    def test_elimination_counts(self, tmp_path):
-        """One CLI pipeline job runs nine eliminations, one per fact: rank C for the
-        membership of g, g theta, rho(R0), the special form, R from its congruence,
-        rank C' for the membership of g', theta_11 - Z, det T11 (which decides
-        T~, Tbar^t J and S~) and the stacked lattice basis.  The closed forms of
-        g' run none."""
+    def pipeline_job(self, tmp_path):
+        """The CLI pipeline arguments for mixed_torsion_case."""
         g, theta = mixed_torsion_case()
-        td = eb.factor(g).torsion
         inp, out = tmp_path / "in.json", tmp_path / "out.json"
         job = {"version": docs.FORMAT_VERSION, "g": docs.group_doc(g), "theta": docs.theta_doc(theta)}
         inp.write_text(docs.dumps(job))
+        return ["pipeline", "--input", str(inp), "--output", str(out)]
+
+    def test_elimination_counts(self, tmp_path):
+        """One CLI pipeline job runs eight eliminations, one per fact: rank C for the
+        membership of g, g theta, rho(R0), the special form, R from its congruence,
+        rank C' for the membership of g', theta_11 - Z (whose inverse also decides
+        T~, Tbar^t J and S~) and the stacked lattice basis.  The closed forms of
+        g' run none."""
+        td = eb.factor(mixed_torsion_case()[0]).torsion
+        args = self.pipeline_job(tmp_path)
         with mock.patch.object(xl, "_row_reduce", wraps=xl._row_reduce) as eliminations:
             eb._gprime_closed_form(td, 1)
             assert eliminations.call_count == 0
-            assert cli.main(["pipeline", "--input", str(inp), "--output", str(out)]) == 0
-            assert eliminations.call_count == 9
+            assert cli.main(args) == 0
+            assert eliminations.call_count == 8
+
+    def test_exact_product_count(self, tmp_path):
+        """One CLI pipeline job on mixed_torsion_case forms 36 exact products:
+        pairing_integral reads phi instead of forming S^t J T."""
+        args = self.pipeline_job(tmp_path)
+        with mock.patch.object(xl, "matmul", wraps=xl.matmul) as products:
+            assert cli.main(args) == 0
+            assert products.call_count == 36
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 5))
@@ -610,50 +637,45 @@ def rational_torsion_pair(monkeypatch):
     monkeypatch.setattr(eb, "build_T", rescaled)
 
 
-def singular_T11(monkeypatch):
-    """det reads T11 as 0.
+def rational_basis_change(monkeypatch, column):
+    """phi and S both times diag(1, .., 1/97, .., 1), the 1/97 at column(td).
 
-    T_pullback and domain_defined already make T11^t J0 T11 = theta_11 - Z
-    invertible, so only a wrong det fails T_tilde_invertible.
-    """
-    d = eb.pipeline(*mixed_torsion_case())
-    T11 = d.descriptor.T[: 2 * d.special.p, : 2 * d.special.p]
-    det = xl.det
-    monkeypatch.setattr(xl, "det", lambda M: F(0) if M == T11 else det(M))
-
-
-def rational_lattice_basis(monkeypatch):
-    """phi and S both times diag(1, .., 1/97, .., 1), the 1/97 at column k.
-
-    (Tbar^t J) S M = phi M still holds, so S_closed_form passes, but the
-    first w row of S M, [0, -I_k, 0] M, has -1/97.
+    (Tbar^t J) S M = phi M still holds, so S_closed_form passes.
     """
     phi_matrices, closed = eb._phi_matrices, eb._dual_closed_form
 
-    def basis_change(n, k):
-        return xl.diag([1] * k + [F(1, 97)] + [1] * (n - k - 1))
+    def basis_change(n, td):
+        j = column(td)
+        return xl.diag([1] * j + [F(1, 97)] + [1] * (n - j - 1))
 
-    monkeypatch.setattr(eb, "_phi_matrices", lambda td, p, q: phi_matrices(td, p, q) @ basis_change(2 * p + q, td.k))
-    monkeypatch.setattr(eb, "_dual_closed_form", lambda td, T, *rest: closed(td, T, *rest) @ basis_change(T.shape[1], td.k))
+    monkeypatch.setattr(eb, "_phi_matrices", lambda td, p, q: phi_matrices(td, p, q) @ basis_change(2 * p + q, td))
+    monkeypatch.setattr(eb, "_dual_closed_form", lambda td, T, *rest: closed(td, T, *rest) @ basis_change(T.shape[1], td))
 
 
-def wrong_StJ_for_duality(monkeypatch):
-    """build_S hands on S^t J with 1/97 added at (0, 0): S^t J T gains T's first row / 97."""
-    build_S = eb.build_S
+def rational_lattice_basis(monkeypatch):
+    """The 1/97 basis change at column k: the first w row of S M, [0, -I_k, 0] M, has -1/97.
 
-    def perturbed(*args):
-        S, StJ = build_S(*args)
-        return S, StJ + one_entry(StJ.shape, 0, 0)
+    phi's first n rows are zero in that column, so pairing_integral would pass.
+    """
+    rational_basis_change(monkeypatch, lambda td: td.k)
 
-    monkeypatch.setattr(eb, "build_S", perturbed)
+
+def rational_radical_column(monkeypatch):
+    """The 1/97 basis change at the radical column 2k < 2p (radical_torsion_case).
+
+    S's a, w and w^ rows are zero in that column, so S_lattice_rows passes,
+    but phi's first n rows there are R^t e_2k / 97, so S^t J T = -phi[:n]^t
+    is not integral.
+    """
+    rational_basis_change(monkeypatch, lambda td: 2 * td.k)
 
 
 def doubled_splitting_column(monkeypatch):
     """verify_duality reads phi with its first column doubled: integral, with |det| 2 in the stack."""
     verify = eb.verify_duality
 
-    def doubled(T, StJ, td, phi, certs):
-        return verify(T, StJ, td, phi @ xl.diag([2] + [1] * (phi.shape[1] - 1)), certs)
+    def doubled(T, td, phi, certs):
+        return verify(T, td, phi @ xl.diag([2] + [1] * (phi.shape[1] - 1)), certs)
 
     monkeypatch.setattr(eb, "verify_duality", doubled)
 
@@ -668,49 +690,59 @@ def wrong_StJ_for_theta_prime(monkeypatch):
     monkeypatch.setattr(eb, "theta_prime", perturbed)
 
 
-# The fault that makes each certificate the first to fail, for TestEveryCertificateCanFail.
+# The fault that makes each certificate the first to fail, for TestEveryCertificateCanFail,
+# on mixed_torsion_case unless FAULT_CASES names another case.
 FAULTS = {
     "T_pullback": doubled_symplectic_factor,
     "T_lattice_rows": rational_torsion_pair,
-    "T_tilde_invertible": singular_T11,
     "S_lattice_rows": rational_lattice_basis,
-    "pairing_integral": wrong_StJ_for_duality,
+    "pairing_integral": rational_radical_column,
     "dual_lattice_unimodular": doubled_splitting_column,
     "S_pullback": wrong_StJ_for_theta_prime,
 }
+FAULT_CASES = {"pairing_integral": radical_torsion_case}
+
+# (certificate, a name it follows from) for each row of the table that lists any.
+IMPLICATIONS = [(name, cause) for name, _, follows_from in eb.CERTIFICATES for cause in follows_from]
 
 
 class RecordingLog(eb.CertificateLog):
-    """A log that records a failed certificate instead of raising."""
+    """One log for factor and embed that records a failed certificate instead of
+    raising, and records the certificate `failing` as failed whatever its check says."""
 
-    def __init__(self):
+    def __init__(self, failing=None):
         super().__init__()
+        self.failing = failing
         self.failed = []
 
     def check(self, name, ok, message):
-        (self.names if ok else self.failed).append(name)
+        (self.names if ok and name != self.failing else self.failed).append(name)
 
 
 class TestEveryCertificateCanFail:
     @pytest.mark.parametrize("name", list(FAULTS))
     def test_fault_fails_first(self, monkeypatch, tmp_path, name):
+        case = FAULT_CASES.get(name, mixed_torsion_case)
         FAULTS[name](monkeypatch)
-        assert failed_certificate(*mixed_torsion_case()) == name
-        assert cli_failure(tmp_path, "pipeline") == name
+        assert failed_certificate(*case()) == name
+        assert cli_failure(tmp_path, "pipeline", case) == name
 
-    def test_invertibility_certificates_read_one_determinant(self, monkeypatch):
-        """S_tbar_invertible and S_tilde_invertible read det T11 != 0, as T_tilde_invertible does,
-        so they fail exactly when it fails, and it fails first; test_tbar_determinant_factors
-        shows det T11 decides Tbar^t J and S~."""
-        d = eb.pipeline(*mixed_torsion_case())
-        args = (d.special, d.torsion, d.theta_in, d.descriptor.J)
-        log = RecordingLog()
-        eb.build_T(*args, log)
-        assert log.failed == []
-        singular_T11(monkeypatch)
-        log = RecordingLog()
-        eb.build_T(*args, log)
-        assert log.failed == ["T_tilde_invertible", "S_tbar_invertible", "S_tilde_invertible"]
+    @pytest.mark.parametrize("name, cause", IMPLICATIONS)
+    def test_implied_certificate_fails_with_its_cause(self, monkeypatch, name, cause):
+        """A certificate that follows from others fails under a fault of any of them:
+        the fault of FAULTS where the cause has one, else its verdict recorded as failed.
+        test_tbar_determinant_factors checks the identities these implications rest on."""
+        if cause in FAULTS:
+            FAULTS[cause](monkeypatch)
+            log = RecordingLog()
+        else:
+            log = RecordingLog(failing=cause)
+        monkeypatch.setattr(eb, "CertificateLog", lambda passed=(): log)
+        eb.pipeline(*mixed_torsion_case())
+        assert cause in log.failed and name in log.failed
+        if cause == "T_pullback":
+            implied = ["T_tilde_invertible", "S_tbar_invertible", "S_tilde_invertible"]
+            assert log.failed[: log.failed.index("S_closed_form")] == ["T_pullback", *implied]
 
 
 # The other tests that make a certificate the first to fail.
@@ -730,23 +762,12 @@ TRIPPED_BY = {
     "chain_endpoint": TestVerifiedClosedForms.test_moved_target,
 }
 
-# Certificates that can fail only after an earlier one, with the tests of that implication.
-IMPLIED_BY = {
-    "S_tbar_invertible": (
-        TestEveryCertificateCanFail.test_invertibility_certificates_read_one_determinant,
-        TestVerifiedClosedForms.test_tbar_determinant_factors,
-    ),
-    "S_tilde_invertible": (
-        TestEveryCertificateCanFail.test_invertibility_certificates_read_one_determinant,
-        TestVerifiedClosedForms.test_tbar_determinant_factors,
-    ),
-}
-
-
 @pytest.mark.parametrize("name", eb.CERTIFICATE_NAMES)
 def test_every_certificate_has_a_fault_or_an_implication(name):
-    """A certificate that no fault can trip proves nothing, unless an earlier one decides it."""
-    assert (name in FAULTS) + (name in TRIPPED_BY) + (name in IMPLIED_BY) == 1
+    """A certificate that no fault can trip proves nothing, unless the names it follows
+    from decide it (test_implied_certificate_fails_with_its_cause)."""
+    implied = any(cause for implied, cause in IMPLICATIONS if implied == name)
+    assert (name in FAULTS) + (name in TRIPPED_BY) + implied == 1
 
 
 @settings(max_examples=40, deadline=None)

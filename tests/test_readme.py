@@ -9,6 +9,7 @@ from pathlib import Path
 import nctorus
 from nctorus import cli
 from nctorus import documents as docs
+from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -50,3 +51,11 @@ def test_errors_lists_every_exception_class():
         if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__
     }
     assert sorted(listed) == sorted(defined) and len(defined) == 7
+
+
+def test_certificates_table_is_the_library_table():
+    """The Certificates table lists embedding.CERTIFICATES: names in order, steps and the names each follows from."""
+    section = re.search(r"\n### Certificates\n(.*?)(?=\n#|\Z)", README, re.S)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (\w+) \| .+ \| (.+) \|$", section, re.M)
+    listed = [(name, step, tuple(re.findall(r"`(\w+)`", after))) for name, step, after in rows]
+    assert listed == list(eb.CERTIFICATES) and len(listed) == 22
