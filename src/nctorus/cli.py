@@ -74,6 +74,13 @@ def _element(job: dict):
     return check_membership(*job["g"])
 
 
+def _element_and_theta(job: dict):
+    """g, checked for membership before theta is required, and theta."""
+    g = _element(job)
+    _require(job, "theta")
+    return g, job["theta"]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -84,10 +91,8 @@ def cmd_check(job: dict, opts) -> dict:
 
 
 def cmd_act(job: dict, opts) -> dict:
-    g = _element(job)
-    _require(job, "theta")
-    out = act(g, job["theta"])
-    return {"n": g.n, "theta": docs.theta_doc(out)}
+    g, theta = _element_and_theta(job)
+    return {"n": g.n, "theta": docs.theta_doc(act(g, theta))}
 
 
 def cmd_normalize(job: dict, opts) -> dict:
@@ -107,17 +112,11 @@ def cmd_decompose(job: dict, opts) -> dict:
 
 
 def cmd_embed(job: dict, opts) -> dict:
-    g = _element(job)
-    _require(job, "theta")
-    res = pipeline(g, job["theta"])
-    return docs.embedding_doc(res)
+    return docs.embedding_doc(pipeline(*_element_and_theta(job)))
 
 
 def cmd_pipeline(job: dict, opts) -> dict:
-    g = _element(job)
-    _require(job, "theta")
-    res = pipeline(g, job["theta"])
-    return docs.pipeline_doc(res)
+    return docs.pipeline_doc(pipeline(*_element_and_theta(job)))
 
 
 def run_simulation(d: ms.ModuleDescriptor, seed, samples: int, trials: int, tolerance: float) -> dict:
@@ -168,9 +167,7 @@ def cmd_simulate(job: dict, opts) -> dict:
     elif "g" not in job:
         raise docs.ParseError("document is missing: module_descriptor, or g and theta")
     else:
-        g = _element(job)
-        _require(job, "theta")
-        d = pipeline(g, job["theta"]).descriptor
+        d = pipeline(*_element_and_theta(job)).descriptor
     seed = docs.check_int(_option(opts, job, "seed", 0), "seed", 0)
     samples = docs.check_int(_option(opts, job, "samples", 8), "samples", 1)
     trials = docs.check_int(_option(opts, job, "trials", 100), "trials", 1)

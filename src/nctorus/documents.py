@@ -198,13 +198,11 @@ def descriptor_from_doc(doc) -> ModuleDescriptor:
     S = parse_rat_matrix(doc.get("S"), "S")
     theta = theta_from_doc(doc.get("theta"))
     theta_prime = theta_from_doc(doc.get("theta_prime"))
-    n = 2 * p + q
-    amb = n + q + 2 * k
-    if T.shape != (amb, n) or S.shape != (amb, n):
-        raise ParseError("T and S must have shape (n+q+2k) x n")
-    if theta.n != n or theta_prime.n != n:
-        raise ParseError("theta and theta_prime must have size n = 2p+q")
     d = ModuleDescriptor(p=p, q=q, orders=orders, T=T, S=S, theta=theta, theta_prime=theta_prime)
+    if T.shape != (d.ambient_dim, d.n) or S.shape != (d.ambient_dim, d.n):
+        raise ParseError("T and S must have shape (n+q+2k) x n")
+    if theta.n != d.n or theta_prime.n != d.n:
+        raise ParseError("theta and theta_prime must have size n = 2p+q")
     try:
         verify_descriptor(d)
     except ModuleSimError as e:

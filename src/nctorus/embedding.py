@@ -175,21 +175,18 @@ def build_T(sf: SpecialForm, td: TorsionData, theta: Theta, J: Mat, certs: Certi
 def _phi_matrices(td: TorsionData, p: int, q: int) -> Mat:
     """The embedding of the lattice into the ambient certificate coordinates.
 
-    Coordinates are cut (2p, q, q, 2k); the middle q block is identically
-    zero.  The first 2p rows then pick up the transposed reduction matrix.
+    Rows are cut (2p, q, q, k, k); the first q block is identically zero,
+    and the first 2p rows carry the transposed reduction matrix.
     """
-    k = td.k
-    n = 2 * p + q
-    phi1 = [[0] * n for _ in range(n + q + 2 * k)]
-    for j in range(k):
-        phi1[j][j] = -td.dj[j]
-        phi1[2 * p + 2 * q + j][j] = td.cj[j]
-        phi1[2 * p + 2 * q + k + j][k + j] = 1
-    for i in range(2 * k, 2 * p):
-        phi1[i][i] = 1
-    for j in range(q):
-        phi1[2 * p + q + j][2 * p + j] = 1
-    return xl.block_diag(td.R.T, xl.eye(2 * q + 2 * k)) @ Mat(phi1, 1, n)
+    k, n = td.k, 2 * p + q
+    Z = xl.zeros
+    return xl.block([
+        [td.R.T @ xl.diag([*(-d for d in td.dj), *[0] * k, *[1] * (2 * p - 2 * k)]), Z(2 * p, q)],
+        [Z(q, n)],
+        [Z(q, 2 * p), xl.eye(q)],
+        [xl.diag(td.cj), Z(k, n - k)],
+        [Z(k, k), xl.eye(k), Z(k, n - 2 * k)],
+    ])
 
 
 def _dual_tangent(td: TorsionData, theta: Theta, F11: Mat) -> tuple[Mat, Mat]:
@@ -238,6 +235,7 @@ def build_S(
     sf: SpecialForm,
     td: TorsionData,
     T: Mat,
+    tbar: Mat,
     J: Mat,
     phi: Mat,
     phi_star: Mat,
@@ -246,7 +244,7 @@ def build_S(
     """The dual embedding S onto the annihilator of the image lattice, and S^t J.
 
     S is the unique solution of (Tbar^t J) S = phi, the lattice splitting
-    phi pulled back through the dual Gram matrix.  Tbar is block lower
+    phi pulled back through the dual Gram matrix.  Tbar = _tbar(T) is block lower
     triangular with diagonal blocks T~, -I_q and T4 = diag(n_j, n_j), and J
     is nonsingular, so Tbar^t J is invertible exactly when T~ is, and
     S_tbar_invertible follows from T_tilde_invertible.  The closed form is
@@ -259,28 +257,28 @@ def build_S(
     JS = xl.matmul(J, S)
     certs.check(
         "S_closed_form",
-        xl.matmul(_tbar(T, td, q).T, JS) == phi,
+        xl.matmul(tbar.T, JS) == phi,
         "closed-form dual map does not solve Tbar^t J S = phi",
     )
     certs.check("S_lattice_rows", non_integral_rows(S, p, q, k) is None, "integer rows of S not integral")
     return S, -JS.T
 
 
-def verify_duality(T: Mat, td: TorsionData, phi: Mat, certs: CertificateLog) -> None:
+def verify_duality(tbar: Mat, td: TorsionData, phi: Mat, certs: CertificateLog) -> None:
     """Two exact duality checks.
 
     (a) S^t J T integral: the skew bicharacter pairs the two image lattices
         trivially.  It is -phi[:n]^t, since S_closed_form proved T^t J S = phi[:n].
-    (b) The stacked basis of the kernel sublattice and the embedded lattice
-        phi (the splitting build_S used) is a basis of the full certificate
-        lattice: determinant +-1.
+    (b) The stacked basis of the kernel sublattice (the last 2k rows of
+        Tbar = _tbar(T), transposed) and the embedded lattice phi (the
+        splitting build_S used) is a basis of the full certificate lattice:
+        determinant +-1.
     """
-    n, p, k = T.shape[1], td.p, td.k
+    n, p = phi.shape[1], td.p
     certs.check("pairing_integral", xl.is_integral(phi[:n, :]), "S^t J T has a non-integer entry")
     q = n - 2 * p
-    delta = xl.block([[T[n + q :, :].T], [xl.zeros(q, 2 * k)], [td.T4]])
-    stack = xl.block([[delta, phi]])
-    keep = list(range(2 * p)) + list(range(2 * p + q, n + q + 2 * k))
+    stack = xl.block([[tbar[n + q :, :].T, phi]])
+    keep = list(range(2 * p)) + list(range(2 * p + q, tbar.shape[0]))
     square = stack[keep, :]
     stray = not xl.is_zero(stack[2 * p : 2 * p + q, :])
     certs.check(
@@ -470,8 +468,9 @@ def _embed(target: Theta, fac: Factorization, theta: Theta) -> PipelineResult:
     T = build_T(sf, td, theta1, J, certs)
     phi = _phi_matrices(td, sf.p, sf.q)
     W, phi_star = _dual_tangent(td, theta1, F11)
-    S, StJ = build_S(sf, td, T, J, phi, phi_star, certs)
-    verify_duality(T, td, phi, certs)
+    tbar = _tbar(T, td, sf.q)
+    S, StJ = build_S(sf, td, T, tbar, J, phi, phi_star, certs)
+    verify_duality(tbar, td, phi, certs)
     tp = theta_prime(S, StJ, td, theta1, W, phi_star, certs)
     curvature = verify_resolvent(fac, theta1, tp, phi_star, F11, certs)
     # The first step carries theta to theta1 by construction and the certified

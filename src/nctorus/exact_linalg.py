@@ -6,15 +6,16 @@ Equality is therefore structural, and a matrix is integral exactly when its
 denominator is 1.  Nothing here rounds; no floating point enters this module.
 
 ``matmul`` is the one exact product: one integer product of the rows, which
-skips zero coefficients, and one gcd pass.  ``det``, ``rank``,
-``rational_inverse``, ``int_inverse`` and ``solve_unique`` all run the one
-fraction-free (Bareiss) elimination kernel ``_row_reduce`` on the rows.  Their results are unique in exact arithmetic, so
-the kernel's pivot rule cannot change any output.  The Smith, alternating and
-symplectic reductions (and the kernel bases built on Smith) return one factor
-among many: their fixed pivot rules decide the output bytes and must stay as
-they are.  Any factor satisfying the stated equation is correct.  These
-reductions return without checking themselves: each fact they promise is
-decided once, by the caller that relies on it (see each docstring).
+skips zero coefficients, and one gcd pass.  ``det``, ``rank`` and
+``solve_unique`` all run the one fraction-free (Bareiss) elimination kernel
+``_row_reduce`` on the rows; ``rational_inverse`` (and ``int_inverse`` through
+it) solves against I with ``solve_unique``.  Their results are unique in exact
+arithmetic, so the kernel's pivot rule cannot change any output.  The Smith,
+alternating and symplectic reductions (and the kernel bases built on Smith)
+return one factor among many: their fixed pivot rules decide the output bytes
+and must stay as they are.  Any factor satisfying the stated equation is
+correct.  These reductions return without checking themselves: each fact they
+promise is decided once, by the caller that relies on it (see each docstring).
 
 Empty blocks (0xm, mx0) are first-class values throughout; their denominator
 is 1.
@@ -179,15 +180,19 @@ def eye(n: int) -> Mat:
     return Mat(_identity_rows(n), 1, n)
 
 
+def _placed(entries: list, size: int) -> Mat:
+    """The size x size matrix with the int or Fraction v at (i, j) for each (i, j, v), over one denominator."""
+    den = math.lcm(*(v.denominator for _, _, v in entries))
+    rows = [[0] * size for _ in range(size)]
+    for i, j, v in entries:
+        rows[i][j] = v.numerator * (den // v.denominator)
+    return _reduced(rows, den, (size, size))
+
+
 def diag(entries) -> Mat:
-    """The diagonal matrix of ints or Fractions, as int rows over one denominator."""
-    entries = list(entries)
-    n = len(entries)
-    den = math.lcm(*(v.denominator for v in entries))
-    rows = [[0] * n for _ in range(n)]
-    for i, v in enumerate(entries):
-        rows[i][i] = v.numerator * (den // v.denominator)
-    return _reduced(rows, den, (n, n))
+    """The diagonal matrix of ints or Fractions."""
+    entries = [(i, i, v) for i, v in enumerate(entries)]
+    return _placed(entries, len(entries))
 
 
 def block(grid) -> Mat:
@@ -216,15 +221,8 @@ def _scaled(rows: tuple, s: int) -> list[tuple]:
 
 
 def block_diag(*mats: Mat) -> Mat:
-    den = math.lcm(*(M.den for M in mats))
-    width = sum(M.shape[1] for M in mats)
-    rows: list[tuple] = []
-    left = 0
-    for M in mats:
-        pad = (0,) * left, (0,) * (width - left - M.shape[1])
-        rows.extend([pad[0] + row + pad[1] for row in (M.rows if M.den == den else _scaled(M.rows, den // M.den))])
-        left += M.shape[1]
-    return _raw(tuple(rows), den, (len(rows), width))
+    """The block of the diagonal grid of mats, zero blocks elsewhere."""
+    return block([[M if i == j else zeros(M.shape[0], N.shape[1]) for j, N in enumerate(mats)] for i, M in enumerate(mats)])
 
 
 def is_zero(A: Mat) -> bool:
@@ -356,10 +354,7 @@ def rank(M: Mat) -> int:
 
 
 def rational_inverse(M: Mat) -> Mat:
-    """Exact inverse by fraction-free Gauss-Jordan elimination of [d M | d I].
-
-    Every pivot entry ends equal to the last pivot e, so M^-1 is the right
-    half over e.
+    """Exact inverse: solve_unique(M, I), the fraction-free reduction of [d M | d I].
 
     Raises:
         Singular: if the determinant is zero.
@@ -367,12 +362,10 @@ def rational_inverse(M: Mat) -> Mat:
     n, m = M.shape
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    d = M.den
-    W = [list(row) + [d if j == i else 0 for j in range(n)] for i, row in enumerate(M.rows)]
-    pivots, _, e = _row_reduce(W, n, full=True)
-    if len(pivots) < n:
-        raise Singular("matrix is singular")
-    return _reduced([row[n:] for row in W], e, (n, n))
+    try:
+        return solve_unique(M, eye(n))
+    except Singular:
+        raise Singular("matrix is singular") from None
 
 
 def int_inverse(M: Mat) -> Mat:
@@ -543,13 +536,7 @@ def _congr_add(W: list[list[int]], Q: list[list[int]], dst: int, src: int, s: in
 def canonical_alternating(h: list, size: int) -> Mat:
     """[[0, P, 0], [-P, 0, 0], [0, 0, 0]] for P = diag(h) of ints or Fractions, as int rows over one denominator."""
     k = len(h)
-    den = math.lcm(*(v.denominator for v in h))
-    rows = [[0] * size for _ in range(size)]
-    for j, v in enumerate(h):
-        x = v.numerator * (den // v.denominator)
-        rows[j][k + j] = x
-        rows[k + j][j] = -x
-    return _reduced(rows, den, (size, size))
+    return _placed([(j, k + j, v) for j, v in enumerate(h)] + [(k + j, j, -v) for j, v in enumerate(h)], size)
 
 
 def alternating_normal_form_int(A: Mat) -> tuple[Mat, Mat, list]:
@@ -681,5 +668,5 @@ def symplectic_factor_rational(A: Mat) -> Mat:
         vs.append((v, dv))
     basis = us + vs
     den = math.lcm(*(d for _, d in basis))
-    S = Mat([[x * (den // d) for x in xs] for xs, d in basis], den, n).T
-    return -matmul(standard_symplectic(n // 2), S.T, A)
+    St = Mat([[x * (den // d) for x in xs] for xs, d in basis], den, n)  # S^t: the basis vectors as rows
+    return -matmul(standard_symplectic(n // 2), St, A)

@@ -463,7 +463,7 @@ def random_gaussian(rng: random.Random, d: ModuleDescriptor) -> PointFunction:
         center_u=tuple(rng.uniform(-1, 1) for _ in range(d.p)),
         center_a=tuple(rng.randint(-1, 1) for _ in range(d.q)),
         modulation=tuple(rng.uniform(-1, 1) for _ in range(d.p + d.q)),
-        w_char=tuple(rng.randrange(max(d.orders[j], 1)) for j in range(d.k)),
+        w_char=tuple(rng.randrange(n) for n in d.orders),
     )
 
 

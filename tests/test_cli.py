@@ -47,6 +47,13 @@ def scaled_flip_descriptor_doc(exponent, mirrored):
     return {"version": "nctorus/1", "module_descriptor": desc}
 
 
+def flip_descriptor_doc(**fields):
+    """The simulate document of the flip descriptor with the given fields replaced."""
+    doc = scaled_flip_descriptor_doc(0, False)
+    doc["module_descriptor"].update(fields)
+    return doc
+
+
 def run(tmp_path, argv, doc=None):
     if doc is not None:
         inp = tmp_path / "in.json"
@@ -218,6 +225,61 @@ class TestCommands:
         code, out = run(tmp_path, [command], doc)
         assert code == 2 and out["error"]["kind"] == "parse"
         assert out["error"]["message"] == "theta has size 3, g blocks have size 2"
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            pytest.param(
+                "act", {**flip_doc(), "theta": [["0", "1/0"], ["-1/3", "0"]]},
+                "bad rational '1/0': zero denominator", id="zero-denominator",
+            ),
+            pytest.param("act", {**flip_doc(), "theta": []}, "theta must be a non-empty list of rows", id="no-rows"),
+            pytest.param(
+                "act", {**flip_doc(), "theta": [["0", "1/3"], ["-1/3"]]}, "theta rows have unequal lengths", id="ragged"
+            ),
+            pytest.param(
+                "check", {**flip_doc(), "g": {**flip_doc()["g"], "A": [["1/2", 0], [0, 0]]}},
+                "g.A must have integer entries", id="g-rational",
+            ),
+            pytest.param("act", {**flip_doc(), "theta": [["0", "1/3"]]}, "theta must be square", id="theta-not-square"),
+            pytest.param(
+                "act", {"version": "nctorus/1", "n": 3, "theta": flip_doc()["theta"]},
+                "theta has size 2, document says n=3", id="theta-size",
+            ),
+            pytest.param(
+                "check", {**flip_doc(), "g": {"A": [[0]]}}, "g must be an object with blocks A, B, C, D", id="g-blocks"
+            ),
+            pytest.param(
+                "check", {**flip_doc(), "g": {**flip_doc()["g"], "B": [[1, 0, 0], [0, 1, 0]]}},
+                "g blocks must be square and of equal size", id="g-shapes",
+            ),
+            pytest.param("check", [flip_doc()], "document must be a JSON object", id="array"),
+            pytest.param(
+                "check", {**flip_doc(), "version": "nctorus/9"}, "unsupported document version 'nctorus/9'", id="version"
+            ),
+            pytest.param("simulate", {**flip_doc(), "options": [1]}, "options must be an object", id="options"),
+            pytest.param(
+                "simulate", {"version": "nctorus/1", "module_descriptor": []},
+                "module_descriptor must be an object", id="descriptor",
+            ),
+            pytest.param(
+                "simulate", flip_descriptor_doc(T=[["1/3", "0"], ["0", "1"], ["0", "0"]]),
+                "T and S must have shape (n+q+2k) x n", id="T-shape",
+            ),
+            pytest.param(
+                "simulate", flip_descriptor_doc(S=[["0"], ["3"]]), "T and S must have shape (n+q+2k) x n", id="S-shape"
+            ),
+            pytest.param(
+                "simulate", flip_descriptor_doc(orders=[1]), "orders must list k positive integers", id="orders-length"
+            ),
+        ],
+    )
+    def test_parse_error_document(self, tmp_path, command, doc, message):
+        inp, out = tmp_path / "in.json", tmp_path / "out.json"
+        inp.write_text(json.dumps(doc))
+        code = cli.main([command, "--input", str(inp), "--output", str(out)])
+        assert code == 2
+        assert json.loads(out.read_text()) == {"version": "nctorus/1", "error": {"kind": "parse", "message": message}}
 
     def test_missing_field_exit_2(self, tmp_path):
         doc = {"version": "nctorus/1", "n": 2, "theta": [["0", "1"], ["-1", "0"]]}
@@ -395,6 +457,17 @@ class TestCommands:
         code, out = run(tmp_path, ["simulate"], scaled_flip_descriptor_doc(exponent, mirrored))
         message = "module descriptor is out of float range for the simulation"
         assert code == 2 and out["error"] == {"kind": "parse", "message": message}
+
+    @pytest.mark.parametrize(
+        "exponent, mirrored, expected",
+        [(7, False, 1), (6, True, 1), (100, False, 1), (5, True, 0), (6, False, 0)],
+    )
+    def test_float_precision_fails_the_scaled_descriptor(self, tmp_path, exponent, mirrored, expected):
+        # short of overflow, the correct scaled flip bimodule still loses float
+        # precision: with default options its worst residual exceeds the 1e-9
+        # tolerance from c = 10**7 on (10**6 mirrored)
+        code, out = run(tmp_path, ["simulate"], scaled_flip_descriptor_doc(exponent, mirrored))
+        assert code == expected and out["passed"] is (expected == 0)
 
     @pytest.mark.parametrize("nan_at", [None, 0, 17])
     def test_simulate_nan_residual_exit_2(self, tmp_path, monkeypatch, nan_at):

@@ -518,6 +518,9 @@ class TestHelpers:
     def test_block_diag(self):
         B = xl.block_diag(xl.eye(2), xl.zeros(0, 0), xl.mat([[5]]))
         assert B.shape == (3, 3) and B[2, 2] == 5
+        halves, thirds = xl.mat([[F2(1, 2), 1], [0, F2(3, 2)]]), xl.mat([[F2(2, 3)]])
+        M = xl.block_diag(halves, thirds)
+        assert M.den == 6 and M == xl.block([[halves, xl.zeros(2, 1)], [xl.zeros(1, 2), thirds]])
 
     @settings(max_examples=150, deadline=None)
     @given(rows=int_matrices(lo=-2, hi=2), den=st.integers(1, 3), i=st.integers(0, 3), j=st.integers(0, 3))
