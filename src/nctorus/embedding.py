@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from fractions import Fraction
 
 from . import exact_linalg as xl
@@ -109,10 +108,6 @@ class TorsionData:
     @property
     def k(self) -> int:
         return len(self.h)
-
-    @cached_property
-    def T4(self) -> Mat:
-        return xl.diag(self.nj + self.nj)
 
 
 def build_torsion_data(Z: Mat) -> TorsionData:
@@ -227,7 +222,7 @@ def _tbar(T: Mat, td: TorsionData, q: int) -> Mat:
     return xl.block([
         [T[:n, :], Z(n, q), Z(n, 2 * k)],
         [T[n : n + q, :], -xl.eye(q), Z(q, 2 * k)],
-        [T[n + q :, :], Z(2 * k, q), td.T4],
+        [T[n + q :, :], Z(2 * k, q), xl.diag(td.nj + td.nj)],
     ])
 
 

@@ -233,8 +233,11 @@ def random_element(seed, word_length: int, n: int) -> GroupElement:
     return g
 
 
-def random_theta(seed, n: int, max_den: int = 12) -> Theta:
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+THETA_MAX_DEN = 12
+
+
+def random_theta(seed: int | str, n: int, max_den: int = THETA_MAX_DEN) -> Theta:
+    rng = random.Random(seed)
     M = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

@@ -50,7 +50,8 @@ class TestTorsionData:
     def test_zero_block(self):
         td = eb.build_torsion_data(xl.zeros(2, 2))
         assert td.m == 1 and td.k == 0
-        assert td.T4.shape == (0, 0)
+        T = xl.eye(2)
+        assert eb._tbar(T, td, 0) == T
 
     def test_half(self):
         Z = xl.mat([[0, F(1, 2)], [F(-1, 2), 0]])
@@ -308,7 +309,7 @@ def acceptance_case(n, t):
     rng = random.Random(f"acceptance:{n}:{t}")
     g = tg.random_element(f"acceptance:{n}:{t}:g", rng.randint(1, 8), n)
     for r in range(20):
-        theta = tg.random_theta(f"acceptance:{n}:{t}:theta:{r}", n, 12)
+        theta = tg.random_theta(f"acceptance:{n}:{t}:theta:{r}", n)
         if tg.is_defined(g, theta):
             return g, theta
     raise AssertionError("no theta in the domain")

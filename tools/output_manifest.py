@@ -1,19 +1,22 @@
 """Print the sha256 and exit code of every output of a fixed set of nctorus runs.
 
-    PYTHONPATH=src python3 tools/output_manifest.py > change.txt
-    PYTHONPATH=/path/to/other/checkout/src python3 tools/output_manifest.py > parent.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python3 tools/output_manifest.py > tools/output_manifest.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/output_manifest.py > other.txt
+    diff tools/output_manifest.txt other.txt
 
 Two library versions produce the same output bytes and exit codes on this set
 exactly when their manifests are equal.  The expected manifest is committed
-next to this script as ``output_manifest.txt``, and CI diffs against it.  The
-run set:
+next to this script as ``output_manifest.txt``; the tier-1 test
+``tests/test_reference_digests.py::test_output_manifest_matches_committed_listing``
+runs this script and names every run whose line changed.  The run set:
 
 - ``simulate`` on the job sets of the ``simulate_sweep`` benchmark workload for
-  seeds 1-3 (one descriptor per (p, q, k) shape, chosen as
-  ``perfbench/run.py`` chooses them), each at ``--trials 5``, ``--trials 40``
-  and ``--trials 40 --samples 20 --seed 9``;
+  seeds 1-3 (``simulate_sources`` of ``perfbench/run.py``), each at
+  ``--trials 5``, ``--trials 40`` and ``--trials 40 --samples 20 --seed 9``;
 - ``campaign --n N --seed S`` for N = 2..6 and S = 0..2;
+- ``simulate --seed t`` on the module descriptor of
+  ``cli.campaign_trial(n, "campaign:0:t")`` for n = 2..6 and t < 8, at
+  ``--trials 5`` and at ``--trials 40 --samples 20``;
 - the seven input commands on the first 12 benchmark pool documents of each
   n in {2, ..., 6, 8}, and ``decompose`` on each of them with theta removed;
 - a few runs that end in an error document: each input command on a document
@@ -25,8 +28,9 @@ run set:
 Each line reads ``<sha256 of the output document> <exit code> <run>``; a run
 that ends in an exception prints ``- exception:<type> <run>``.  Standard
 library only: nctorus is imported from sys.path (set PYTHONPATH to the
-``src`` directory of the version to list), and the benchmark's input
-generator and reference file are read from this checkout's ``perfbench/``.
+``src`` directory of the version to list), and the benchmark's runner, input
+generator and reference file are read from this checkout's ``perfbench/``,
+without writing a bytecode cache there.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 SWEEP_SEEDS = (1, 2, 3)
-SWEEP_SIZES = (2, 3, 4, 5, 6)
-SWEEP_TRIALS = 5
 SWEEP_FLAGS = (["--trials", "5"], ["--trials", "40"], ["--trials", "40", "--samples", "20", "--seed", "9"])
 CAMPAIGN_SIZES = range(2, 7)
 CAMPAIGN_SEEDS = range(3)
+DESCRIPTOR_TRIALS = range(8)
+DESCRIPTOR_FLAGS = (["--trials", "5"], ["--trials", "40", "--samples", "20"])
 POOL_SIZES = (2, 3, 4, 5, 6, 8)
 POOL_DOCUMENTS = 12
 INPUT_COMMANDS = ("check", "act", "normalize", "decompose", "embed", "pipeline", "simulate")
@@ -69,16 +73,19 @@ ERROR_RUNS = (
 )
 
 
-def load_gen():
-    """Import perfbench/gen.py without writing a bytecode cache next to it."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
+def load_perfbench(name: str):
+    """Import perfbench/<name>.py, with perfbench/ on sys.path for its own
+    imports, without writing a bytecode cache next to it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(PERFBENCH))
     try:
-        spec.loader.exec_module(gen)
+        spec.loader.exec_module(module)
     finally:
+        sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = dont_write
-    return gen
+    return module
 
 
 # Longer than any listed output (the largest is about 33 KB), so a run that
@@ -114,34 +121,30 @@ class Runner:
         return f"{digest} {code} {label}"
 
 
-def sweep_sources(gen, pools: dict, seed: int) -> list[tuple[int, int]]:
-    """The (n, s) pool trial of each (p, q, k) shape in a simulate_sweep job set."""
-    by_shape: dict[tuple, list] = {}
-    for n in SWEEP_SIZES:
-        for s, entry in enumerate(pools[str(n)]):
-            by_shape.setdefault((entry["p"], entry["q"], entry["k"]), []).append((n, s))
-    return [
-        trials[gen.permutation(len(trials), f"simulate_sweep:{shape}", seed)[0]]
-        for shape, trials in sorted(by_shape.items())
-    ]
-
-
-def manifest(cli, work: Path):
-    gen = load_gen()
-    pools = json.loads((PERFBENCH / "reference.json").read_text())["pools"]
+def manifest(cli, docs, work: Path):
+    run = load_perfbench("run")
+    gen, pools = run.gen, run.load_reference()
     runner = Runner(cli, work)
     for seed in SWEEP_SEEDS:
-        for i, (n, s) in enumerate(sweep_sources(gen, pools, seed)):
+        for i, (n, s) in enumerate(run.simulate_sources(seed, pools)):
             code, out = runner.run(["pipeline"], gen.pipeline_doc(n, s))
             if code != 0:
                 yield f"- {code} simulate_sweep:{seed}:{i} pipeline of {gen.trial_id(n, s)}"
                 continue
-            job = gen.simulate_doc(out, i, SWEEP_TRIALS)
+            job = gen.simulate_doc(out, i, run.SIM_TRIALS)
             for flags in SWEEP_FLAGS:
                 yield runner.line(f"simulate_sweep:{seed}:{i} {' '.join(flags)}", ["simulate", *flags], job)
     for n in CAMPAIGN_SIZES:
         for seed in CAMPAIGN_SEEDS:
             yield runner.line(f"campaign --n {n} --seed {seed}", ["campaign", "--n", str(n), "--seed", str(seed)])
+    for n in CAMPAIGN_SIZES:
+        for t in DESCRIPTOR_TRIALS:
+            trial = f"campaign:0:{t}"
+            desc = docs.pipeline_doc(cli.campaign_trial(n, trial)[1])["module_descriptor"]
+            job = docs.dumps({"module_descriptor": desc}).encode()
+            for flags in DESCRIPTOR_FLAGS:
+                label = f"simulate campaign_trial({n}, {trial}) --seed {t} {' '.join(flags)}"
+                yield runner.line(label, ["simulate", "--seed", str(t), *flags], job)
     for n in POOL_SIZES:
         for s in range(POOL_DOCUMENTS):
             doc = gen.pipeline_doc(n, s)
@@ -158,10 +161,11 @@ def manifest(cli, work: Path):
 
 def main() -> int:
     from nctorus import cli
+    from nctorus import documents as docs
 
     print(f"output_manifest: nctorus from {Path(cli.__file__).resolve().parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as work:
-        for line in manifest(cli, Path(work)):
+        for line in manifest(cli, docs, Path(work)):
             print(line, flush=True)
     return 0
 
