@@ -17,8 +17,13 @@ intended output change, regenerate the listing with
 
     PYTHONPATH=src python3 tools/output_manifest.py > tools/output_manifest.txt
 
-On the first pool documents, decompose with or without theta prints the R0,
-g', shear and basis change of the `pipeline` document.
+Three tests run parts of that set in process and match each output's digest
+and exit code with its committed line: the `simulate` reports of the
+campaign_trial descriptors at 5 trials of 8 samples and at 40 trials of 20
+samples, and the documents of the five exact commands (check, act, normalize,
+decompose, embed), which print no float, on the first pool documents.  On the
+same documents, decompose with or without theta prints the R0, g', shear and
+basis change of the `pipeline` document.
 """
 
 import hashlib
@@ -79,9 +84,43 @@ def test_output_manifest_matches_committed_listing():
     assert listing == committed, f"changed: {changed}\nappeared: {appeared}\nvanished: {vanished}"
 
 
-# decompose on the first 12 pool documents of each n in EXACT_SIZES, with and
-# without theta, which it does not read.
+def assert_listed(tmp_path, runs: list) -> None:
+    """Each (label, argv, document) run prints the digest and exit code of its committed line."""
+    committed = labelled(MANIFEST.with_suffix(".txt").read_text())
+    runner = output_manifest.Runner(cli, tmp_path)
+    changed = [label for label, argv, doc in runs if runner.line(label, argv, doc) != committed.get(label)]
+    assert not changed, f"changed: {changed}"
+
+
+def descriptor_runs(*flags: str) -> list:
+    """The `simulate` runs, with the given flags, on the campaign_trial descriptors n = 2..6, t < 8."""
+    runs = [run for run in output_manifest.descriptor_runs(cli, docs) if run[1][3:] == list(flags)]
+    assert len(runs) == 40
+    return runs
+
+
+def test_simulate_reports_match_digest(tmp_path):
+    assert_listed(tmp_path, descriptor_runs("--trials", "5"))
+
+
+def test_larger_batch_simulate_reports_match_digest(tmp_path):
+    assert_listed(tmp_path, descriptor_runs("--trials", "40", "--samples", "20"))
+
+
+# check, act, normalize, decompose and embed on the first 12 pool documents of
+# each n in EXACT_SIZES, then decompose on each document without theta, which
+# it does not read.
+EXACT_COMMANDS = ("check", "act", "normalize", "decompose", "embed")
 EXACT_SIZES = (2, 3, 4, 5, 6, 8)
+
+
+def test_exact_command_documents_match_digest(tmp_path):
+    runs = [run for run in output_manifest.pool_runs(gen) if run[1][0] in EXACT_COMMANDS]
+    assert len(runs) == len(EXACT_SIZES) * 12 * 6
+    assert output_manifest.POOL_SIZES == EXACT_SIZES
+    committed = labelled(MANIFEST.with_suffix(".txt").read_text())
+    assert all(committed[label].split(" ")[1] == "0" for label, _, _ in runs)
+    assert_listed(tmp_path, runs)
 
 
 def counted(monkeypatch, module, name: str) -> list:

@@ -8,7 +8,9 @@ Two library versions produce the same output bytes and exit codes on this set
 exactly when their manifests are equal.  The expected manifest is committed
 next to this script as ``output_manifest.txt``; the tier-1 test
 ``tests/test_reference_digests.py::test_output_manifest_matches_committed_listing``
-runs this script and names every run whose line changed.  The run set:
+runs this script and names every run whose line changed; three more tier-1
+tests run the ``descriptor_runs`` and ``pool_runs`` sections in process and
+match each run with its committed line.  The run set:
 
 - ``simulate`` on the job sets of the ``simulate_sweep`` benchmark workload for
   seeds 1-3 (``simulate_sources`` of ``perfbench/run.py``), each at
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import sys
 import tempfile
@@ -121,6 +124,29 @@ class Runner:
         return f"{digest} {code} {label}"
 
 
+def descriptor_runs(cli, docs):
+    """(label, argv, document) of each ``simulate`` run on a campaign_trial descriptor."""
+    for n in CAMPAIGN_SIZES:
+        for t in DESCRIPTOR_TRIALS:
+            trial = f"campaign:0:{t}"
+            desc = docs.pipeline_doc(cli.campaign_trial(n, trial)[1])["module_descriptor"]
+            job = docs.dumps({"module_descriptor": desc}).encode()
+            for flags in DESCRIPTOR_FLAGS:
+                label = f"simulate campaign_trial({n}, {trial}) --seed {t} {' '.join(flags)}"
+                yield label, ["simulate", "--seed", str(t), *flags], job
+
+
+def pool_runs(gen):
+    """(label, argv, document) of each input command run on the first pool documents."""
+    for n in POOL_SIZES:
+        for s in range(POOL_DOCUMENTS):
+            doc = gen.pipeline_doc(n, s)
+            for command in INPUT_COMMANDS:
+                yield f"{command} {gen.trial_id(n, s)}", [command], doc
+            no_theta = json.dumps({key: v for key, v in json.loads(doc).items() if key != "theta"}).encode()
+            yield f"decompose without theta {gen.trial_id(n, s)}", ["decompose"], no_theta
+
+
 def manifest(cli, docs, work: Path):
     run = load_perfbench("run")
     gen, pools = run.gen, run.load_reference()
@@ -137,21 +163,8 @@ def manifest(cli, docs, work: Path):
     for n in CAMPAIGN_SIZES:
         for seed in CAMPAIGN_SEEDS:
             yield runner.line(f"campaign --n {n} --seed {seed}", ["campaign", "--n", str(n), "--seed", str(seed)])
-    for n in CAMPAIGN_SIZES:
-        for t in DESCRIPTOR_TRIALS:
-            trial = f"campaign:0:{t}"
-            desc = docs.pipeline_doc(cli.campaign_trial(n, trial)[1])["module_descriptor"]
-            job = docs.dumps({"module_descriptor": desc}).encode()
-            for flags in DESCRIPTOR_FLAGS:
-                label = f"simulate campaign_trial({n}, {trial}) --seed {t} {' '.join(flags)}"
-                yield runner.line(label, ["simulate", "--seed", str(t), *flags], job)
-    for n in POOL_SIZES:
-        for s in range(POOL_DOCUMENTS):
-            doc = gen.pipeline_doc(n, s)
-            for command in INPUT_COMMANDS:
-                yield runner.line(f"{command} {gen.trial_id(n, s)}", [command], doc)
-            no_theta = json.dumps({key: v for key, v in json.loads(doc).items() if key != "theta"}).encode()
-            yield runner.line(f"decompose without theta {gen.trial_id(n, s)}", ["decompose"], no_theta)
+    for label, argv, doc in itertools.chain(descriptor_runs(cli, docs), pool_runs(gen)):
+        yield runner.line(label, argv, doc)
     no_g = {"version": "nctorus/1", "n": 2, "theta": THETA}
     for command in INPUT_COMMANDS:
         yield runner.line(f"{command} document without g", [command], json.dumps(no_g).encode())
