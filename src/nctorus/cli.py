@@ -215,7 +215,7 @@ def campaign_trial(n: int, trial_seed: str, word_length: int = 8):
     return {"defined": False}, None
 
 
-def run_campaign(n: int, seed, trials: int, word_length: int = 8) -> dict:
+def run_campaign(n: int, seed, trials: int, word_length: int) -> dict:
     results = []
     for t in range(trials):
         info, _ = campaign_trial(n, f"campaign:{seed}:{t}", word_length)

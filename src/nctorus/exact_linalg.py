@@ -602,14 +602,6 @@ def standard_symplectic(p: int) -> Mat:
     return canonical_alternating([1] * p, 2 * p)
 
 
-def _vector(xs: list[int], d: int) -> tuple[list[int], int]:
-    """The vector xs / d as reduced integers over a positive denominator."""
-    if d < 0:
-        xs, d = [-x for x in xs], -d
-    g = math.gcd(d, *xs)
-    return ([x // g for x in xs], d // g) if g != 1 else (xs, d)
-
-
 def symplectic_factor_rational(A: Mat) -> Mat:
     """Rational T with T^t J0 T = A for invertible skew rational A.
 
@@ -653,7 +645,7 @@ def symplectic_factor_rational(A: Mat) -> Mat:
             raise Singular("alternating form is degenerate")
         v, dv = remaining.pop(idx)
         # u / pair(u, v) = u * dA * dv / (us^t F vs)
-        u, du = _vector([x * dA * dv for x in u], dot(uF, v))
+        (u,), du = _lowest_terms([[x * dA * dv for x in u]], dot(uF, v))
         uF, vF = covector(u), covector(v)
         updated = []
         for r, dr in remaining:
@@ -661,7 +653,7 @@ def symplectic_factor_rational(A: Mat) -> Mat:
             if pvr or pur:
                 # r + pair(v, r) u - pair(u, r) v over dr dv dA du
                 scale = dv * dA * du
-                r, dr = _vector([x * scale + pvr * a - pur * b for x, a, b in zip(r, u, v)], dr * scale)
+                (r,), dr = _lowest_terms([[x * scale + pvr * a - pur * b for x, a, b in zip(r, u, v)]], dr * scale)
             updated.append((r, dr))
         remaining = updated
         us.append((u, du))

@@ -38,8 +38,8 @@ terms (a lone term is its own sum), correctly rounded, so values depend
 neither on the batch nor on the Python version.
 A pairing past float range raises OverflowError, as a shift past it does.
 
-The inner product <f, g>(x), for p <= 2, is the one integral: a midpoint rule
-in u on [-6, 6], checked by doubling, and sums over a in [-8, 8]^q and W.
+The right inner product <f, g>(x) of two ``Gaussian``s is taken in closed
+form, from the constants of the twist that U_x uses.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .torus_group import Theta
 
 
 class ModuleSimError(Exception):
-    """A malformed vector, block or embedding matrix, a failed identity of T and S, or an unconverged quadrature."""
+    """A malformed vector, block or embedding matrix, or a failed identity of T and S."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,32 +432,43 @@ def check_bimodule_commutation(block: Block, f: PointFunction) -> float:
 # test functions and sample points
 
 
+@dataclass(frozen=True)
+class Gaussian:
+    """A Gaussian-class function: Gaussian in u and a, character in w, the modulation over u then a."""
+
+    center_u: tuple[float, ...]
+    center_a: tuple[int, ...]
+    modulation: tuple[float, ...]
+    w_char: tuple[int, ...]
+    orders: tuple[int, ...]
+
+    def __call__(self, m: Points) -> list[complex]:
+        su = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.u, self.center_u)], m.size)
+        sa = _int_sums(([(v - c) ** 2 for v in col] for col, c in zip(m.a, self.center_a)), m.size)
+        pua = _sums([[t * v for v in col] for t, col in zip(self.modulation, m.u + m.a)], m.size)
+        pw = _sums([[t * v % n / n for v in col] for t, col, n in zip(self.w_char, m.w, self.orders)], m.size)
+        exp, cexp, neg_pi, tau = math.exp, cmath.exp, -math.pi, 2j * math.pi
+        return [exp(neg_pi * (s + t)) * cexp(tau * (x + y)) for s, t, x, y in zip(su, sa, pua, pw)]
+
+
 def gaussian(
     d: ModuleDescriptor,
     center_u: tuple[float, ...] | None = None,
     center_a: tuple[int, ...] | None = None,
     modulation: tuple[float, ...] | None = None,
     w_char: tuple[int, ...] | None = None,
-) -> PointFunction:
-    """A Gaussian-class function: Gaussian in u and a, character in w."""
-    cu = center_u if center_u is not None else (0.0,) * d.p
-    ca = center_a if center_a is not None else (0,) * d.q
-    mod = modulation if modulation is not None else (0.0,) * (d.p + d.q)
-    ch = w_char if w_char is not None else (0,) * d.k
-    orders = d.orders
-
-    def ev(m: Points) -> list[complex]:
-        su = _sums([[(v - c) ** 2 for v in col] for col, c in zip(m.u, cu)], m.size)
-        sa = _int_sums(([(v - c) ** 2 for v in col] for col, c in zip(m.a, ca)), m.size)
-        pua = _sums([[t * v for v in col] for t, col in zip(mod, m.u + m.a)], m.size)
-        pw = _sums([[t * v % n / n for v in col] for t, col, n in zip(ch, m.w, orders)], m.size)
-        exp, cexp, neg_pi, tau = math.exp, cmath.exp, -math.pi, 2j * math.pi
-        return [exp(neg_pi * (s + t)) * cexp(tau * (x + y)) for s, t, x, y in zip(su, sa, pua, pw)]
-
-    return ev
+) -> Gaussian:
+    """The Gaussian-class function on d's module with these parameters, each 0 where it is not given."""
+    return Gaussian(
+        center_u if center_u is not None else (0.0,) * d.p,
+        center_a if center_a is not None else (0,) * d.q,
+        modulation if modulation is not None else (0.0,) * (d.p + d.q),
+        w_char if w_char is not None else (0,) * d.k,
+        d.orders,
+    )
 
 
-def random_gaussian(rng: random.Random, d: ModuleDescriptor) -> PointFunction:
+def random_gaussian(rng: random.Random, d: ModuleDescriptor) -> Gaussian:
     return gaussian(
         d,
         center_u=tuple(rng.uniform(-1, 1) for _ in range(d.p)),
@@ -485,49 +496,42 @@ def random_lattice_vector(rng: random.Random, d: ModuleDescriptor) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# numeric inner product
-
-U_HALFWIDTH = 6.0
-U_POINTS = 96
-A_HALFWIDTH = 8
-TOLERANCE = 1e-8
+# inner product
 
 
-def inner_product_numeric(f: PointFunction, g: PointFunction, x, d: ModuleDescriptor) -> complex:
-    """<f, g>(x) = e(-T(x).J'T(x)/2) int <m, -T''(x)> g(m + T'(x)) conj(f(m)) dm.
+def inner_product_numeric(f: Gaussian, g: Gaussian, x, d: ModuleDescriptor) -> complex:
+    """<f, g>(x) = e(-T(x).J'T(x)/2) int <m, -T''(x)> g(m + T'(x)) conj(f(m)) dm, in closed form.
 
-    Haar measure is Lebesgue on R^p, counting on Z^q (truncated), and
-    normalized counting on W; the overall constant is fixed at K = 1.
-    Convergence is checked by doubling the number of midpoints.
+    The measure is Lebesgue on R^p, counting on Z^q and normalized counting on
+    W, with K = 1.  For Gaussians the integral is a product over coordinates,
+    each read off the shift s and pairing coefficient c of U_x's twist: a
+    Gaussian integral per u, a theta sum per a, and per cyclic factor of W a
+    character sum, 0 unless the characters agree up to the pairing.
 
     Raises:
-        ModuleSimError: if doubling changes the value by more than
-            TOLERANCE.
+        TypeError: if f or g is not a Gaussian.
     """
-    if d.p > 2:
-        raise ValueError("numeric inner product supports p <= 2 only")
-    image = _image(d._images[0], (_lattice(x, d),))
-    coarse = _integrate(f, g, image, d, U_POINTS)
-    fine = _integrate(f, g, image, d, 2 * U_POINTS)
-    if abs(fine - coarse) > TOLERANCE:
-        raise ModuleSimError(f"delta {abs(fine - coarse):.3e} above {TOLERANCE:.1e}")
-    return fine
-
-
-def _integrate(f, g, image: tuple, d: ModuleDescriptor, nodes_per_axis: int) -> complex:
-    # The integrand is smooth and decays like a Gaussian, so it is negligible
-    # past +-U_HALFWIDTH and the equally spaced rule converges exponentially in
-    # the number of points (Trefethen & Weideman 2014, SIAM Rev. 56:385-458).
-    h = 2 * U_HALFWIDTH / nodes_per_axis
-    nodes = [(i + 0.5) * h - U_HALFWIDTH for i in range(nodes_per_axis)]
-    u = [list(c) for c in zip(*itertools.product(nodes, repeat=d.p))]
-    size = nodes_per_axis**d.p
-    g_twisted = _twisted(g, _Twist(d._images[0], image, +1, size))  # one twist for every node batch
-    total = 0j
-    for a, w in itertools.product(
-        itertools.product(range(-A_HALFWIDTH, A_HALFWIDTH + 1), repeat=d.q),
-        itertools.product(*map(range, d.orders)),
-    ):
-        m = Points(u=u, a=[[v] * size for v in a], w=[[v] * size for v in w], size=size)
-        total += sum(map(mul, g_twisted(m), (v.conjugate() for v in f(m))))
-    return total * h**d.p / math.prod(d.orders)
+    if not (isinstance(f, Gaussian) and isinstance(g, Gaussian)):
+        raise TypeError("the inner product is taken in closed form, of Gaussians only")
+    tw = _Twist(d._images[0], _image(d._images[0], (_lattice(x, d),)), +1, 1)
+    L, p = tw.modulus, d.p
+    exp, cexp, pi, tau = math.exp, cmath.exp, math.pi, 2j * math.pi
+    value = tw.phase[0]
+    for i in range(p):
+        s, mg = tw.su[i][0], g.modulation[i]
+        alpha, beta, xi = g.center_u[i] - s, f.center_u[i], mg - f.modulation[i] + tw.cu[i][0]
+        value *= 2**-0.5 * exp(-pi * ((alpha - beta) ** 2 + xi**2) / 2) * cexp(tau * (xi * (alpha + beta) / 2 + mg * s))
+    for j in range(d.q):
+        s, mg = tw.sa[j][0], g.modulation[p + j]
+        alpha, beta, xi = g.center_a[j] - s, f.center_a[j], mg - f.modulation[p + j] + tw.cexact[j][0] / L
+        mu = (alpha + beta) / 2
+        # A term past |t - mu| = 11 is at most exp(-2 pi 11^2) = e^-760, below the
+        # smallest double: the cut is exact in floating point, not a tuning knob.
+        ts = range(math.ceil(mu - 11), math.floor(mu + 11) + 1)
+        value *= sum(exp(-pi * ((t - alpha) ** 2 + (t - beta) ** 2)) * cexp(tau * (xi * t + mg * s)) for t in ts)
+    for j, n in enumerate(d.orders):
+        s, chi = tw.sw[j][0], g.w_char[j]
+        if ((chi - f.w_char[j]) * (L // n) + tw.cexact[d.q + j][0]) % L:
+            return 0j
+        value *= _e(chi * s, n)
+    return value

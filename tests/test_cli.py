@@ -646,13 +646,18 @@ class TestCommands:
             monkeypatch.setattr(xl, "_congr_add", lambda W, Q, *step: congr_add(W, [row[:] for row in Q], *step))
             expect = {"kind": "certificate", "name": "torsion_normal_form"}
         elif fault == "pivot":
-            vector, calls = xl._vector, []
+            factor, lowest_terms, calls = xl.symplectic_factor_rational, xl._lowest_terms, []
 
-            def vector_with_halved_first_pivot(xs, d):
-                calls.append(d)
-                return vector(xs, 2 * d if len(calls) == 1 else d)
+            def halved_first_pivot(rows, den):  # the factorization's first reduction is its first pivot
+                calls.append(den)
+                return lowest_terms(rows, 2 * den if len(calls) == 1 else den)
 
-            monkeypatch.setattr(xl, "_vector", vector_with_halved_first_pivot)
+            def factor_with_halved_first_pivot(A):
+                with monkeypatch.context() as m:
+                    m.setattr(xl, "_lowest_terms", halved_first_pivot)
+                    return factor(A)
+
+            monkeypatch.setattr(xl, "symplectic_factor_rational", factor_with_halved_first_pivot)
             expect = {"kind": "certificate", "name": "T_pullback"}
         else:
             smith, identity_rows = xl.smith_normal_form, xl._identity_rows

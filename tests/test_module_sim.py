@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import random
 import re
@@ -345,6 +346,28 @@ class TestRelations:
                 assert abs(abs(phase) - 1) < 1e-12
 
 
+def p3_torsion_descriptor():
+    # p = 3 with torsion orders (6, 1)
+    return cli.campaign_trial(6, "campaign:0:4")[1].descriptor
+
+
+def p3_descriptor():
+    # p = 3 with no torsion
+    return cli.campaign_trial(6, "campaign:0:5")[1].descriptor
+
+
+def reference_inner_product(f_ref, g_ref, x, d, nodes=256, halfwidth=8):
+    """int (g U_-x)(m) conj(f(m)) dm for q = 0 from the reference pieces: midpoints in u, W summed over prod n_j."""
+    h = 2 * halfwidth / nodes
+    grid = [(i + 0.5) * h - halfwidth for i in range(nodes)]
+    g_x = ref_right_action(g_ref, [-t for t in x], d)
+    total = 0j
+    for u, w in itertools.product(itertools.product(grid, repeat=d.p), itertools.product(*map(range, d.orders))):
+        m = MPart(u=u, a=(), w=w)
+        total += g_x(m) * f_ref(m).conjugate()
+    return total * h**d.p / math.prod(d.orders)
+
+
 class TestInnerProduct:
     def test_gaussian_norm(self):
         d = flip_descriptor()
@@ -353,15 +376,39 @@ class TestInnerProduct:
         assert abs(val - 1 / math.sqrt(2)) < 1e-9
 
     def test_parity_orthogonality(self):
+        """An odd function is outside the Gaussian class, whose inner products have a closed form."""
         d = flip_descriptor()
         f = ms.gaussian(d)
         g = lambda m: [u * math.exp(-math.pi * u**2) for u in m.u[0]]
-        val = ms.inner_product_numeric(f, g, [0, 0], d)
-        assert abs(val) < 1e-6
+        message = "^the inner product is taken in closed form, of Gaussians only$"
+        with pytest.raises(TypeError, match=message):
+            ms.inner_product_numeric(f, g, [0, 0], d)
+        with pytest.raises(TypeError, match=message):
+            ms.inner_product_numeric(g, f, [0, 0], d)
 
-    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    @pytest.mark.parametrize("make", [flip_descriptor, torsion_descriptor, torsion5_descriptor])
+    def test_closed_form_equals_the_reference_midpoint_sum(self, make):
+        d = make()
+        rng = random.Random(37)
+
+        def draw():  # centre, modulation and character, drawn as random_gaussian draws them (q = 0)
+            centre, modulation = (tuple(rng.uniform(-1, 1) for _ in range(d.p)) for _ in range(2))
+            return centre, (), modulation, tuple(rng.randrange(n) for n in d.orders)
+
+        for _ in range(3):
+            f_params, g_params, x = draw(), draw(), ms.random_lattice_vector(rng, d)
+            want = reference_inner_product(ref_gaussian(d, *f_params), ref_gaussian(d, *g_params), x, d)
+            got = ms.inner_product_numeric(ms.gaussian(d, *f_params), ms.gaussian(d, *g_params), x, d)
+            assert abs(got - want) < 1e-9
+
+    def test_characters_that_differ_are_orthogonal(self):
+        d = torsion5_descriptor()
+        f, g = ms.gaussian(d, w_char=(1,)), ms.gaussian(d, w_char=(3,))
+        assert ms.inner_product_numeric(f, g, [0, 0], d) == 0j
+        assert abs(ms.inner_product_numeric(g, g, [0, 0], d) - 1 / math.sqrt(2)) < 1e-9
+
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS + [p3_torsion_descriptor, p3_descriptor])
     def test_hermitian_symmetry(self, make):
-        # each call also asserts convergence: an unconverged quadrature raises
         d = make()
         rng = random.Random(35)
         for _ in range(10):
@@ -372,29 +419,14 @@ class TestInnerProduct:
             right = ms.inner_product_numeric(g, f, [-t for t in x], d)
             assert abs(left - right.conjugate()) < 1e-9
 
-    @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
+    @pytest.mark.parametrize("make", ALL_DESCRIPTORS + [p3_torsion_descriptor, p3_descriptor])
     def test_positivity_spot(self, make):
         d = make()
         rng = random.Random(36)
         for _ in range(10):
             f = ms.random_gaussian(rng, d)
             val = ms.inner_product_numeric(f, f, [0] * d.n, d)
-            assert abs(val.imag) < 1e-9 and val.real >= 0
-
-    def test_p_bound(self):
-        d = flip_descriptor()
-        big = ms.ModuleDescriptor(
-            p=3, q=0, orders=(), T=d.T, S=d.S, theta=d.theta, theta_prime=d.theta_prime,
-        )
-        with pytest.raises(ValueError, match="^numeric inner product supports p <= 2 only$"):
-            ms.inner_product_numeric(ms.gaussian(d), ms.gaussian(d), [0, 0], big)
-
-    def test_unconverged(self):
-        """A step at u = 0.05 falls between the nodes of one rule and on the other side of the next."""
-        d = flip_descriptor()
-        step = lambda m: [1.0 if u > 0.05 else 0.0 for u in m.u[0]]
-        with pytest.raises(ms.ModuleSimError, match="^delta 6.250e-02 above 1.0e-08$"):
-            ms.inner_product_numeric(step, step, [0, 0], d)
+            assert abs(val.imag) < 1e-9 and val.real > 0
 
 
 class TestIntegerKernelOracle:
