@@ -20,7 +20,8 @@ theta and theta' directly.  An action (``_Twist``) is built for a list of
 image vectors M(x) and a block size at once: vector i acts on the i-th of
 len(xs) equal blocks of a batch, and fixes its shift, its pairing (integer
 coefficients over one modulus L and float u-coefficients) and its phase
-e(-M(x).J'M(x)/2) there, each read off M(x) and held as per-point columns.  A simulation ``Block``
+e(-M(x).J'M(x)/2) there: its constructor reads all three off the coordinate
+blocks of M(x), and holds them as per-point columns.  A simulation ``Block``
 validates the lattice pairs of several trials once, repeats the sample batch
 once per pair (``tile``), takes the images of its x and y in one pass over
 each embedding's rows (those of x + y by exact int addition) and builds its
@@ -149,14 +150,9 @@ def build_forms(p: int, q: int, orders: tuple[int, ...]) -> Mat:
     return xl.block_diag(xl.standard_symplectic(p), xl.standard_symplectic(q), J2)
 
 
-def _value(M: Mat, x: list[int], y: list[int]) -> int:
-    """den * x^t M y for integer vectors x and y."""
-    return sum(map(mul, x, [sum(map(mul, row, y)) for row in M.rows]))
-
-
 def _half_phase(M: Mat, x: list[int], y: list[int]) -> complex:
-    """e(x^t M y / 2)."""
-    return _e(_value(M, x, y), 2 * M.den)
+    """e(x^t M y / 2) for integer vectors x and y: den x^t M y over 2 den."""
+    return _e(sum(map(mul, x, [sum(map(mul, row, y)) for row in M.rows])), 2 * M.den)
 
 
 def _block_bounds(p: int, q: int, k: int) -> list[tuple[int, int]]:
@@ -187,9 +183,8 @@ class _Image:
     ``rows`` are its ambient rows in the order (u, u^, a, a^, w, w^), and
     ``bounds`` cut an image vector M(x) into those six blocks: the u, u^ and a^
     entries are numerators over ``den``, the a, w and w^ rows are integral and
-    held divided out.  ``pairing`` lists the index pairs (i, j) of u.u^,
-    a.a^ and w.w^ with the int weight c that puts each product over the one
-    denominator den L: den L M(x).J'M(x) = sum of c v_i v_j.
+    held divided out.  ``_Twist`` reads every constant of an action,
+    its phase included, off those blocks of M(x).
     """
 
     def __init__(self, M: Mat, name: str, d: ModuleDescriptor):
@@ -204,29 +199,12 @@ class _Image:
         self.rows = [*u, *uhat, *a, *ahat, *w, *what]
         self.bounds = _block_bounds(d.p, d.q, d.k)
         self.orders = d.orders
-        self.modulus = L = math.lcm(den, *d.orders)
-        (u0, _), (h0, _), (a0, _), (b0, _), (w0, _), (z0, _) = self.bounds
-        self.pairing = (
-            [(u0 + i, h0 + i, L // den) for i in range(d.p)]
-            + [(a0 + i, b0 + i, L) for i in range(d.q)]
-            + [(w0 + j, z0 + j, den * L // n) for j, n in enumerate(d.orders)]
-        )
+        self.modulus = math.lcm(den, *d.orders)
 
 
 def _image(img: _Image, xs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The image vector M(x) of each lattice vector x, in the integer form of ``img.rows``."""
     return tuple(tuple([sum(map(mul, row, x)) for row in img.rows]) for x in xs)
-
-
-def _phase_arguments(img: _Image, image: tuple) -> tuple[list[int], int]:
-    """The phase arguments -v.J'v/2 of the image vectors v, as int numerators over one denominator.
-
-    v.J'v = sum u.u^/den^2 + a.a^/den + w.w^/n_j, and den L clears all three.
-    _e reduces num mod den before its one division, so e(num / den) is the
-    same float over any denominator of the same rational.
-    """
-    pairing = img.pairing
-    return [-sum([c * v[i] * v[j] for i, j, c in pairing]) for v in image], 2 * img.den * img.modulus
 
 
 def verify_descriptor(d: ModuleDescriptor) -> None:
@@ -271,7 +249,9 @@ class _Twist:
     columns ``su``, ``sa`` and ``sw`` (mod ``orders``), and the pairing
     <m, -sign M''(x)> has integer coefficient columns ``cexact``, for a and
     then w, over one ``modulus`` and float ones ``cu``, where M' and M'' are
-    the M and M-hat parts of M(x).  Every constant is read off the image.
+    the M and M-hat parts of M(x).  Every constant is read off the image,
+    the phase from the row pairs u.u^, a.a^ and w.w^: weighted L/den, L and
+    den L/n_j they sum to den L M(x).J'M(x), an int over 2 den L.
     """
 
     __slots__ = ("phase", "cu", "cexact", "modulus", "su", "sa", "sw", "orders")
@@ -283,8 +263,11 @@ class _Twist:
         den, L = img.den, img.modulus
         rows = list(zip(*image))  # per ambient row, its value at each vector
         u, uhat, a, ahat, w, what = (rows[i:j] for i, j in img.bounds)
-        nums, phase_den = _phase_arguments(img, image)
-        self.phase = _spread([_e(t, phase_den) for t in nums], block)
+        weights = [L // den] * len(u) + [L] * len(a) + [den * L // n for n in img.orders]
+        forms = [0] * len(image)  # per vector, den L M(x).J'M(x)
+        for r, h, c in zip(u + a + w, uhat + ahat + what, weights):
+            forms = [f + c * s * t for f, s, t in zip(forms, r, h)]
+        self.phase = _spread([_e(-f, 2 * den * L) for f in forms], block)
         self.su = spread([[sign * (v / den) for v in r] for r in u])
         self.sa = spread([[sign * v for v in r] for r in a])
         self.sw = spread([[sign * v % n for v in r] for r, n in zip(w, img.orders)])
@@ -458,14 +441,29 @@ def gaussian(
     modulation: tuple[float, ...] | None = None,
     w_char: tuple[int, ...] | None = None,
 ) -> Gaussian:
-    """The Gaussian-class function on d's module with these parameters, each 0 where it is not given."""
-    return Gaussian(
+    """The Gaussian-class function on d's module with these parameters, each 0 where it is not given.
+
+    Raises:
+        ValueError: naming the first parameter whose length is not p, q, p + q or k, in that order.
+    """
+    g = Gaussian(
         center_u if center_u is not None else (0.0,) * d.p,
         center_a if center_a is not None else (0,) * d.q,
         modulation if modulation is not None else (0.0,) * (d.p + d.q),
         w_char if w_char is not None else (0,) * d.k,
         d.orders,
     )
+    _check_fits(g, d)
+    return g
+
+
+def _check_fits(g: Gaussian, d: ModuleDescriptor) -> None:
+    """Raise ValueError naming the first parameter of g whose length, or g's orders, do not fit d."""
+    for name, size in (("center_u", d.p), ("center_a", d.q), ("modulation", d.p + d.q), ("w_char", d.k)):
+        if len(getattr(g, name)) != size:
+            raise ValueError(f"{name} has length {len(getattr(g, name))}, expected {size}")
+    if g.orders != d.orders:
+        raise ValueError(f"orders {g.orders} are not the descriptor's {d.orders}")
 
 
 def random_gaussian(rng: random.Random, d: ModuleDescriptor) -> Gaussian:
@@ -510,9 +508,12 @@ def inner_product_numeric(f: Gaussian, g: Gaussian, x, d: ModuleDescriptor) -> c
 
     Raises:
         TypeError: if f or g is not a Gaussian.
+        ValueError: if a parameter length or the orders of f or g do not fit d.
     """
     if not (isinstance(f, Gaussian) and isinstance(g, Gaussian)):
         raise TypeError("the inner product is taken in closed form, of Gaussians only")
+    _check_fits(f, d)
+    _check_fits(g, d)
     tw = _Twist(d._images[0], _image(d._images[0], (_lattice(x, d),)), +1, 1)
     L, p = tw.modulus, d.p
     exp, cexp, pi, tau = math.exp, cmath.exp, math.pi, 2j * math.pi

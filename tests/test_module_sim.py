@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +16,7 @@ from nctorus import embedding as eb
 from nctorus import exact_linalg as xl
 from nctorus import module_sim as ms
 from nctorus import torus_group as tg
+from test_trace_range import first_pipeline, torsion_rich_element
 
 
 def flip_descriptor():
@@ -428,6 +429,94 @@ class TestInnerProduct:
             val = ms.inner_product_numeric(f, f, [0] * d.n, d)
             assert abs(val.imag) < 1e-9 and val.real > 0
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("center_u", ()), ("center_u", (0.0, 0.0)), ("center_a", (0,)), ("modulation", (0.0, 0.0)), ("w_char", (0,))],
+    )
+    def test_a_parameter_of_the_wrong_length_is_rejected(self, name, value):
+        # p = 1, q = 0, k = 0; with center_u = () zip would drop the u columns, and f would be 1 at every point
+        d = flip_descriptor()
+        size = {"center_u": d.p, "center_a": d.q, "modulation": d.p + d.q, "w_char": d.k}[name]
+        with pytest.raises(ValueError, match=f"^{name} has length {len(value)}, expected {size}$"):
+            ms.gaussian(d, **{name: value})
+
+    def test_a_gaussian_that_does_not_fit_is_rejected_by_the_inner_product(self):
+        d = torsion_descriptor()
+        with pytest.raises(ValueError, match="^w_char has length 0, expected 1$"):
+            ms.gaussian(d, w_char=())
+        f = ms.gaussian(d)
+        short = replace(f, w_char=())
+        other = replace(f, orders=(3,))
+        cases = [(short, f, "^w_char has length 0"), (f, short, "^w_char has length 0"), (f, other, "^orders")]
+        for a, b, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ms.inner_product_numeric(a, b, [0] * d.n, d)
+
+
+@functools.cache
+def decay_cases():
+    """(label, descriptor, lambda) for the 40 campaign and the 40 torsion-rich descriptors of n = 2..6, t < 8.
+
+    lambda = 1/|T~^-1|_F^2, T~ the (u, u^, a) rows of T, is exact, and
+    |T~ x|^2 >= lambda |x|^2 for every x.
+    """
+    cases = []
+    for n, t in itertools.product(range(2, 7), range(8)):
+        for label, res in (
+            (f"campaign:0:{t} n={n}", cli.campaign_trial(n, f"campaign:0:{t}")[1]),
+            (f"rich{t} n={n}", first_pipeline(torsion_rich_element(f"rich{t}", n), f"rich{t}")),
+        ):
+            d = res.descriptor
+            inverse = xl.rational_inverse(d.T[: d.n, :])
+            cases.append((label, d, F(inverse.den**2, sum(x * x for row in inverse.rows for x in row))))
+    return cases
+
+
+def decay_points():
+    """(label, |<f, g>(x)|, bound) at 2 random_gaussian pairs and 20 lattice x, |x|_inf <= 6, per descriptor.
+
+    The bound is 2^(-p/2) 1.0038^q exp(-(pi/2) max(0, sqrt(lambda)|x| - |delta|)^2),
+    delta the differences g - f of the u centres, u modulations and a centres.
+    The closed form's u and a factors decay as exp(-(pi/2)|delta - T~x|^2),
+    each a factor's theta sum is at most sup_mu sum_t exp(-2 pi (t - mu)^2)
+    < 1.0038, and |delta - T~x| >= sqrt(lambda)|x| - |delta|.
+    """
+    points = []
+    for label, d, lam in decay_cases():
+        rng = random.Random(label)
+        pairs = [(ms.random_gaussian(rng, d), ms.random_gaussian(rng, d)) for _ in range(2)]
+        xs = [[rng.randint(-6, 6) for _ in range(d.n)] for _ in range(20)]
+        for f, g in pairs:
+            fp = f.center_u + f.modulation[: d.p] + f.center_a
+            gp = g.center_u + g.modulation[: d.p] + g.center_a
+            delta = math.dist(fp, gp)
+            for x in xs:
+                r = max(0.0, math.sqrt(lam) * math.hypot(*x) - delta)
+                bound = 2 ** (-d.p / 2) * 1.0038**d.q * math.exp(-(math.pi / 2) * r**2)
+                points.append((label, abs(ms.inner_product_numeric(f, g, x, d)), bound))
+    return points
+
+
+class TestDecay:
+    """The inner product of two Gaussians decays on Z^n at the exact rate lambda of T~."""
+
+    def test_inner_product_is_within_the_decay_bound(self):
+        points = decay_points()
+        assert len(points) == 80 * 2 * 20
+        assert [(label, value, bound) for label, value, bound in points if value > bound * (1 + 1e-9)] == []
+        # the bound bites: a vacuous bound of about 1 everywhere would pass as well
+        assert sum(bound < 1e-3 for _, _, bound in points) > len(points) / 4
+
+    def test_a_halved_shift_breaks_the_bound(self, monkeypatch):
+        class HalvedShift(ms._Twist):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.su = [[s / 2 for s in col] for col in self.su]
+                self.sa = [[s / 2 for s in col] for col in self.sa]
+
+        monkeypatch.setattr(ms, "_Twist", HalvedShift)
+        assert any(value > bound * (1 + 1e-9) for _, value, bound in decay_points())
+
 
 class TestIntegerKernelOracle:
     """The integer-row kernel equals the Fraction formulas bit for bit."""
@@ -689,22 +778,23 @@ class TestBlockBuild:
     @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_phase_arguments_are_the_half_forms(self, make, data):
+    def test_twist_phase_is_the_half_form(self, make, data):
         d = cached(make)
         lattice = st.tuples(*[st.integers(-10**6, 10**6)] * d.n)
         xs = tuple(data.draw(st.lists(lattice, min_size=1, max_size=4)))
         ys = tuple(data.draw(st.lists(lattice, min_size=len(xs), max_size=len(xs))))
         xys = tuple(tuple(a + b for a, b in zip(x, y)) for x, y in zip(xs, ys))
+        block = data.draw(st.integers(2, 5))
         for M, img in zip((d.T, d.S), d._images):
             half = xl.matmul(M.T, ref_jprime(d), M)
             ix, iy = ms._image(img, xs), ms._image(img, ys)
             ixy = tuple(tuple(a + b for a, b in zip(vx, vy)) for vx, vy in zip(ix, iy))
             for vectors, image in zip((xs, ys, xys), (ix, iy, ixy)):
                 assert image == ms._image(img, vectors)
-                nums, den = ms._phase_arguments(img, image)
-                for x, num in zip(vectors, nums):
-                    assert F(num, den) % 1 == (-ref_bilinear(x, half, x) / 2) % 1
-                    assert ms._e(num, den) == ms._e(-ms._value(half, x, x), 2 * half.den)
+                want = [cmath.exp(2j * math.pi * float((-ref_bilinear(x, half, x) / 2) % 1)) for x in vectors]
+                for sign in (-1, +1):
+                    assert ms._Twist(img, image, sign, 1).phase == want
+                    assert ms._Twist(img, image, sign, block).phase == [v for v in want for _ in range(block)]
 
 
 @pytest.mark.parametrize("make", ALL_DESCRIPTORS)
